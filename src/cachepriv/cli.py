@@ -22,11 +22,18 @@ import sys
 import time
 from fractions import Fraction
 
-from .core import DemandVector, ParameterError, Privacy, SchemeError, SchemeInstance
+from .core import (
+    DemandSubset,
+    DemandVector,
+    ParameterError,
+    Privacy,
+    SchemeError,
+    SchemeInstance,
+    cyclic_demand_set,
+)
 from .lift import (
     basic_private_scheme,
     high_memory_private_scheme,
-    lift_private,
     low_memory_private_scheme,
 )
 from .region import emit_region
@@ -44,17 +51,9 @@ from .search import (
     export_descriptor,
     parse_descriptor,
     search_linear_scheme,
-    verify_linear,
 )
-from .core import cyclic_demand_set, DemandSubset
 from .session import simulate_session, transcript_to_bytes
-from .verifier import (
-    Verdict,
-    check_conditional_invariance,
-    check_decodability,
-    check_privacy,
-    measure_rates,
-)
+from .verifier import Verdict, measure_rates, run_checks
 
 DUAL_TARGET = (2, 4, 3, 4, 1)
 
@@ -131,22 +130,20 @@ def _print_verdict(label: str, v: Verdict) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     s = resolve_scheme(args.scheme)
     print(f"scheme: {s.describe()}")
-    ok = True
-    v = check_decodability(s, args.width, args.budget)
-    _print_verdict("decodability", v)
-    ok &= v.passed
-    if s.privacy is Privacy.PRIVATE:
-        users = range(s.n_users) if args.user is None else [args.user]
-        for k in users:
-            v = check_privacy(s, k, args.width, args.budget)
-            _print_verdict(f"privacy[user {k}]", v)
-            ok &= v.passed
-        if s.n_files == 2 and s.n_users == 2:
-            v = check_conditional_invariance(s, args.width, args.budget)
-            _print_verdict("conditional-invariance", v)
-            ok &= v.passed
-    else:
+    private = s.privacy is Privacy.PRIVATE
+    users = range(s.n_users) if args.user is None else (args.user,)
+    verdicts = run_checks(
+        s,
+        args.width,
+        args.budget,
+        users=users if private else (),
+        invariance=private and s.n_files == 2 and s.n_users == 2,
+    )
+    for label, v in verdicts.items():
+        _print_verdict(label, v)
+    if not private:
         print("privacy: skipped (non-private scheme)")
+    ok = all(v.passed for v in verdicts.values())
     print("overall: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

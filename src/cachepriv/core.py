@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 
@@ -238,20 +239,17 @@ def expand_demand(demand: DemandVector, keys: Sequence[int]) -> DemandVector:
 
 @dataclass(frozen=True)
 class DemandSubset:
-    """An explicit set of demand vectors, optionally annotated with shifts."""
+    """An explicit set of demand vectors."""
 
     n_files: int
     n_users: int
     members: tuple[tuple[int, ...], ...]
     label: str
-    shifts: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         for m in self.members:
             if len(m) != self.n_users:
                 raise ValueError("member length does not match user count")
-        if self.shifts is not None and len(self.shifts) != len(self.members):
-            raise ValueError("one shift annotation per member required")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -260,13 +258,11 @@ class DemandSubset:
         return iter(self.members)
 
     def __contains__(self, demand: object) -> bool:
-        return tuple(demand) in set(self.members)  # type: ignore[arg-type]
+        return tuple(demand) in self._member_set  # type: ignore[arg-type]
 
-    def shift_of(self, demand: Sequence[int]) -> tuple[int, ...]:
-        if self.shifts is None:
-            raise ValueError(f"demand set {self.label!r} carries no shift annotations")
-        table = dict(zip(self.members, self.shifts))
-        return table[tuple(demand)]
+    @cached_property
+    def _member_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.members)
 
 
 def full_demand_set(n_files: int, n_users: int) -> DemandSubset:
@@ -278,26 +274,15 @@ def cyclic_demand_set(n_files: int, n_blocks: int) -> DemandSubset:
     """Demands over n_blocks*n_files virtual users whose length-n_files blocks
     are each a cyclic rotation of the identity pattern (0, ..., n_files-1).
 
-    Each member is annotated with its per-block right-shift counts.
+    Members are listed in itertools.product order of their per-block
+    right-shift counts.
     """
     ident = identity_vector(n_files)
     members = []
-    shifts = []
     for c in itertools.product(range(n_files), repeat=n_blocks):
         blocks = [cyclic_shift(ident, ci) for ci in c]
         members.append(tuple(itertools.chain.from_iterable(blocks)))
-        shifts.append(c)
-    return DemandSubset(
-        n_files, n_blocks * n_files, tuple(members), "cyclic", tuple(shifts)
-    )
-
-
-def demand_histogram(demand: DemandVector) -> tuple[int, ...]:
-    """Per-file request counts over all users."""
-    counts = [0] * demand.n_files
-    for d in demand:
-        counts[d] += 1
-    return tuple(counts)
+    return DemandSubset(n_files, n_blocks * n_files, tuple(members), "cyclic")
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,7 @@ def basic_private_scheme(
             order.append(slots[d])
         return order
 
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        symbols = tuple(
-            store.symbols[i][j] for i in range(n_files) for j in range(tc)
-        )
-        return tuple(CacheContent(symbols, key) for key in keys.user_keys)
+    place, _, _ = uncoded_split_functions(n_files, t, tc)
 
     def deliver(
         store: FileStore, demand: DemandVector, keys: KeyAssignment

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .core import (
     CacheContent,
     DeliveryMessage,
-    DemandSubset,
     DemandVector,
     FileStore,
     KeyAssignment,
@@ -23,7 +22,6 @@ from .core import (
     Privacy,
     SchemeInstance,
     SubfileSymbol,
-    UnservedDemand,
     cyclic_demand_set,
     full_demand_set,
     pack_symbols,
@@ -81,8 +79,6 @@ def low_memory_2x4_matrices() -> LinearSchemeMatrices:
 
 
 def high_memory_2x4_matrices() -> LinearSchemeMatrices:
-    if not HIGH_MEMORY_2X4_CACHES:
-        raise ParameterError("high-memory corner witness has not been frozen yet")
     return LinearSchemeMatrices(
         2, 4, 3, HIGH_MEMORY_2X4_CACHES, HIGH_MEMORY_2X4_DELIVERIES
     )

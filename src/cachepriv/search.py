@@ -9,9 +9,11 @@ in the rowspan of user u's cache rows stacked with demand d's delivery rows.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import gf2
@@ -70,10 +72,14 @@ class LinearSchemeMatrices:
 
     def delivery_for(self, demand: Sequence[int]) -> tuple[int, ...]:
         key = tuple(demand)
-        for d, rows in self.deliveries:
-            if d == key:
-                return rows
-        raise UnservedDemand(f"no delivery matrix for demand {key}")
+        rows = self._delivery_index.get(key)
+        if rows is None:
+            raise UnservedDemand(f"no delivery matrix for demand {key}")
+        return rows
+
+    @cached_property
+    def _delivery_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return dict(reversed(self.deliveries))  # the first entry for a demand wins
 
     def validate(self) -> None:
         """Shape and full-row-rank invariants (no wasted rows)."""
@@ -397,9 +403,7 @@ def search_linear_scheme(
                 return None
             per_user.append(options)
         tried = 0
-        import itertools as _it
-
-        for combo in _it.product(*per_user):
+        for combo in itertools.product(*per_user):
             tried += 1
             if tried > budget:
                 return None
@@ -456,6 +460,12 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
     caches: dict[int, tuple[int, ...]] = {}
     deliveries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
+    def parse_int(word: str) -> int:
+        try:
+            return int(word)
+        except ValueError:
+            raise ParameterError(f"not an integer: {word!r}") from None
+
     def parse_rows(chunk: str) -> tuple[int, ...]:
         rows = []
         for word in chunk.split():
@@ -471,19 +481,26 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
         if key.startswith("cache "):
-            caches[int(key.split()[1])] = parse_rows(value)
+            caches[parse_int(key.split()[1])] = parse_rows(value)
         elif key.startswith("delivery "):
-            demand = tuple(int(x) for x in key.split(None, 1)[1].split(","))
+            demand = tuple(parse_int(x) for x in key.split(None, 1)[1].split(","))
             deliveries.append((demand, parse_rows(value)))
         else:
             fields[key] = value
-    if int(fields.get("version", "0")) != DESCRIPTOR_VERSION:
+    if parse_int(fields.get("version", "0")) != DESCRIPTOR_VERSION:
         raise ParameterError("unsupported descriptor version")
-    n_users = int(fields["users"])
+    n_files, n_users, t = (
+        parse_int(fields.get(f, "0")) for f in ("files", "users", "subpacketization")
+    )
+    if min(n_files, n_users, t) < 1:
+        raise ParameterError("descriptor needs positive files, users, subpacketization")
+    for u in range(n_users):
+        if u not in caches:
+            raise ParameterError(f"descriptor has no cache line for user {u}")
     m = LinearSchemeMatrices(
-        int(fields["files"]),
+        n_files,
         n_users,
-        int(fields["subpacketization"]),
+        t,
         tuple(caches[u] for u in range(n_users)),
         tuple(deliveries),
     )

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    DeliveryMessage,
     DemandVector,
     FileStore,
     KeyAssignment,
@@ -149,6 +148,8 @@ def parse_transcript(buf: bytes, scheme_name: str = "") -> SessionTranscript:
             raise TranscriptError("truncated frame body")
         pos += length
         if frame_type == FRAME_PLACEMENT:
+            if len(body) < 5:
+                raise TranscriptError("truncated placement frame")
             user = body[0]
             key = int.from_bytes(body[1:5], "little")
             bits, value, end = _read_bit_block(body, 5)
@@ -156,12 +157,16 @@ def parse_transcript(buf: bytes, scheme_name: str = "") -> SessionTranscript:
                 raise TranscriptError("trailing bytes in placement frame")
             placements.append(PlacementFrame(user, key, bits, value))
         elif frame_type == FRAME_DELIVERY:
+            if delivery is not None:
+                raise TranscriptError("second delivery frame")
             hbits, hvalue, mid = _read_bit_block(body, 0)
             pbits, pvalue, end = _read_bit_block(body, mid)
             if end != len(body):
                 raise TranscriptError("trailing bytes in delivery frame")
             delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
         elif frame_type == FRAME_DECODE:
+            if len(body) < 3:
+                raise TranscriptError("truncated decode frame")
             user, file_index, matched = body[0], body[1], body[2]
             bits, value, end = _read_bit_block(body, 3)
             if end != len(body):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +26,7 @@ from .core import (
     Privacy,
     SchemeError,
     SchemeInstance,
+    pack_symbols,
 )
 
 DEFAULT_BUDGET = 1 << 28
@@ -98,16 +99,6 @@ class Verdict:
     mi_bits: float | None = None
 
 
-def verdict_to_text(name: str, v: Verdict) -> str:
-    lines = [f"check: {name}", f"result: {'pass' if v.passed else 'fail'}"]
-    lines.append(f"cases: {v.cases}")
-    if v.mi_bits is not None:
-        lines.append(f"mi_bits: {v.mi_bits:.12g}")
-    if v.counterexample is not None:
-        lines.append(f"counterexample: {v.counterexample}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # atom space
 
@@ -147,11 +138,8 @@ class AtomSpace:
             KeyAssignment(tuple(keys), p),
         )
 
-    def iter_atoms(
-        self, order: Iterable[int] | None = None
-    ) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
-        indices = range(self.total) if order is None else order
-        for i in indices:
+    def iter_atoms(self) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
+        for i in range(self.total):
             yield self.atom(i)
 
 
@@ -192,8 +180,6 @@ def _encode_ints(values: Iterable[int]) -> bytes:
 
 
 def _observable(cache: CacheContent, msg: DeliveryMessage, own_demand: int) -> bytes:
-    from .core import pack_symbols
-
     cache_val, cache_len = pack_symbols(cache.symbols)
     pay_val, pay_len = pack_symbols(msg.payload)
     return _encode_ints(
@@ -211,31 +197,23 @@ def _observable(cache: CacheContent, msg: DeliveryMessage, own_demand: int) -> b
 class JointDistribution:
     """Exact joint counts of (left, right) observations over an atom space."""
 
-    total: int
-    joint: Counter
-    left: Counter
-    right: Counter
+    total: int = 0
+    joint: Counter = field(default_factory=Counter)
+    left: Counter = field(default_factory=Counter)
+    right: Counter = field(default_factory=Counter)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "JointDistribution":
-        joint: Counter = Counter()
-        left: Counter = Counter()
-        right: Counter = Counter()
-        total = 0
+        dist = cls()
         for l, r in pairs:
-            joint[(l, r)] += 1
-            left[l] += 1
-            right[r] += 1
-            total += 1
-        return cls(total, joint, left, right)
+            dist.add(l, r)
+        return dist
 
-    def merge(self, other: "JointDistribution") -> "JointDistribution":
-        return JointDistribution(
-            self.total + other.total,
-            self.joint + other.joint,
-            self.left + other.left,
-            self.right + other.right,
-        )
+    def add(self, l: object, r: object) -> None:
+        self.joint[(l, r)] += 1
+        self.left[l] += 1
+        self.right[r] += 1
+        self.total += 1
 
     def first_violation(self) -> tuple[object, object, int] | None:
         """First (left, right, count) cell breaking the exact product identity.
@@ -249,6 +227,18 @@ class JointDistribution:
                 if c * self.total != self.left[l] * self.right[r]:
                     return (l, r, c)
         return None
+
+    def verdict(self) -> Verdict:
+        """Exact independence verdict, with the MI diagnostic attached."""
+        violation = self.first_violation()
+        counterexample = None
+        if violation is not None:
+            l, r, c = violation
+            counterexample = IndependenceCounterexample(
+                l, c, self.left[l], self.right[r], self.total  # type: ignore[arg-type]
+            )
+        mi = self.mutual_information_bits()
+        return Verdict(violation is None, self.total, counterexample, mi)
 
     def mutual_information_bits(self) -> float:
         total = self.total
@@ -265,162 +255,140 @@ class JointDistribution:
 # checks
 
 
-def check_decodability(
+def run_checks(
     s: SchemeInstance,
     width: int = 1,
     budget: int | None = None,
-    order: Iterable[int] | None = None,
-) -> Verdict:
-    """Every user recovers its demanded file exactly, over every atom."""
-    _check_budget(s, width, budget)
-    space = atom_space(s, width)
-    expected_cache_bits = s.memory * s.subpacketization * width
-    expected_payload_bits = s.rate * s.subpacketization * width
-    cases = 0
-    for store, demand, keys in space.iter_atoms(order):
-        caches = s.place(keys, store)
-        msg = s.deliver(store, demand, keys)
-        if len(caches) != s.n_users:
-            raise SchemeError("placement did not produce one cache per user")
-        for cache in caches:
-            if cache.bit_length != expected_cache_bits:
-                raise SchemeError(
-                    f"cache holds {cache.bit_length} bits, "
-                    f"declared M*F = {expected_cache_bits}"
-                )
-        if msg.payload_bits != expected_payload_bits:
-            raise SchemeError(
-                f"payload holds {msg.payload_bits} bits, "
-                f"declared R*F = {expected_payload_bits}"
-            )
-        cases += 1
-        for k in range(s.n_users):
-            got = s.decode(k, demand[k], keys.user_keys[k], msg, caches[k])
-            want = store.file(demand[k])
-            if got != want:
-                return Verdict(
-                    False,
-                    cases,
-                    DecodeCounterexample(
-                        store.index(),
-                        demand.entries,
-                        keys.user_keys,
-                        keys.server_random,
-                        k,
-                        tuple(sym.value for sym in want),
-                        tuple(sym.value for sym in got),
-                    ),
-                )
-    return Verdict(True, cases)
+    decodability: bool = True,
+    users: Iterable[int] = (),
+    invariance: bool = False,
+) -> dict[str, Verdict]:
+    """Run the requested checks over one enumeration of the atom space.
 
-
-def privacy_table(
-    s: SchemeInstance,
-    user: int,
-    width: int = 1,
-    budget: int | None = None,
-    order: Iterable[int] | None = None,
-) -> JointDistribution:
-    """Joint counts of (other-user demands; this user's full view)."""
-    _check_budget(s, width, budget)
-    space = atom_space(s, width)
-
-    def pairs() -> Iterator[tuple[object, object]]:
-        for store, demand, keys in space.iter_atoms(order):
-            caches = s.place(keys, store)
-            msg = s.deliver(store, demand, keys)
-            yield demand.drop(user), _observable(caches[user], msg, demand[user])
-
-    return JointDistribution.from_pairs(pairs())
-
-
-def check_privacy(
-    s: SchemeInstance,
-    user: int,
-    width: int = 1,
-    budget: int | None = None,
-    order: Iterable[int] | None = None,
-) -> Verdict:
-    """Exact statistical independence of the other users' demands from
-    everything user `user` observes (cache, key, broadcast, own demand).
+    Each atom is placed and delivered once and feeds every requested check.
+    Verdicts are keyed "decodability", "privacy[user k]" and
+    "conditional-invariance", in that order.  Decodability stops counting at
+    its first failure, and the enumeration stops there when no other check
+    was requested.
     """
-    if s.privacy is not Privacy.PRIVATE:
+    users = tuple(users)
+    if (users or invariance) and s.privacy is not Privacy.PRIVATE:
         raise ParameterError(f"{s.name} is not a private scheme")
-    if not 0 <= user < s.n_users:
-        raise ParameterError(f"no user {user} in a {s.n_users}-user scheme")
-    table = privacy_table(s, user, width, budget, order)
-    violation = table.first_violation()
-    mi = table.mutual_information_bits()
-    if violation is None:
-        return Verdict(True, table.total, None, mi)
-    left, right, count = violation
-    return Verdict(
-        False,
-        table.total,
-        IndependenceCounterexample(
-            left,  # type: ignore[arg-type]
-            count,
-            table.left[left],
-            table.right[right],
-            table.total,
-        ),
-        mi,
-    )
-
-
-def check_conditional_invariance(
-    s: SchemeInstance, width: int = 1, budget: int | None = None
-) -> Verdict:
-    """Two-file, two-user sanity law every private scheme must satisfy:
-
-    conditioned on user k demanding file j, the joint distribution of
-    (broadcast, user k's cache, file j's content) is the same whether the
-    other user demands file 0 or file 1, and matches the unconditioned
-    (over the other demand) table.
-    """
-    if s.privacy is not Privacy.PRIVATE:
-        raise ParameterError(f"{s.name} is not a private scheme")
-    if s.n_files != 2 or s.n_users != 2:
+    for user in users:
+        if not 0 <= user < s.n_users:
+            raise ParameterError(f"no user {user} in a {s.n_users}-user scheme")
+    if invariance and (s.n_files != 2 or s.n_users != 2):
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
-    from .core import pack_symbols
-
     _check_budget(s, width, budget)
     space = atom_space(s, width)
-    tables: dict[tuple[int, int, int], Counter] = {
+    sizes = (s.memory * s.subpacketization * width, s.rate * s.subpacketization * width)
+    decode_cases = 0
+    decode_failure: DecodeCounterexample | None = None
+    tables = {user: JointDistribution() for user in users}
+    views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
-    cases = 0
     for store, demand, keys in space.iter_atoms():
         caches = s.place(keys, store)
         msg = s.deliver(store, demand, keys)
-        pay_val, pay_len = pack_symbols(msg.payload)
-        cases += 1
-        for k in (0, 1):
-            j = demand[k]
-            v = demand[1 - k]
-            cache_val, cache_len = pack_symbols(caches[k].symbols)
-            file_val, file_len = pack_symbols(store.file(j))
-            obs = _encode_ints(
-                (pay_val, pay_len)
-                + msg.header
-                + (cache_val, cache_len, caches[k].key, file_val, file_len)
+        if decodability and decode_failure is None:
+            decode_cases += 1
+            decode_failure = _decode_failure(s, store, demand, keys, caches, msg, sizes)
+            if decode_failure is not None and not (users or invariance):
+                break
+        for user, table in tables.items():
+            table.add(demand.drop(user), _observable(caches[user], msg, demand[user]))
+        if invariance:
+            _count_views(views, store, demand, caches, msg)
+
+    verdicts: dict[str, Verdict] = {}
+    if decodability:
+        verdicts["decodability"] = Verdict(
+            decode_failure is None, decode_cases, decode_failure
+        )
+    for user, table in tables.items():
+        verdicts[f"privacy[user {user}]"] = table.verdict()
+    if invariance:
+        verdicts["conditional-invariance"] = _invariance_verdict(views, space.total)
+    return verdicts
+
+
+def _decode_failure(
+    s: SchemeInstance,
+    store: FileStore,
+    demand: DemandVector,
+    keys: KeyAssignment,
+    caches: Sequence[CacheContent],
+    msg: DeliveryMessage,
+    sizes: tuple[Fraction, Fraction],
+) -> DecodeCounterexample | None:
+    """The first user that does not recover its demanded file, if any.
+
+    Raises SchemeError when the outputs differ from the declared sizes
+    (M*F cache bits, R*F payload bits).
+    """
+    cache_bits, payload_bits = sizes
+    if len(caches) != s.n_users:
+        raise SchemeError("placement did not produce one cache per user")
+    for cache in caches:
+        if cache.bit_length != cache_bits:
+            raise SchemeError(
+                f"cache holds {cache.bit_length} bits, declared M*F = {cache_bits}"
             )
-            tables[(k, j, v)][obs] += 1
+    if msg.payload_bits != payload_bits:
+        raise SchemeError(
+            f"payload holds {msg.payload_bits} bits, declared R*F = {payload_bits}"
+        )
+    for k in range(s.n_users):
+        got = s.decode(k, demand[k], keys.user_keys[k], msg, caches[k])
+        want = store.file(demand[k])
+        if got != want:
+            return DecodeCounterexample(
+                store.index(),
+                demand.entries,
+                keys.user_keys,
+                keys.server_random,
+                k,
+                tuple(sym.value for sym in want),
+                tuple(sym.value for sym in got),
+            )
+    return None
+
+
+def _count_views(
+    views: dict[tuple[int, int, int], Counter],
+    store: FileStore,
+    demand: DemandVector,
+    caches: Sequence[CacheContent],
+    msg: DeliveryMessage,
+) -> None:
+    """Count each user's (broadcast, cache, demanded file) view, keyed by
+    (user, own demand, other demand)."""
+    pay_val, pay_len = pack_symbols(msg.payload)
+    for k in (0, 1):
+        j = demand[k]
+        cache_val, cache_len = pack_symbols(caches[k].symbols)
+        file_val, file_len = pack_symbols(store.file(j))
+        obs = _encode_ints(
+            (pay_val, pay_len)
+            + msg.header
+            + (cache_val, cache_len, caches[k].key, file_val, file_len)
+        )
+        views[(k, j, demand[1 - k])][obs] += 1
+
+
+def _invariance_verdict(
+    views: dict[tuple[int, int, int], Counter], cases: int
+) -> Verdict:
     worst_mi = 0.0
     for k in (0, 1):
         for j in (0, 1):
-            t0, t1 = tables[(k, j, 0)], tables[(k, j, 1)]
-            both = t0 + t1
-            joint: Counter = Counter()
-            for v, t in ((0, t0), (1, t1)):
-                for obs, c in t.items():
-                    joint[(v, obs)] = c
-            dist = JointDistribution(
-                sum(both.values()),
-                joint,
-                Counter({0: sum(t0.values()), 1: sum(t1.values())}),
-                both,
+            t0, t1 = views[(k, j, 0)], views[(k, j, 1)]
+            joint = Counter(
+                {(v, obs): c for v, t in ((0, t0), (1, t1)) for obs, c in t.items()}
             )
+            n0, n1 = sum(t0.values()), sum(t1.values())
+            dist = JointDistribution(n0 + n1, joint, Counter({0: n0, 1: n1}), t0 + t1)
             worst_mi = max(worst_mi, dist.mutual_information_bits())
             if t0 != t1:
                 diff = next(iter(set(t0.items()) ^ set(t1.items())))
@@ -431,17 +399,39 @@ def check_conditional_invariance(
                     f"other demand (first differing cell {diff})",
                     worst_mi,
                 )
-            for v, t in ((0, t0), (1, t1)):
-                for obs in set(both) | set(t):
-                    if both[obs] != 2 * t[obs]:
-                        return Verdict(
-                            False,
-                            cases,
-                            f"user {k} demanding {j}: conditioned table "
-                            f"(other={v}) does not match the pooled table",
-                            worst_mi,
-                        )
     return Verdict(True, cases, None, worst_mi)
+
+
+def check_decodability(
+    s: SchemeInstance, width: int = 1, budget: int | None = None
+) -> Verdict:
+    """Every user recovers its demanded file exactly, over every atom."""
+    return run_checks(s, width, budget)["decodability"]
+
+
+def check_privacy(
+    s: SchemeInstance, user: int, width: int = 1, budget: int | None = None
+) -> Verdict:
+    """Exact statistical independence of the other users' demands from
+    everything user `user` observes (cache, key, broadcast, own demand).
+    """
+    return run_checks(s, width, budget, decodability=False, users=(user,))[
+        f"privacy[user {user}]"
+    ]
+
+
+def check_conditional_invariance(
+    s: SchemeInstance, width: int = 1, budget: int | None = None
+) -> Verdict:
+    """Two-file, two-user sanity law every private scheme must satisfy:
+
+    conditioned on user k demanding file j, the joint distribution of
+    (broadcast, user k's cache, file j's content) is the same whether the
+    other user demands file 0 or file 1.
+    """
+    return run_checks(s, width, budget, decodability=False, invariance=True)[
+        "conditional-invariance"
+    ]
 
 
 def measure_rates(

@@ -130,3 +130,35 @@ def test_simulate_rejects_bad_demands(capsys):
     capsys.readouterr()
     assert main(["simulate", "lowmem2x4", "--demands", "0,0,0,0"]) == 1
     capsys.readouterr()
+
+
+def test_verify_rejects_out_of_range_user_before_enumerating(capsys):
+    assert main(["verify", "example1", "--user", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "scheme: example1 (N=2 K=2 M=1/3 R=4/3 t=3, private)\n"
+    assert captured.err == "error: no user 5 in a 2-user scheme\n"
+
+
+FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        FROZEN.replace("users: 4\n", ""),
+        FROZEN.replace("files: 2\n", ""),
+        FROZEN.replace("subpacketization: 3\n", ""),
+        FROZEN.replace("cache 1:", "# cache 1:"),
+        FROZEN.replace("users: 4\n", "users: four\n"),
+        "version: 1\nfiles: 0\nusers: 1\nsubpacketization: 1\ncache 0:\n",
+    ],
+    ids=["no-users", "no-files", "no-t", "no-cache-1", "bad-int", "zero-files"],
+)
+def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.desc"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

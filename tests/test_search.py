@@ -165,6 +165,21 @@ def test_descriptor_rejects_garbage():
         parse_descriptor(text.replace("version: 1", "version: 9"))
     with pytest.raises(ParameterError):
         parse_descriptor(text.replace("cache 0: ", "cache 0: 2"))
+    for old, new in (
+        ("users: 4\n", ""),
+        ("files: 2\n", ""),
+        ("subpacketization: 3\n", ""),
+        ("users: 4\n", "users: four\n"),
+        ("version: 1\n", "version: one\n"),
+        ("cache 1:", "# cache 1:"),
+        ("cache 1:", "cache one:"),
+        ("delivery 0,1,0,1:", "delivery 0,x,0,1:"),
+    ):
+        assert old in text
+        with pytest.raises(ParameterError):
+            parse_descriptor(text.replace(old, new, 1))
+    with pytest.raises(ParameterError):
+        parse_descriptor("version: 1\nfiles: 0\nusers: 1\nsubpacketization: 1\ncache 0:\n")
 
 
 def test_descriptor_ignores_comments_and_blank_lines():

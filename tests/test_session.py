@@ -93,6 +93,18 @@ def test_parse_rejects_malformed_bytes():
         parse_transcript(bad_block)
 
 
+def test_parse_rejects_short_frames_and_a_second_delivery():
+    good = transcript_to_bytes(tiny_transcript())
+    delivery = good[15:30]
+    assert delivery[0] == FRAME_DELIVERY
+    with pytest.raises(TranscriptError, match="truncated placement"):
+        parse_transcript(b"\x01\x00\x00\x00\x00" + delivery)
+    with pytest.raises(TranscriptError, match="truncated decode"):
+        parse_transcript(delivery + bytes([FRAME_DECODE, 2, 0, 0, 0, 0, 1]))
+    with pytest.raises(TranscriptError, match="second delivery"):
+        parse_transcript(good + delivery)
+
+
 def test_simulation_is_deterministic():
     s = low_memory_private_scheme()
     demand = DemandVector(2, (0, 1))

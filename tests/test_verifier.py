@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cachepriv.core import ParameterError, SchemeError
+from cachepriv.cli import resolve_scheme
+from cachepriv.core import ParameterError, SchemeError, SubfileSymbol
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
     memory_share,
@@ -18,15 +18,13 @@ from cachepriv.verifier import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
     JointDistribution,
-    Verdict,
     atom_space,
     check_conditional_invariance,
     check_decodability,
     check_privacy,
     measure_rates,
-    privacy_table,
     resolve_budget,
-    verdict_to_text,
+    run_checks,
 )
 from oracles import mi_from_pairs
 
@@ -55,14 +53,6 @@ def test_joint_distribution_detects_missing_cell():
     assert count * d.total != d.left[left] * d.right[right]
 
 
-def test_joint_distribution_merge():
-    a = JointDistribution.from_pairs([(0, 0), (0, 1)])
-    b = JointDistribution.from_pairs([(1, 0), (1, 1)])
-    merged = a.merge(b)
-    assert merged.total == 4
-    assert merged.first_violation() is None
-
-
 def test_mutual_information_matches_entropy_route():
     rng = random.Random(31)
     for _ in range(20):
@@ -84,19 +74,29 @@ def test_atom_space_is_a_bijection():
     assert len(seen) == space.total == 2304
 
 
-def test_decodability_counterexample_reporting():
-    from cachepriv.core import SubfileSymbol
-
-    good = low_memory_private_scheme()
-    decode = good.decode
+def decode_corrupted(s):
+    """s with the first decoded symbol of every user flipped."""
+    decode = s.decode
 
     def corrupted(user, demand, key, msg, cache):
         out = decode(user, demand, key, msg, cache)
         flipped = SubfileSymbol(out[0].width, out[0].value ^ 1)
         return (flipped,) + out[1:]
 
-    v = check_decodability(replace(good, decode=corrupted))
+    return replace(s, decode=corrupted)
+
+
+def test_decodability_counterexample_reporting():
+    s = decode_corrupted(low_memory_private_scheme())
+    placed = []
+
+    def counting_place(keys, store):
+        placed.append(store)
+        return s.place(keys, store)
+
+    v = check_decodability(replace(s, place=counting_place))
     assert not v.passed
+    assert len(placed) == v.cases  # the sweep stops at the first failure
     ce = v.counterexample
     assert ce is not None and "decoded" in str(ce)
     assert 0 <= ce.user < 2
@@ -118,19 +118,6 @@ def test_check_privacy_requires_private_scheme():
         check_privacy(low_memory_private_scheme(), 5)
 
 
-def test_privacy_table_is_order_invariant():
-    s = low_memory_private_scheme()
-    space = atom_space(s, 1)
-    rng = random.Random(47)
-    order = list(range(space.total))
-    rng.shuffle(order)
-    base = privacy_table(s, 0)
-    shuffled = privacy_table(s, 0, order=order)
-    assert base.joint == shuffled.joint
-    assert base.left == shuffled.left
-    assert base.right == shuffled.right
-
-
 def test_privacy_verdicts_on_known_schemes():
     s = low_memory_private_scheme()
     for user in range(2):
@@ -142,6 +129,46 @@ def test_privacy_verdicts_on_known_schemes():
     assert not v.passed
     assert v.mi_bits == pytest.approx(1.0, abs=1e-12)
     assert "cell" in str(v.counterexample)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(resolve_scheme(token), id=token)
+        for token in (
+            "example1",
+            "dual",
+            "thm1:3,2,0",
+            "thm1:2,3,1",
+            "share:1/4:thm1:2,2,0:thm1:2,2,2",
+        )
+    ]
+    + [
+        pytest.param(
+            with_plaintext_demand_header(low_memory_private_scheme()),
+            id="plaintext-header",
+        ),
+        pytest.param(
+            decode_corrupted(low_memory_private_scheme()), id="decode-corrupted"
+        ),
+    ],
+)
+def test_one_sweep_matches_separate_checks(s):
+    # decodability's case count must still stop at its first failure when
+    # the privacy and invariance checks share the sweep
+    users = range(s.n_users)
+    invariance = s.n_files == 2 and s.n_users == 2
+    together = run_checks(s, users=users, invariance=invariance)
+    separate = {"decodability": check_decodability(s)}
+    for k in users:
+        separate[f"privacy[user {k}]"] = check_privacy(s, k)
+    if invariance:
+        separate["conditional-invariance"] = check_conditional_invariance(s)
+    assert list(together) == list(separate)
+    for label, v in separate.items():
+        w = together[label]
+        assert (w.passed, w.cases, w.mi_bits) == (v.passed, v.cases, v.mi_bits)
+        assert str(w.counterexample) == str(v.counterexample)
 
 
 def test_wider_symbols_spot_check():
@@ -210,11 +237,3 @@ def test_measure_rates_rejects_unequal_caches():
 
     with pytest.raises(SchemeError):
         measure_rates(replace(s, place=lopsided))
-
-
-def test_verdict_to_text():
-    text = verdict_to_text("demo", Verdict(True, 12, None, 0.0))
-    assert "check: demo" in text
-    assert "result: pass" in text
-    assert "cases: 12" in text
-    assert "mi_bits: 0" in text
