@@ -167,6 +167,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     if len(target) != 5:
         print("target must be files,users,t,cache_dim,tx_dim", file=sys.stderr)
         return 2
+    if args.regen and (target != DUAL_TARGET or args.seed != HIGH_MEMORY_SEARCH_SEED):
+        print(
+            "--regen re-derives the committed witness: it takes the default "
+            "--target and --seed only",
+            file=sys.stderr,
+        )
+        return 2
     n_files, n_users, t, cache_dim, tx_dim = target
     if n_users % n_files:
         print("user count must be a multiple of the file count", file=sys.stderr)
@@ -195,9 +202,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.regen:
         committed = high_memory_2x4_matrices()
         if (
-            target == DUAL_TARGET
-            and args.seed == HIGH_MEMORY_SEARCH_SEED
-            and found.cache_rows == committed.cache_rows
+            found.cache_rows == committed.cache_rows
             and found.deliveries == committed.deliveries
         ):
             print("witness reproduced: search output matches the committed matrices")

@@ -47,28 +47,6 @@ class SubfileSymbol:
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} out of range for width {self.width}")
 
-    def __xor__(self, other: "SubfileSymbol") -> "SubfileSymbol":
-        return xor_symbols(self, other)
-
-
-def xor_symbols(a: SubfileSymbol, b: SubfileSymbol) -> SubfileSymbol:
-    """Bitwise XOR of two symbols of equal width."""
-    if a.width != b.width:
-        raise ValueError(f"symbol width mismatch: {a.width} != {b.width}")
-    return SubfileSymbol(a.width, a.value ^ b.value)
-
-
-def zero_symbol(width: int) -> SubfileSymbol:
-    return SubfileSymbol(width, 0)
-
-
-def xor_all(symbols: Sequence[SubfileSymbol], width: int) -> SubfileSymbol:
-    """XOR-fold a sequence of symbols; the empty fold is the zero symbol."""
-    out = zero_symbol(width)
-    for s in symbols:
-        out = xor_symbols(out, s)
-    return out
-
 
 def pack_symbols(symbols: Sequence[SubfileSymbol]) -> tuple[int, int]:
     """Pack symbols into one int, first symbol in the least significant bits.

@@ -29,7 +29,6 @@ from .core import (
     SchemeInstance,
     SubfileSymbol,
     UnservedDemand,
-    xor_all,
 )
 from .verifier import Verdict
 
@@ -134,21 +133,35 @@ def verify_linear(m: LinearSchemeMatrices, demands: DemandSubset) -> Verdict:
 # compiling matrices into an executable scheme
 
 
-def _apply_row(row: int, flat: Sequence[SubfileSymbol], width: int) -> SubfileSymbol:
-    picked = [flat[i] for i in range(len(flat)) if (row >> i) & 1]
-    return xor_all(picked, width)
+def _columns(row: int) -> tuple[int, ...]:
+    return tuple(i for i in range(row.bit_length()) if (row >> i) & 1)
+
+
+def _run_columns(
+    program: Sequence[tuple[int, ...]], values: Sequence[int], width: int
+) -> tuple[SubfileSymbol, ...]:
+    """One symbol per column tuple: the XOR of the values it selects."""
+    out = []
+    for cols in program:
+        value = 0
+        for i in cols:
+            value ^= values[i]
+        out.append(SubfileSymbol(width, value))
+    return tuple(out)
 
 
 def compile_linear_scheme(
     m: LinearSchemeMatrices, served: DemandSubset, name: str
 ) -> SchemeInstance:
-    """Executable scheme from matrices, with decode recipes fixed up front.
+    """Executable scheme from matrices, with column programs fixed up front.
 
-    The broadcast header carries the full demand vector, which is the usual
-    convention for schemes with no privacy requirement.  Decode recipes are
-    solved once here; if some (demand, user) pair is not solvable the decoder
-    emits zero symbols for it, so a broken matrix set stays runnable and is
-    caught by the exhaustive decodability check.
+    Every cache row, delivery row and decode recipe is turned into the tuple
+    of column indices it XORs, once, so running the scheme only XORs symbol
+    values.  The broadcast header carries the full demand vector, which is
+    the usual convention for schemes with no privacy requirement.  If some
+    (demand, user) pair is not solvable its recipe selects no columns and the
+    decoder emits zero symbols for it, so a broken matrix set stays runnable
+    and is caught by the exhaustive decodability check.
     """
     m.validate()
     if served.n_files != m.n_files or served.n_users != m.n_users:
@@ -156,60 +169,51 @@ def compile_linear_scheme(
     t = m.subpacketization
     n_cols = m.n_cols
 
-    recipes: dict[tuple[tuple[int, ...], int], tuple | None] = {}
+    cache_cols = tuple(tuple(map(_columns, rows)) for rows in m.cache_rows)
+    delivery_cols: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    recipes: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
     for demand in served:
         tx_rows = m.delivery_for(demand)
+        delivery_cols[demand] = tuple(map(_columns, tx_rows))
         for u in range(m.n_users):
             stacked = m.cache_rows[u] + tx_rows
-            per_subfile = []
-            for target in _file_targets(m, demand[u]):
-                per_subfile.append(gf2.solve_combination(stacked, target, n_cols))
-            if any(c is None for c in per_subfile):
-                recipes[(demand, u)] = None
-            else:
-                recipes[(demand, u)] = tuple(per_subfile)  # type: ignore[arg-type]
+            solved = [
+                gf2.solve_combination(stacked, target, n_cols)
+                for target in _file_targets(m, demand[u])
+            ]
+            recipes[(demand, u)] = (
+                ((),) * t
+                if None in solved
+                else tuple(tuple(i for i, c in enumerate(cs) if c) for cs in solved)
+            )
 
     def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        flat = store.flat()
+        values = [s.value for row in store.symbols for s in row]
         w = store.symbol_width
         return tuple(
-            CacheContent(
-                tuple(_apply_row(r, flat, w) for r in m.cache_rows[u]),
-                keys.user_keys[u],
-            )
-            for u in range(m.n_users)
+            CacheContent(_run_columns(cols, values, w), keys.user_keys[u])
+            for u, cols in enumerate(cache_cols)
         )
 
     def deliver(
         store: FileStore, demand: DemandVector, keys: KeyAssignment
     ) -> DeliveryMessage:
         key = tuple(demand)
-        if key not in served:
+        rows = delivery_cols.get(key)
+        if rows is None:
             raise UnservedDemand(f"{name} does not serve demand {key}")
-        flat = store.flat()
-        w = store.symbol_width
-        rows = m.delivery_for(key)
-        payload = tuple(_apply_row(r, flat, w) for r in rows)
-        return DeliveryMessage(payload, key)
+        values = [s.value for row in store.symbols for s in row]
+        return DeliveryMessage(_run_columns(rows, values, store.symbol_width), key)
 
     def decode(
         user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
     ) -> tuple[SubfileSymbol, ...]:
-        full_demand = msg.header
-        recipe = recipes.get((full_demand, user))
+        recipe = recipes.get((msg.header, user))
         if recipe is None:
-            if (full_demand, user) not in recipes:
-                raise UnservedDemand(f"{name} has no recipe for demand {full_demand}")
-            w = cache.symbols[0].width if cache.symbols else msg.payload[0].width
-            return tuple(SubfileSymbol(w, 0) for _ in range(t))
+            raise UnservedDemand(f"{name} has no recipe for demand {msg.header}")
         available = cache.symbols + msg.payload
-        w = available[0].width
-        out = []
-        for coeffs in recipe:
-            out.append(
-                xor_all([available[i] for i, c in enumerate(coeffs) if c], w)
-            )
-        return tuple(out)
+        values = [s.value for s in available]
+        return _run_columns(recipe, values, available[0].width)
 
     return SchemeInstance(
         name=name,

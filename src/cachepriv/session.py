@@ -17,6 +17,7 @@ from .core import (
     DemandVector,
     FileStore,
     KeyAssignment,
+    ParameterError,
     SchemeInstance,
     UnservedDemand,
     alphabet_bits,
@@ -225,6 +226,11 @@ def simulate_session(
     The same (scheme, demand, seed, width) always yields byte-identical
     transcripts.
     """
+    if len(demand) != s.n_users:
+        raise ParameterError(
+            f"demand vector length {len(demand)} does not match the "
+            f"{s.n_users} users of {s.name}"
+        )
     if s.served is not None and tuple(demand) not in s.served:
         raise UnservedDemand(f"{s.name} does not serve demand {tuple(demand)}")
     rng = random.Random(seed)

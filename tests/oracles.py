@@ -2,17 +2,17 @@
 
 These deliberately avoid the library's own decode and counting paths so the
 checks they back are not self-referential: decodability is judged from the
-information available to a user, and mutual information is recomputed from
-entropies.
+information available to a user, mutual information is recomputed from
+entropies, and linear rows are applied one output bit at a time.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from cachepriv.core import SchemeInstance, pack_symbols
+from cachepriv.core import FileStore, SchemeInstance, SubfileSymbol, pack_symbols
 from cachepriv.verifier import atom_space
 
 
@@ -59,3 +59,23 @@ def mi_from_pairs(pairs: Iterable[tuple[object, object]]) -> float:
         left[l] += 1
         right[r] += 1
     return entropy_bits(left) + entropy_bits(right) - entropy_bits(joint)
+
+
+def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[SubfileSymbol, ...]:
+    """Each GF(2) row applied to the store's flat symbols (column i*t + j is
+    file i subfile j), built bit by bit from the packed store index, where
+    symbol k holds bits k*width .. (k+1)*width - 1."""
+    width = store.symbol_width
+    n_cols = store.n_files * store.subpacketization
+    packed = store.index()
+    out = []
+    for row in rows:
+        value = 0
+        for b in range(width):
+            bit = 0
+            for col in range(n_cols):
+                if (row >> col) & 1:
+                    bit ^= (packed >> (col * width + b)) & 1
+            value |= bit << b
+        out.append(SubfileSymbol(width, value))
+    return tuple(out)

@@ -100,6 +100,16 @@ def test_search_rejects_bad_targets(capsys):
     capsys.readouterr()
     assert main(["search", "--target", "2,5,3,4,1"]) == 2
     capsys.readouterr()
+    # --regen only re-derives the committed witness; other inputs are
+    # rejected before any search runs
+    for extra in (
+        ["--target", "2,4,3,1,4", "--seed", "18", "--budget", "16"],
+        ["--seed", "5", "--budget", "2000"],
+    ):
+        assert main(["search", "--regen", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "found" not in captured.err
 
 
 def test_region_writes_files(tmp_path, capsys):
@@ -126,8 +136,17 @@ def test_simulate_round(tmp_path, capsys):
 def test_simulate_rejects_bad_demands(capsys):
     assert main(["simulate", "example1", "--demands", "0,3"]) == 2
     capsys.readouterr()
-    assert main(["simulate", "example1", "--demands", "0,1,0"]) == 2
-    capsys.readouterr()
+    for scheme, demands in (
+        ("example1", "0,1,0"),
+        ("thm1:3,2,0", "0,1,2"),
+        ("thm1:3,2,0", "0"),
+        ("baseline:3,2,1", "0"),
+    ):
+        assert main(["simulate", scheme, "--demands", demands]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: demand vector length ")
+        assert captured.err.count("\n") == 1
     assert main(["simulate", "lowmem2x4", "--demands", "0,0,0,0"]) == 1
     capsys.readouterr()
 

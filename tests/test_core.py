@@ -20,9 +20,6 @@ from cachepriv.core import (
     pack_symbols,
     split_bits,
     total_width,
-    xor_all,
-    xor_symbols,
-    zero_symbol,
 )
 
 
@@ -32,19 +29,6 @@ def test_symbol_validation():
     with pytest.raises(ValueError):
         SubfileSymbol(3, 8)
     assert SubfileSymbol(3, 7).value == 7
-
-
-def test_symbol_xor():
-    a = SubfileSymbol(4, 0b1100)
-    b = SubfileSymbol(4, 0b1010)
-    assert (a ^ b).value == 0b0110
-    assert xor_symbols(a, b) == a ^ b
-    with pytest.raises(ValueError):
-        xor_symbols(a, SubfileSymbol(3, 1))
-
-
-def test_xor_all_empty_is_zero():
-    assert xor_all([], 5) == zero_symbol(5)
 
 
 def test_pack_split_roundtrip():

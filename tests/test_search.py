@@ -8,6 +8,8 @@ import pytest
 from cachepriv import gf2
 from cachepriv.core import (
     DemandVector,
+    FileStore,
+    KeyAssignment,
     ParameterError,
     UnservedDemand,
     cyclic_demand_set,
@@ -16,6 +18,7 @@ from cachepriv.schemes import (
     HIGH_MEMORY_2X4_CACHES,
     HIGH_MEMORY_2X4_DELIVERIES,
     HIGH_MEMORY_SEARCH_SEED,
+    high_memory_2x4_matrices,
     low_memory_2x4_matrices,
 )
 from cachepriv.search import (
@@ -27,7 +30,7 @@ from cachepriv.search import (
     verify_linear,
 )
 from cachepriv.verifier import check_decodability
-from oracles import view_determines_file
+from oracles import apply_rows, view_determines_file
 
 CYCLIC = cyclic_demand_set(2, 2)
 
@@ -46,6 +49,13 @@ def test_verify_linear_catches_a_bit_flip():
     v = verify_linear(broken, CYCLIC)
     assert not v.passed
     assert "cannot recover" in str(v.counterexample)
+    # the compiled scheme decodes the unsolvable pair to zero symbols
+    d = check_decodability(compile_linear_scheme(broken, CYCLIC, "broken"), width=2)
+    assert not d.passed and d.cases == 5
+    assert str(d.counterexample) == (
+        "user 0 under demand (0, 1, 0, 1) (store #1, keys (0, 0, 0, 0), "
+        "server randomness 0): decoded (0, 0, 0), wanted (1, 0, 0)"
+    )
 
 
 def test_validate_rejects_malformed_matrices():
@@ -71,10 +81,38 @@ def test_compiled_scheme_matches_rank_conditions():
     assert view_determines_file(s)
 
 
+def test_compiled_symbols_match_the_bitwise_oracle():
+    candidates = [low_memory_2x4_matrices(), high_memory_2x4_matrices()]
+    for seed in range(5):
+        rng = random.Random(f"oracle:{seed}")
+        cache_dim = rng.randrange(1, 5)
+        tx_dim = rng.randrange(1, 5)
+        candidates.append(
+            LinearSchemeMatrices(
+                2,
+                4,
+                3,
+                tuple(gf2.random_full_rank(cache_dim, 6, rng) for _ in range(4)),
+                tuple((d, gf2.random_full_rank(tx_dim, 6, rng)) for d in CYCLIC),
+            )
+        )
+    keys = KeyAssignment((0,) * 4, 0)
+    rng = random.Random(17)
+    for i, m in enumerate(candidates):
+        s = compile_linear_scheme(m, CYCLIC, f"cand{i}")
+        for width in (1, 3, 64):
+            for _ in range(3):
+                store = FileStore.random(2, 3, width, rng)
+                caches = s.place(keys, store)
+                for u, cache in enumerate(caches):
+                    assert cache.symbols == apply_rows(m.cache_rows[u], store)
+                for demand, rows in m.deliveries:
+                    msg = s.deliver(store, DemandVector(2, demand), keys)
+                    assert msg.payload == apply_rows(rows, store)
+
+
 def test_compiled_scheme_rejects_unserved_demands():
     s = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "lowmem")
-    from cachepriv.core import FileStore, KeyAssignment
-
     store = FileStore.zero(2, 3, 1)
     keys = KeyAssignment((0,) * 4, 0)
     with pytest.raises(UnservedDemand):
