@@ -326,6 +326,10 @@ class SchemeInstance:
     deliver(store, demand, keys) -> DeliveryMessage
     decode(user, demand, key, message, cache) -> the demanded file's symbols
 
+    All three must be deterministic functions of their arguments (any
+    randomness arrives through `keys`): the verifier places each (store, key
+    realization) once and reuses those caches for every demand of the store.
+
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile
     symbols are l bits wide.  Non-private schemes must declare an explicit

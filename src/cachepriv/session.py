@@ -112,12 +112,14 @@ def pack_header(header: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[int, i
 def transcript_to_bytes(t: SessionTranscript) -> bytes:
     out = bytearray()
     for p in t.placements:
-        payload = (
-            bytes([p.user])
-            + p.key.to_bytes(4, "little")
-            + _bit_block(p.cache_value, p.cache_bits)
-        )
-        out += _frame(FRAME_PLACEMENT, payload)
+        try:
+            head = bytes([p.user]) + p.key.to_bytes(4, "little")
+        except (ValueError, OverflowError) as err:
+            raise TranscriptError(
+                f"placement frame cannot hold user {p.user} and key {p.key} "
+                "(user takes one octet, key four)"
+            ) from err
+        out += _frame(FRAME_PLACEMENT, head + _bit_block(p.cache_value, p.cache_bits))
     d = t.delivery
     out += _frame(
         FRAME_DELIVERY,
@@ -125,11 +127,14 @@ def transcript_to_bytes(t: SessionTranscript) -> bytes:
         + _bit_block(d.payload_value, d.payload_bits),
     )
     for r in t.reports:
-        payload = (
-            bytes([r.user, r.file_index, 1 if r.matched else 0])
-            + _bit_block(r.decoded_value, r.decoded_bits)
-        )
-        out += _frame(FRAME_DECODE, payload)
+        try:
+            head = bytes([r.user, r.file_index, 1 if r.matched else 0])
+        except ValueError as err:
+            raise TranscriptError(
+                f"decode frame cannot hold user {r.user} and file {r.file_index} "
+                "(one octet each)"
+            ) from err
+        out += _frame(FRAME_DECODE, head + _bit_block(r.decoded_value, r.decoded_bits))
     return bytes(out)
 
 
@@ -195,7 +200,18 @@ def run_session(
     keys: KeyAssignment,
 ) -> SessionTranscript:
     """One full round on explicit inputs; decode mismatches are recorded in
-    the reports, never raised, so a buggy scheme still yields a transcript."""
+    the reports, never raised, so a buggy scheme still yields a transcript.
+
+    Raises ParameterError when the demand vector does not have one entry
+    per user, and UnservedDemand when the scheme does not serve it.
+    """
+    if len(demand) != s.n_users:
+        raise ParameterError(
+            f"demand vector length {len(demand)} does not match the "
+            f"{s.n_users} users of {s.name}"
+        )
+    if s.served is not None and tuple(demand) not in s.served:
+        raise UnservedDemand(f"{s.name} does not serve demand {tuple(demand)}")
     caches = s.place(keys, store)
     msg = s.deliver(store, demand, keys)
     placements = []
@@ -224,15 +240,8 @@ def simulate_session(
     from one generator (in that order), then runs the session.
 
     The same (scheme, demand, seed, width) always yields byte-identical
-    transcripts.
+    transcripts.  The demand is checked by run_session before it runs.
     """
-    if len(demand) != s.n_users:
-        raise ParameterError(
-            f"demand vector length {len(demand)} does not match the "
-            f"{s.n_users} users of {s.name}"
-        )
-    if s.served is not None and tuple(demand) not in s.served:
-        raise UnservedDemand(f"{s.name} does not serve demand {tuple(demand)}")
     rng = random.Random(seed)
     store = FileStore.random(s.n_files, s.subpacketization, width, rng)
     user_keys = tuple(rng.randrange(size) for size in s.key_sizes)

@@ -9,6 +9,7 @@ pass or fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import Counter
@@ -123,24 +124,27 @@ class AtomSpace:
             * self.server_count
         )
 
-    def atom(self, index: int) -> tuple[FileStore, DemandVector, KeyAssignment]:
-        s = self.scheme
-        index, p = divmod(index, self.server_count)
-        keys = []
-        for size in self.key_sizes:
-            index, k = divmod(index, size)
-            keys.append(k)
-        index, d = divmod(index, len(self.demands))
-        store = FileStore.from_index(s.n_files, s.subpacketization, self.width, index)
-        return (
-            store,
-            DemandVector(s.n_files, self.demands[d]),
-            KeyAssignment(tuple(keys), p),
-        )
-
     def iter_atoms(self) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
-        for i in range(self.total):
-            yield self.atom(i)
+        """Every atom once: store outermost, then demand, then user keys
+        (key 0 fastest), then server randomness innermost.
+
+        Each store is built once, and the demand vectors and key assignments
+        once per sweep; the atoms that share one yield the same object.
+        """
+        s = self.scheme
+        demands = [DemandVector(s.n_files, d) for d in self.demands]
+        assignments = [
+            KeyAssignment(tuple(reversed(keys)), p)
+            for keys in itertools.product(*map(range, reversed(self.key_sizes)))
+            for p in range(self.server_count)
+        ]
+        for index in range(self.store_count):
+            store = FileStore.from_index(
+                s.n_files, s.subpacketization, self.width, index
+            )
+            for demand in demands:
+                for keys in assignments:
+                    yield store, demand, keys
 
 
 def atom_space(s: SchemeInstance, width: int) -> AtomSpace:
@@ -167,26 +171,6 @@ def _check_budget(s: SchemeInstance, width: int, budget: int | None) -> int:
     if required > limit:
         raise BudgetExceeded(required, limit)
     return required
-
-
-def _encode_ints(values: Iterable[int]) -> bytes:
-    """Canonical byte string for a flat tuple of nonnegative ints."""
-    out = bytearray()
-    for v in values:
-        b = v.to_bytes((v.bit_length() + 7) // 8 or 1, "little")
-        out += len(b).to_bytes(4, "little")
-        out += b
-    return bytes(out)
-
-
-def _observable(cache: CacheContent, msg: DeliveryMessage, own_demand: int) -> bytes:
-    cache_val, cache_len = pack_symbols(cache.symbols)
-    pay_val, pay_len = pack_symbols(msg.payload)
-    return _encode_ints(
-        (cache_val, cache_len, cache.key, pay_val, pay_len)
-        + msg.header
-        + (own_demand,)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +249,16 @@ def run_checks(
 ) -> dict[str, Verdict]:
     """Run the requested checks over one enumeration of the atom space.
 
-    Each atom is placed and delivered once and feeds every requested check.
-    Verdicts are keyed "decodability", "privacy[user k]" and
-    "conditional-invariance", in that order.  Decodability stops counting at
-    its first failure, and the enumeration stops there when no other check
-    was requested.
+    Placement never sees the demand, so each store is placed once per key
+    realization and that placement serves every demand of the store.  Each
+    atom is delivered once and feeds every requested check.  Verdicts are
+    keyed "decodability", "privacy[user k]" and "conditional-invariance",
+    in that order.  Decodability stops counting at its first failure, and
+    the enumeration stops there when no other check was requested.
+
+    A user's observation is the int tuple (cache value, cache bits, key,
+    payload value, payload bits, header, own demand); the invariance views
+    pair it with the packed content of the demanded file.
     """
     users = tuple(users)
     if (users or invariance) and s.privacy is not Privacy.PRIVATE:
@@ -281,25 +270,53 @@ def run_checks(
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
     _check_budget(s, width, budget)
     space = atom_space(s, width)
-    sizes = (s.memory * s.subpacketization * width, s.rate * s.subpacketization * width)
+    cache_bits = s.memory * s.subpacketization * width
+    payload_bits = s.rate * s.subpacketization * width
     decode_cases = 0
     decode_failure: DecodeCounterexample | None = None
     tables = {user: JointDistribution() for user in users}
     views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
+    placed_store = None
+    placements: dict[KeyAssignment, tuple] = {}
+    files: tuple[tuple[int, int], ...] = ()
     for store, demand, keys in space.iter_atoms():
-        caches = s.place(keys, store)
+        checking = decodability and decode_failure is None
+        if store is not placed_store:
+            placed_store, placements = store, {}
+            if invariance:
+                files = tuple(pack_symbols(f) for f in store.symbols)
+        placed = placements.get(keys)
+        if placed is None:
+            caches = s.place(keys, store)
+            packed = tuple(pack_symbols(c.symbols) + (c.key,) for c in caches)
+            if checking:
+                _check_caches(s, packed, cache_bits)
+            placed = placements[keys] = (caches, packed)
+        caches, packed = placed
         msg = s.deliver(store, demand, keys)
-        if decodability and decode_failure is None:
+        pay_val, pay_bits = pack_symbols(msg.payload)
+        if checking:
+            if pay_bits != payload_bits:
+                raise SchemeError(
+                    f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
+                )
             decode_cases += 1
-            decode_failure = _decode_failure(s, store, demand, keys, caches, msg, sizes)
+            decode_failure = _decode_failure(s, store, demand, keys, caches, msg)
             if decode_failure is not None and not (users or invariance):
                 break
+        header, wants = msg.header, demand.entries
         for user, table in tables.items():
-            table.add(demand.drop(user), _observable(caches[user], msg, demand[user]))
+            cache_val, cache_len, key = packed[user]
+            obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
+            table.add(demand.drop(user), obs)
         if invariance:
-            _count_views(views, store, demand, caches, msg)
+            for k in (0, 1):
+                j = wants[k]
+                cache_val, cache_len, key = packed[k]
+                obs = (cache_val, cache_len, key, pay_val, pay_bits, header, j)
+                views[(k, j, wants[1 - k])][(obs, files[j])] += 1
 
     verdicts: dict[str, Verdict] = {}
     if decodability:
@@ -313,6 +330,17 @@ def run_checks(
     return verdicts
 
 
+def _check_caches(
+    s: SchemeInstance, packed: Sequence[tuple[int, int, int]], cache_bits: Fraction
+) -> None:
+    """Raise SchemeError unless placement made one cache of M*F bits per user."""
+    if len(packed) != s.n_users:
+        raise SchemeError("placement did not produce one cache per user")
+    for _, bits, _ in packed:
+        if bits != cache_bits:
+            raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
+
+
 def _decode_failure(
     s: SchemeInstance,
     store: FileStore,
@@ -320,61 +348,23 @@ def _decode_failure(
     keys: KeyAssignment,
     caches: Sequence[CacheContent],
     msg: DeliveryMessage,
-    sizes: tuple[Fraction, Fraction],
 ) -> DecodeCounterexample | None:
-    """The first user that does not recover its demanded file, if any.
-
-    Raises SchemeError when the outputs differ from the declared sizes
-    (M*F cache bits, R*F payload bits).
-    """
-    cache_bits, payload_bits = sizes
-    if len(caches) != s.n_users:
-        raise SchemeError("placement did not produce one cache per user")
-    for cache in caches:
-        if cache.bit_length != cache_bits:
-            raise SchemeError(
-                f"cache holds {cache.bit_length} bits, declared M*F = {cache_bits}"
-            )
-    if msg.payload_bits != payload_bits:
-        raise SchemeError(
-            f"payload holds {msg.payload_bits} bits, declared R*F = {payload_bits}"
-        )
+    """The first user that does not recover its demanded file, if any."""
+    wants, user_keys = demand.entries, keys.user_keys
     for k in range(s.n_users):
-        got = s.decode(k, demand[k], keys.user_keys[k], msg, caches[k])
-        want = store.file(demand[k])
+        got = s.decode(k, wants[k], user_keys[k], msg, caches[k])
+        want = store.symbols[wants[k]]
         if got != want:
             return DecodeCounterexample(
                 store.index(),
                 demand.entries,
-                keys.user_keys,
+                user_keys,
                 keys.server_random,
                 k,
                 tuple(sym.value for sym in want),
                 tuple(sym.value for sym in got),
             )
     return None
-
-
-def _count_views(
-    views: dict[tuple[int, int, int], Counter],
-    store: FileStore,
-    demand: DemandVector,
-    caches: Sequence[CacheContent],
-    msg: DeliveryMessage,
-) -> None:
-    """Count each user's (broadcast, cache, demanded file) view, keyed by
-    (user, own demand, other demand)."""
-    pay_val, pay_len = pack_symbols(msg.payload)
-    for k in (0, 1):
-        j = demand[k]
-        cache_val, cache_len = pack_symbols(caches[k].symbols)
-        file_val, file_len = pack_symbols(store.file(j))
-        obs = _encode_ints(
-            (pay_val, pay_len)
-            + msg.header
-            + (cache_val, cache_len, caches[k].key, file_val, file_len)
-        )
-        views[(k, j, demand[1 - k])][obs] += 1
 
 
 def _invariance_verdict(
@@ -391,12 +381,14 @@ def _invariance_verdict(
             dist = JointDistribution(n0 + n1, joint, Counter({0: n0, 1: n1}), t0 + t1)
             worst_mi = max(worst_mi, dist.mutual_information_bits())
             if t0 != t1:
-                diff = next(iter(set(t0.items()) ^ set(t1.items())))
+                # first cell in insertion order, t0 then t1, whose counts differ
+                cell = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
                 return Verdict(
                     False,
                     cases,
                     f"user {k} demanding {j}: view counts shift with the "
-                    f"other demand (first differing cell {diff})",
+                    f"other demand (first differing cell {cell}: seen {t0[cell]} "
+                    f"times when the other user demands 0, {t1[cell]} when 1)",
                     worst_mi,
                 )
     return Verdict(True, cases, None, worst_mi)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own decode and counting paths so the
 checks they back are not self-referential: decodability is judged from the
 information available to a user, mutual information is recomputed from
-entropies, and linear rows are applied one output bit at a time.
+entropies, linear rows are applied one output bit at a time, and the
+verifier's sweep is redone atom by atom with no memo.
 """
 
 from __future__ import annotations
@@ -12,8 +13,19 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from cachepriv.core import FileStore, SchemeInstance, SubfileSymbol, pack_symbols
-from cachepriv.verifier import atom_space
+from cachepriv.core import (
+    DemandVector,
+    FileStore,
+    KeyAssignment,
+    SchemeInstance,
+    SubfileSymbol,
+    pack_symbols,
+)
+from cachepriv.verifier import (
+    DecodeCounterexample,
+    IndependenceCounterexample,
+    atom_space,
+)
 
 
 def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
@@ -79,3 +91,147 @@ def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[SubfileSymbol, ..
             value |= bit << b
         out.append(SubfileSymbol(width, value))
     return tuple(out)
+
+
+def _mi_bits(joint: Counter, left: Counter, right: Counter, total: int) -> float:
+    """Plug-in mutual information, summed over the joint cells in insertion
+    order the way the verifier sums it, so the floats agree exactly."""
+    mi = 0.0
+    for (l, r), c in joint.items():
+        mi += (c / total) * math.log2(c * total / (left[l] * right[r]))
+    return max(mi, 0.0)
+
+
+def reference_checks(
+    s: SchemeInstance,
+    width: int = 1,
+    users: Sequence[int] = (),
+    invariance: bool = False,
+) -> dict[str, tuple[bool, int, float | None, str | None]]:
+    """What verifier.run_checks(s, width, users=users, invariance=invariance)
+    reports, as {label: (passed, cases, mi_bits, counterexample text)},
+    computed the naive way.
+
+    Atom i is decoded from its flat index: server randomness fastest, then
+    user keys (key 0 fastest), then demand, then store.  Every atom is
+    built, placed, delivered and decoded on its own, and the count tables
+    are kept here.  Privacy observations use their own encoding (symbol
+    widths and values); the invariance cells use the verifier's layout
+    because the counterexample prints one.
+    """
+    demands = s.served_demands().members
+    servers = s.server_random_size(width)
+    total = (
+        FileStore.space_size(s.n_files, s.subpacketization, width)
+        * len(demands)
+        * math.prod(s.key_sizes)
+        * servers
+    )
+    decode_cases, decode_text = 0, None
+    joint = {u: Counter() for u in users}
+    views: dict[tuple[int, int, int], Counter] = {
+        (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
+    }
+    for index in range(total):
+        rest, server = divmod(index, servers)
+        user_keys = []
+        for size in s.key_sizes:
+            rest, key = divmod(rest, size)
+            user_keys.append(key)
+        store_index, d = divmod(rest, len(demands))
+        store = FileStore.from_index(
+            s.n_files, s.subpacketization, width, store_index
+        )
+        demand = DemandVector(s.n_files, demands[d])
+        keys = KeyAssignment(tuple(user_keys), server)
+        caches = s.place(keys, store)
+        msg = s.deliver(store, demand, keys)
+        if decode_text is None:
+            decode_cases += 1
+            for k in range(s.n_users):
+                got = s.decode(k, demand[k], keys.user_keys[k], msg, caches[k])
+                want = store.file(demand[k])
+                if got != want:
+                    decode_text = str(
+                        DecodeCounterexample(
+                            store_index,
+                            demand.entries,
+                            keys.user_keys,
+                            server,
+                            k,
+                            tuple(sym.value for sym in want),
+                            tuple(sym.value for sym in got),
+                        )
+                    )
+                    break
+            if decode_text is not None and not (users or invariance):
+                break
+        payload = tuple((sym.width, sym.value) for sym in msg.payload)
+        for u in users:
+            cache = tuple((sym.width, sym.value) for sym in caches[u].symbols)
+            view = (cache, caches[u].key, payload, msg.header, demand[u])
+            joint[u][(demand.drop(u), view)] += 1
+        if invariance:
+            pay = pack_symbols(msg.payload)
+            for k in (0, 1):
+                j = demand[k]
+                view = pack_symbols(caches[k].symbols) + (caches[k].key,)
+                view += pay + (msg.header, j)
+                views[(k, j, demand[1 - k])][(view, pack_symbols(store.file(j)))] += 1
+
+    out: dict[str, tuple[bool, int, float | None, str | None]] = {
+        "decodability": (decode_text is None, decode_cases, None, decode_text)
+    }
+    for u in users:
+        cells = joint[u]
+        left: Counter = Counter()
+        right: Counter = Counter()
+        for (l, r), c in cells.items():
+            left[l] += c
+            right[r] += c
+        text = None
+        for l in left:
+            for r in right:
+                c = cells.get((l, r), 0)
+                if text is None and c * total != left[l] * right[r]:
+                    text = str(
+                        IndependenceCounterexample(l, c, left[l], right[r], total)
+                    )
+        out[f"privacy[user {u}]"] = (
+            text is None, total, _mi_bits(cells, left, right, total), text
+        )
+    if invariance:
+        out["conditional-invariance"] = _reference_invariance(views, total)
+    return out
+
+
+def _reference_invariance(
+    views: dict[tuple[int, int, int], Counter], total: int
+) -> tuple[bool, int, float, str | None]:
+    """Conditional invariance from the eight view tables: the worst MI over
+    the (user, own demand) pairs up to the first that fails, and that
+    pair's first differing view (scanning t0, then t1)."""
+    worst = 0.0
+    for k in (0, 1):
+        for j in (0, 1):
+            t0, t1 = views[(k, j, 0)], views[(k, j, 1)]
+            joint = Counter()
+            for v, t in ((0, t0), (1, t1)):
+                for view, c in t.items():
+                    joint[(v, view)] = c
+            n0, n1 = sum(t0.values()), sum(t1.values())
+            margin = Counter({0: n0, 1: n1})
+            both = Counter({view: t0[view] + t1[view] for view in [*t0, *t1]})
+            worst = max(worst, _mi_bits(joint, margin, both, n0 + n1))
+            for cell in [*t0, *t1]:
+                if t0[cell] != t1[cell]:
+                    return (
+                        False,
+                        total,
+                        worst,
+                        f"user {k} demanding {j}: view counts shift with the "
+                        f"other demand (first differing cell {cell}: seen "
+                        f"{t0[cell]} times when the other user demands 0, "
+                        f"{t1[cell]} when 1)",
+                    )
+    return True, total, worst, None

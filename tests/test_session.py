@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
+from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     DemandVector,
     FileStore,
     KeyAssignment,
+    ParameterError,
     SubfileSymbol,
     UnservedDemand,
 )
@@ -105,6 +107,29 @@ def test_parse_rejects_short_frames_and_a_second_delivery():
         parse_transcript(good + delivery)
 
 
+@pytest.mark.parametrize(
+    "frame, field, limit",
+    [
+        ("placement", "user", 256),
+        ("placement", "key", 1 << 32),
+        ("decode", "user", 256),
+        ("decode", "file_index", 256),
+    ],
+)
+def test_encode_rejects_fields_too_wide_for_the_frame(frame, field, limit):
+    t = tiny_transcript()
+
+    def with_value(v):
+        if frame == "placement":
+            return replace(t, placements=(replace(t.placements[0], **{field: v}),))
+        return replace(t, reports=(replace(t.reports[0], **{field: v}),))
+
+    fits = with_value(limit - 1)
+    assert parse_transcript(transcript_to_bytes(fits), "demo") == fits
+    with pytest.raises(TranscriptError, match=f"{frame} frame cannot hold"):
+        transcript_to_bytes(with_value(limit))
+
+
 def test_simulation_is_deterministic():
     s = low_memory_private_scheme()
     demand = DemandVector(2, (0, 1))
@@ -135,6 +160,24 @@ def test_simulated_sizes_match_declared_parameters():
 def test_simulate_rejects_unserved_demands():
     with pytest.raises(UnservedDemand):
         simulate_session(low_memory_2x4_scheme(), DemandVector(2, (0, 0, 0, 0)), 0)
+
+
+def test_run_session_checks_the_demand():
+    s = resolve_scheme("thm1:3,2,0")
+    store = FileStore.random(3, 1, 1, random.Random(0))
+    keys = KeyAssignment((0, 0), 0)
+    with pytest.raises(ParameterError, match="length 3 does not match the 2 users"):
+        run_session(s, store, DemandVector(3, (0, 1, 2)), keys)
+    with pytest.raises(ParameterError, match="length 1 does not match"):
+        run_session(s, store, DemandVector(3, (0,)), keys)
+    lowmem = low_memory_2x4_scheme()
+    with pytest.raises(UnservedDemand, match="does not serve demand"):
+        run_session(
+            lowmem,
+            FileStore.zero(2, 3, 1),
+            DemandVector(2, (0, 0, 0, 0)),
+            KeyAssignment((0,) * 4, 0),
+        )
 
 
 def test_run_session_records_mismatches():

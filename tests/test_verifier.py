@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cachepriv
 from cachepriv.cli import resolve_scheme
-from cachepriv.core import ParameterError, SchemeError, SubfileSymbol
+from cachepriv.core import (
+    FileStore,
+    ParameterError,
+    Privacy,
+    SchemeError,
+    SubfileSymbol,
+)
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
     memory_share,
@@ -26,7 +38,9 @@ from cachepriv.verifier import (
     resolve_budget,
     run_checks,
 )
-from oracles import mi_from_pairs
+from oracles import mi_from_pairs, reference_checks
+
+EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 
 
 def test_joint_distribution_independent_pairs():
@@ -101,6 +115,111 @@ def test_decodability_counterexample_reporting():
     assert ce is not None and "decoded" in str(ce)
     assert 0 <= ce.user < 2
     assert ce.expected != ce.actual
+
+
+def verify_call_params():
+    """One (scheme, width) per pinned `cachepriv verify` call."""
+    params = []
+    for call in json.loads(EXPECTED_VERIFY.read_text()):
+        args = call["args"]
+        width = int(args[args.index("--width") + 1]) if "--width" in args else 1
+        params.append(pytest.param(resolve_scheme(args[0]), width, id=" ".join(args)))
+    return params
+
+
+@pytest.mark.parametrize(
+    "s, width",
+    verify_call_params()
+    + [
+        pytest.param(
+            with_plaintext_demand_header(low_memory_private_scheme()),
+            1,
+            id="plaintext-header",
+        ),
+        pytest.param(
+            decode_corrupted(low_memory_private_scheme()), 1, id="decode-corrupted"
+        ),
+    ],
+)
+def test_sweep_matches_the_reference_oracle(s, width):
+    private = s.privacy is Privacy.PRIVATE
+    users = range(s.n_users) if private else ()
+    invariance = private and s.n_files == 2 and s.n_users == 2
+    got = run_checks(s, width, users=users, invariance=invariance)
+    want = reference_checks(s, width, users, invariance)
+    assert {
+        label: (
+            v.passed,
+            v.cases,
+            v.mi_bits,
+            None if v.counterexample is None else str(v.counterexample),
+        )
+        for label, v in got.items()
+    } == want
+
+
+@pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
+def test_place_runs_once_per_store_and_key_realization(token):
+    s = resolve_scheme(token)
+    place = s.place
+    calls = []
+
+    def counting_place(keys, store):
+        calls.append(keys)
+        return place(keys, store)
+
+    run_checks(
+        replace(s, place=counting_place),
+        users=range(s.n_users),
+        invariance=s.n_files == 2,
+    )
+    stores = FileStore.space_size(s.n_files, s.subpacketization, 1)
+    assert len(calls) == stores * s.key_space_size * s.server_random_size(1)
+    assert len(calls) < atom_space(s, 1).total
+
+
+def test_wrong_cache_size_raises_on_the_placement_that_has_it():
+    s = low_memory_private_scheme()
+    place = s.place
+
+    def late_oversized(keys, store):
+        caches = place(keys, store)
+        if keys.user_keys != (1, 1) or store.index() != 5:
+            return caches
+        bigger = caches[1].symbols + caches[1].symbols[:1]
+        return (caches[0], replace(caches[1], symbols=bigger))
+
+    def one_short(keys, store):
+        return place(keys, store)[:1]
+
+    with pytest.raises(SchemeError, match=r"cache holds 2 bits, declared M\*F = 1$"):
+        check_decodability(replace(s, place=late_oversized))
+    with pytest.raises(SchemeError, match="one cache per user"):
+        check_decodability(replace(s, place=one_short))
+
+
+def test_invariance_counterexample_does_not_depend_on_the_hash_seed():
+    script = (
+        "from cachepriv.lift import low_memory_private_scheme\n"
+        "from cachepriv.schemes import with_plaintext_demand_header\n"
+        "from cachepriv.verifier import check_conditional_invariance\n"
+        "s = with_plaintext_demand_header(low_memory_private_scheme())\n"
+        "print(check_conditional_invariance(s).counterexample)\n"
+    )
+    src = str(Path(cachepriv.__file__).resolve().parents[1])
+    texts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        texts.append(run.stdout)
+    assert "first differing cell" in texts[0]
+    assert texts[0] == texts[1]
 
 
 def test_decodability_enforces_declared_sizes():
