@@ -47,6 +47,7 @@ from .schemes import (
 )
 from .search import (
     DEFAULT_TRIAL_BUDGET,
+    check_search_target,
     compile_linear_scheme,
     export_descriptor,
     parse_descriptor,
@@ -175,6 +176,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         return 2
     n_files, n_users, t, cache_dim, tx_dim = target
+    check_search_target(n_files, n_users, t, args.budget)
     if n_users % n_files:
         print("user count must be a multiple of the file count", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ __all__ = [
     "rref",
     "solve_combination",
     "random_full_rank",
+    "random_full_rank_with_basis",
     "iter_subspaces",
     "span_elements",
 ]
@@ -99,12 +100,20 @@ def solve_combination(
 
 def random_full_rank(n_rows: int, n_cols: int, rng: random.Random) -> tuple[int, ...]:
     """Uniform full-row-rank n_rows x n_cols matrix via rejection sampling."""
+    return random_full_rank_with_basis(n_rows, n_cols, rng)[0]
+
+
+def random_full_rank_with_basis(
+    n_rows: int, n_cols: int, rng: random.Random
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """random_full_rank's matrix and its reduced basis, one elimination a draw."""
     if n_rows > n_cols:
         raise ValueError("cannot have more independent rows than columns")
     while True:
         rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
-        if rank(rows) == n_rows:
-            return rows
+        basis = reduced_basis(rows)
+        if len(basis) == n_rows:
+            return rows, basis
 
 
 def iter_subspaces(n_cols: int, dim: int) -> Iterator[tuple[int, ...]]:

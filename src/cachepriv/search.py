@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .core import (
@@ -242,84 +242,110 @@ def _restart_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _complete_demand(
-    cache_bases: list[dict[int, int]],
-    cache_rows: tuple[tuple[int, ...], ...],
-    demand: Sequence[int],
-    t: int,
-    n_cols: int,
-    tx_dim: int,
-) -> tuple[int, ...] | None:
-    """Delivery rows closing every user's rank gap for one demand, or None."""
-    n_users = len(cache_bases)
-    targets = [
-        [1 << (demand[u] * t + j) for j in range(t)] for u in range(n_users)
-    ]
+# (n_cols, dim) -> ([(rows, element mask)] of the dim-dimensional subspaces in
+# gf2.iter_subspaces order, that generator), filled as far as a scan reached
+_SUBSPACES: dict[tuple[int, int], tuple[list, Iterator[tuple[int, ...]]]] = {}
 
-    if tx_dim == 1:
-        # each user pins the row to one coset of its cache span; intersect them
-        candidates: set[int] | None = None
-        for u in range(n_users):
-            residuals = {gf2.reduce_vector(x, cache_bases[u]) for x in targets[u]}
-            residuals.discard(0)
-            if len(residuals) > 1:
-                return None
-            if not residuals:
-                continue
-            rho = residuals.pop()
-            coset = {rho ^ v for v in gf2.span_elements(cache_rows[u])}
-            candidates = coset if candidates is None else candidates & coset
-            if not candidates:
-                return None
-        if candidates is None:
-            return (1,)  # nobody needs the broadcast; send a fixed nonzero row
-        x = min(candidates)
-        return (x,) if x else None
 
-    # small dimensions: scan delivery rowspans in canonical enumeration order
-    for rows in gf2.iter_subspaces(n_cols, tx_dim):
-        ok = True
-        for u in range(n_users):
-            basis = gf2.reduced_basis(cache_rows[u] + rows)
-            if any(not gf2.in_span(x, basis) for x in targets[u]):
-                ok = False
-                break
-        if ok:
-            return rows
-    return None
+def _coset(offset: int, rows: Iterable[int]) -> list[int]:
+    """The elements of offset + span(rows), for independent rows."""
+    out = [offset]
+    for r in rows:
+        out += [x ^ r for x in out]
+    return out
+
+
+def _element_mask(elements: Iterable[int]) -> int:
+    return sum(1 << v for v in elements)  # bit v set for each element v
+
+
+def _residuals(basis: dict[int, int], f: int, t: int) -> set[int]:
+    """Distinct nonzero residuals of file f's unit targets modulo the basis."""
+    return {gf2.reduce_vector(1 << (f * t + j), basis) for j in range(t)} - {0}
+
+
+def _subspace_masks(n_cols: int, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    if (n_cols, dim) not in _SUBSPACES:
+        _SUBSPACES[(n_cols, dim)] = ([], gf2.iter_subspaces(n_cols, dim))
+    table, source = _SUBSPACES[(n_cols, dim)]
+    yield from table
+    for rows in source:
+        entry = (rows, _element_mask(_coset(0, rows)))
+        table.append(entry)
+        yield entry
 
 
 def _user_feasible(
-    cache_rows: Sequence[int], files_needed: set[int], t: int, tx_dim: int
+    basis: dict[int, int], files_needed: set[int], t: int, tx_dim: int
 ) -> bool:
-    """Necessary condition: the delivery can add at most tx_dim dimensions,
-    so each needed file may stick out of the cache span by at most that much.
-    """
-    basis = gf2.reduced_basis(cache_rows)
+    """Necessary condition: the delivery can add at most tx_dim dimensions, so
+    each needed file may stick out of the cache span (basis) by at most that."""
     for f in files_needed:
-        residuals = gf2.reduced_basis(
-            gf2.reduce_vector(1 << (f * t + j), basis) for j in range(t)
-        )
-        if len(residuals) > tx_dim:
+        residuals = _residuals(basis, f, t)
+        # distinct nonzero vectors have rank >= min(count, 2)
+        if len(residuals) > tx_dim and (tx_dim < 2 or gf2.rank(residuals) > tx_dim):
             return False
     return True
 
 
 def _try_placements(
-    placements: list[tuple[int, ...]],
+    bases: Sequence[dict[int, int]],
     demands: DemandSubset,
-    t: int,
-    n_cols: int,
-    tx_dim: int,
+    t: int, n_cols: int, tx_dim: int,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
-    bases = [gf2.reduced_basis(rows) for rows in placements]
+    """Delivery rows for every demand from each user's reduced cache basis,
+    or None.  Target x is in span(C_u + W) exactly when the delivery span W
+    meets the coset x + span(C_u), so each (user, file) needs the cosets of
+    its nonzero residuals, built once: element sets for tx_dim 1 (intersected,
+    least row wins), else element masks (first W in iter_subspaces order).
+    """
+    cosets: dict[tuple[int, int], list] = {}
+    kind = set if tx_dim == 1 else _element_mask
+
+    def needs(u: int, f: int) -> list:
+        found = cosets.get((u, f))
+        if found is None:
+            found = cosets[(u, f)] = [
+                kind(_coset(r, bases[u].values())) for r in _residuals(bases[u], f, t)
+            ]
+        return found
+
     deliveries = []
     for demand in demands:
-        rows = _complete_demand(bases, tuple(placements), demand, t, n_cols, tx_dim)
-        if rows is None:
-            return None
+        if tx_dim == 1:
+            # each user pins the row to one coset of its cache span
+            candidates: set[int] | None = None
+            for u, f in enumerate(demand):
+                need = needs(u, f)
+                if len(need) > 1:
+                    return None
+                if need:
+                    candidates = need[0] if candidates is None else candidates & need[0]
+                    if not candidates:
+                        return None
+            # no coset holds 0 (residuals are nonzero); if nobody needs the
+            # broadcast, send a fixed nonzero row
+            rows = (1,) if candidates is None else (min(candidates),)
+        else:
+            masks = [m for u, f in enumerate(demand) for m in needs(u, f)]
+            for rows, elements in _subspace_masks(n_cols, tx_dim):
+                for m in masks:
+                    if not elements & m:
+                        break
+                else:
+                    break
+            else:
+                return None
         deliveries.append((demand, rows))
     return deliveries
+
+
+def check_search_target(n_files: int, n_users: int, t: int, budget: int) -> None:
+    """Reject a size below 1 or a negative trial budget."""
+    if min(n_files, n_users, t) < 1:
+        raise ParameterError("files, users and subpacketization must be at least 1")
+    if budget < 0:
+        raise ParameterError(f"trial budget must be non-negative, not {budget}")
 
 
 def search_linear_scheme(
@@ -345,6 +371,7 @@ def search_linear_scheme(
     per-user rank filter; it is complete but only practical at tiny sizes.
     Returns None when the budget runs out.
     """
+    check_search_target(n_files, n_users, subpacketization, budget)
     t = subpacketization
     n_cols = n_files * t
     if demands.n_files != n_files or demands.n_users != n_users:
@@ -358,70 +385,56 @@ def search_linear_scheme(
         # full caches decode anything locally; no broadcast rows needed
         ident = tuple(1 << i for i in range(n_cols))
         return LinearSchemeMatrices(
-            n_files,
-            n_users,
-            t,
-            tuple(ident for _ in range(n_users)),
-            tuple((d, ()) for d in demands),
+            n_files, n_users, t, (ident,) * n_users, tuple((d, ()) for d in demands)
         )
 
-    files_needed = [
-        {demand[u] for demand in demands} for u in range(n_users)
-    ]
+    files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
 
-    if strategy == "restart":
-        # cap per-user rejection so an infeasible target cannot spin forever
-        draw_cap = 4096
-        for idx in range(budget):
-            rng = _restart_rng(seed, idx)
-            placements = []
-            for u in range(n_users):
-                for _ in range(draw_cap):
-                    rows = gf2.rref(gf2.random_full_rank(cache_dim, n_cols, rng))
-                    if _user_feasible(rows, files_needed[u], t, tx_dim):
-                        placements.append(rows)
+    def trials() -> Iterator[Sequence[dict[int, int]]]:
+        if strategy == "restart":
+            # cap per-user rejection so an infeasible target cannot spin forever
+            draw_cap = 4096
+            for idx in range(budget):
+                rng = _restart_rng(seed, idx)
+                bases = []
+                for u in range(n_users):
+                    for _ in range(draw_cap):
+                        _, basis = gf2.random_full_rank_with_basis(
+                            cache_dim, n_cols, rng
+                        )
+                        if _user_feasible(basis, files_needed[u], t, tx_dim):
+                            bases.append(basis)
+                            break
+                    else:
                         break
-                else:
-                    break
-            if len(placements) != n_users:
-                continue
-            deliveries = _try_placements(placements, demands, t, n_cols, tx_dim)
-            if deliveries is not None:
-                found = LinearSchemeMatrices(
-                    n_files, n_users, t, tuple(placements), tuple(deliveries)
-                )
-                found.validate()
-                assert verify_linear(found, demands).passed
-                return found
-        return None
+                if len(bases) == n_users:
+                    yield bases
+        elif strategy == "exhaustive":
+            per_user = []
+            for u in range(n_users):
+                spans = map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim))
+                options = [
+                    b for b in spans if _user_feasible(b, files_needed[u], t, tx_dim)
+                ]
+                if not options:
+                    return
+                per_user.append(options)
+            yield from itertools.islice(itertools.product(*per_user), budget)
+        else:
+            raise ParameterError(f"unknown search strategy {strategy!r}")
 
-    if strategy == "exhaustive":
-        per_user = []
-        for u in range(n_users):
-            options = [
-                rows
-                for rows in gf2.iter_subspaces(n_cols, cache_dim)
-                if _user_feasible(rows, files_needed[u], t, tx_dim)
-            ]
-            if not options:
-                return None
-            per_user.append(options)
-        tried = 0
-        for combo in itertools.product(*per_user):
-            tried += 1
-            if tried > budget:
-                return None
-            deliveries = _try_placements(list(combo), demands, t, n_cols, tx_dim)
-            if deliveries is not None:
-                found = LinearSchemeMatrices(
-                    n_files, n_users, t, tuple(combo), tuple(deliveries)
-                )
-                found.validate()
-                assert verify_linear(found, demands).passed
-                return found
-        return None
-
-    raise ParameterError(f"unknown search strategy {strategy!r}")
+    for bases in trials():
+        deliveries = _try_placements(bases, demands, t, n_cols, tx_dim)
+        if deliveries is not None:
+            # each placement is its basis rows by descending pivot (gf2.rref)
+            placements = tuple(tuple(sorted(b.values(), reverse=True)) for b in bases)
+            found = LinearSchemeMatrices(
+                n_files, n_users, t, placements, tuple(deliveries)
+            )
+            found.validate()
+            assert verify_linear(found, demands).passed
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,9 @@ class SessionTranscript:
 
 
 def _bit_block(value: int, bits: int) -> bytes:
-    out = bits.to_bytes(4, "little")
-    nbytes = (bits + 7) // 8
-    return out + value.to_bytes(nbytes, "little")
+    if not 0 <= bits < 1 << 32:
+        raise TranscriptError(f"bit block of {bits} bits overflows its 4-octet length")
+    return bits.to_bytes(4, "little") + value.to_bytes((bits + 7) // 8, "little")
 
 
 def _read_bit_block(buf: bytes, pos: int) -> tuple[int, int, int]:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own decode and counting paths so the
 checks they back are not self-referential: decodability is judged from the
 information available to a user, mutual information is recomputed from
-entropies, linear rows are applied one output bit at a time, and the
-verifier's sweep is redone atom by atom with no memo.
+entropies, linear rows are applied one output bit at a time, the
+verifier's sweep is redone atom by atom with no memo, and delivery rows are
+found by testing the rank condition on every candidate span.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
+from cachepriv import gf2
 from cachepriv.core import (
     DemandVector,
     FileStore,
@@ -235,3 +237,29 @@ def _reference_invariance(
                         f"{t1[cell]} when 1)",
                     )
     return True, total, worst, None
+
+
+def reference_complete_demand(
+    cache_rows: Sequence[Sequence[int]],
+    demand: Sequence[int],
+    t: int,
+    n_cols: int,
+    tx_dim: int,
+) -> tuple[int, ...] | None:
+    """The delivery rows the search must pick for one demand, by the rank
+    condition itself: user u decodes when every unit row of its file lies in
+    span(cache rows of u + delivery rows).  One row: the least nonzero row
+    that serves everybody.  More rows (or none): the first span in
+    gf2.iter_subspaces order that serves everybody.  None if no span does."""
+    if tx_dim == 1:
+        candidates = ((x,) for x in range(1, 1 << n_cols))
+    else:
+        candidates = gf2.iter_subspaces(n_cols, tx_dim)
+    for rows in candidates:
+        if all(
+            gf2.in_span(1 << (f * t + j), gf2.reduced_basis(tuple(cache) + rows))
+            for cache, f in zip(cache_rows, demand)
+            for j in range(t)
+        ):
+            return rows
+    return None

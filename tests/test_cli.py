@@ -110,6 +110,19 @@ def test_search_rejects_bad_targets(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "found" not in captured.err
+    # sizes below 1 and a negative budget: one error line, no search
+    for extra in (
+        ["--target", "0,4,3,1,1"],
+        ["--target", "2,0,3,1,1"],
+        ["--target=-2,4,3,1,1"],
+        ["--target", "2,4,0,1,1"],
+        ["--budget", "-1"],
+    ):
+        assert main(["search", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_region_writes_files(tmp_path, capsys):

@@ -112,6 +112,13 @@ def test_random_full_rank():
         assert gf2.rank(rows) == 3
     with pytest.raises(ValueError):
         gf2.random_full_rank(6, 5, rng)
+    # the same draws, with the reduced basis of the rows returned
+    a, b = random.Random(23), random.Random(23)
+    for _ in range(50):
+        rows, basis = gf2.random_full_rank_with_basis(3, 5, a)
+        assert rows == gf2.random_full_rank(3, 5, b)
+        assert basis == gf2.reduced_basis(rows)
+    assert a.random() == b.random()
 
 
 def test_iter_subspaces_counts():

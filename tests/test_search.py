@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cachepriv import gf2
+from cachepriv import gf2, search
 from cachepriv.core import (
+    DemandSubset,
     DemandVector,
     FileStore,
     KeyAssignment,
@@ -30,7 +33,7 @@ from cachepriv.search import (
     verify_linear,
 )
 from cachepriv.verifier import check_decodability
-from oracles import apply_rows, view_determines_file
+from oracles import apply_rows, reference_complete_demand, view_determines_file
 
 CYCLIC = cyclic_demand_set(2, 2)
 
@@ -174,6 +177,101 @@ def test_search_rejects_bad_parameters():
         search_linear_scheme(3, 4, 3, 4, 1, CYCLIC)
     with pytest.raises(ParameterError):
         search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, strategy="mystery")
+    # sizes below 1 and a negative budget, checked before anything else
+    bad = ((0, 4, 3, 1, 1), (2, 0, 3, 1, 1), (-2, 4, 3, 1, 1), (2, 4, 0, 1, 1))
+    for target in bad:
+        with pytest.raises(ParameterError, match="at least 1"):
+            search_linear_scheme(*target, CYCLIC)
+    with pytest.raises(ParameterError, match="non-negative"):
+        search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=-1)
+    assert search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=0) is None
+
+
+def test_search_matches_the_pinned_results():
+    # (target, strategy, seed, budget) -> matrices or None, captured from a
+    # search that tested the rank condition on each candidate span directly
+    pins = json.loads(Path(__file__).with_name("search_pins.json").read_text())
+    assert sum(p["found"] is not None for p in pins) >= 10
+    assert sum(p["found"] is None for p in pins) >= 10
+    for p in pins:
+        n_files, n_users = p["target"][:2]
+        found = search_linear_scheme(
+            *p["target"],
+            cyclic_demand_set(n_files, n_users // n_files),
+            strategy=p["strategy"],
+            seed=p["seed"],
+            budget=p["budget"],
+        )
+        got = None if found is None else [found.cache_rows, found.deliveries]
+        assert json.loads(json.dumps(got)) == p["found"], p
+
+
+def test_completion_matches_the_rank_condition_oracle():
+    # random placements, one demand at a time and all together; feasible and
+    # infeasible demands at n_cols 4-8 and one to three delivery rows
+    outcomes = set()
+    for n_files, blocks, t, tx_dims in (
+        (2, 2, 2, (1, 2, 3)),
+        (1, 3, 5, (1, 2, 3)),
+        (2, 2, 3, (1, 2, 3)),
+        (3, 1, 2, (1, 2, 3)),
+        (1, 2, 7, (1, 2)),
+        (2, 2, 4, (1, 2)),
+    ):
+        n_cols = n_files * t
+        demands = cyclic_demand_set(n_files, blocks)
+        for tx_dim in tx_dims:
+            rng = random.Random(f"complete:{n_cols}:{tx_dim}")
+            for _ in range(4):
+                cache_dim = rng.randrange(1, n_cols)
+                placements = [
+                    gf2.random_full_rank(cache_dim, n_cols, rng)
+                    for _ in range(demands.n_users)
+                ]
+                bases = [gf2.reduced_basis(p) for p in placements]
+                want = []
+                for d in demands:
+                    rows = reference_complete_demand(placements, d, t, n_cols, tx_dim)
+                    one = DemandSubset(n_files, demands.n_users, (d,), "one")
+                    got = search._try_placements(bases, one, t, n_cols, tx_dim)
+                    assert got == (None if rows is None else [(d, rows)])
+                    want.append((d, rows))
+                    outcomes.add(rows is None)
+                if any(rows is None for _, rows in want):
+                    want = None
+                assert search._try_placements(bases, demands, t, n_cols, tx_dim) == want
+    assert outcomes == {True, False}
+
+
+def test_subspace_table_is_filled_only_as_far_as_scans_reach(monkeypatch):
+    pulled = []
+    original = gf2.iter_subspaces
+
+    def counting(n_cols, dim):
+        for rows in original(n_cols, dim):
+            pulled.append(rows)
+            yield rows
+
+    monkeypatch.setattr(gf2, "iter_subspaces", counting)
+    monkeypatch.setattr(search, "_SUBSPACES", {})
+    # the pinned low-memory witness: every demand is served early in the scan
+    caches = ((22,), (44,), (11,), (49,))
+    bases = [gf2.reduced_basis(rows) for rows in caches]
+    deliveries = search._try_placements(bases, CYCLIC, 3, 6, 4)
+    assert [rows for _, rows in deliveries] == [
+        (16, 8, 4, 1), (32, 16, 4, 3), (32, 8, 6, 1), (40, 24, 5, 3)
+    ]
+    first = len(pulled)
+    assert 0 < first < 651  # the (6, 4) table has 651 subspaces
+    assert len(search._SUBSPACES[(6, 4)][0]) == first
+    assert search._try_placements(bases, CYCLIC, 3, 6, 4) == deliveries
+    assert len(pulled) == first
+    # a search with failing trials reads the whole table once, then nothing
+    found = search_linear_scheme(2, 4, 3, 1, 4, CYCLIC, seed=18, budget=16)
+    assert found.cache_rows == caches
+    assert len(pulled) == 651
+    assert search_linear_scheme(2, 4, 3, 1, 4, CYCLIC, seed=18, budget=16) == found
+    assert len(pulled) == 651
 
 
 def test_descriptor_round_trip():

@@ -130,6 +130,15 @@ def test_encode_rejects_fields_too_wide_for_the_frame(frame, field, limit):
         transcript_to_bytes(with_value(limit))
 
 
+def test_encode_rejects_a_bit_count_too_wide_for_its_length():
+    # raised before the 512 MiB body of a 2**32-bit block is allocated
+    t = tiny_transcript()
+    frame = replace(t.placements[0], cache_bits=2**32, cache_value=0)
+    huge = replace(t, placements=(frame,))
+    with pytest.raises(TranscriptError, match="overflows its 4-octet length"):
+        transcript_to_bytes(huge)
+
+
 def test_simulation_is_deterministic():
     s = low_memory_private_scheme()
     demand = DemandVector(2, (0, 1))
