@@ -8,6 +8,7 @@ verifier can enumerate joint distributions exhaustively.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -318,6 +319,51 @@ def alphabet_bits(size: int) -> int:
     return (size - 1).bit_length()
 
 
+# one tuple of input columns per output symbol, which is their XOR
+Rows = tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnProgram:
+    """A keyed GF(2)-linear scheme as three lazily filled, memoised tables.
+
+    cache(user, key) gives rows over the file columns (file i subfile j is
+    column i*t + j); delivery(demand, keys, configs) gives (rows over the
+    file columns then the pad columns, header); recipe(user, demand, key,
+    header) gives rows over the user's cache symbols then the payload.
+
+    server lists the parts of the server randomness, least significant
+    first, as (configurations, pads).  At width w a part's low pads*w bits
+    fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
+    above them modulo configurations is the part's configuration.
+    """
+
+    key_sizes: tuple[int, ...]
+    header_sizes: tuple[int, ...]
+    server: tuple[tuple[int, int], ...]
+    cache: Callable[[int, int], Rows]
+    delivery: Callable[..., tuple[Rows, tuple[int, ...]]]
+    recipe: Callable[..., Rows]
+
+    def __post_init__(self) -> None:
+        for table in ("cache", "delivery", "recipe"):
+            object.__setattr__(self, table, functools.cache(getattr(self, table)))
+
+    def server_size(self, width: int) -> int:
+        return math.prod(configs << (pads * width) for configs, pads in self.server)
+
+    def split_server(self, value: int, width: int) -> tuple[tuple[int, ...], list[int]]:
+        """(configuration per part, pad values in column order)."""
+        mask, configs, pads = (1 << width) - 1, [], []
+        for n_configs, n_pads in self.server:
+            for _ in range(n_pads):
+                pads.append(value & mask)
+                value >>= width
+            value, config = divmod(value, n_configs)
+            configs.append(config)
+        return tuple(configs), pads
+
+
 @dataclass(frozen=True)
 class SchemeInstance:
     """An executable caching scheme with declared exact parameters.
@@ -334,6 +380,7 @@ class SchemeInstance:
     is the alphabet size of the server's private randomness when subfile
     symbols are l bits wide.  Non-private schemes must declare an explicit
     served demand set; private schemes serve every demand (served is None).
+    Schemes built by run_program carry the column program they run.
     """
 
     name: str
@@ -349,7 +396,8 @@ class SchemeInstance:
     deliver: DeliverFn
     decode: DecodeFn
     privacy: Privacy
-    served: DemandSubset | None
+    served: DemandSubset | None = None
+    program: ColumnProgram | None = None
 
     def __post_init__(self) -> None:
         if len(self.key_sizes) != self.n_users:
@@ -381,3 +429,79 @@ class SchemeInstance:
             f"M={self.memory} R={self.rate} t={self.subpacketization}, "
             f"{self.privacy.value})"
         )
+
+
+def _xor_rows(
+    rows: Rows, symbols: Sequence[SubfileSymbol], values: Sequence[int], width: int
+) -> tuple[SubfileSymbol, ...]:
+    """One symbol per row.  A one-column row over symbols passes that symbol
+    object through; any other row boxes the XOR of the values it selects
+    (values may go on past symbols, into the pad columns)."""
+    out = []
+    n_symbols = len(symbols)
+    for cols in rows:
+        if len(cols) == 1 and cols[0] < n_symbols:
+            out.append(symbols[cols[0]])
+        else:
+            value = 0
+            for i in cols:
+                value ^= values[i]
+            out.append(SubfileSymbol(width, value))
+    return tuple(out)
+
+
+def run_program(program: ColumnProgram, **fields) -> SchemeInstance:
+    """The scheme that runs a column program; fields are the SchemeInstance
+    fields the program does not give.  place, deliver and decode look their
+    rows up in the program's tables and only XOR symbol values.  deliver
+    raises ParameterError unless the demand has one entry per user.
+    """
+    # the last store seen, with its symbols and their values in column order
+    last: list = [None, (), []]
+
+    def inputs(store: FileStore) -> tuple[tuple[SubfileSymbol, ...], list[int]]:
+        if store is not last[0]:
+            symbols = store.flat()
+            last[:] = store, symbols, [s.value for s in symbols]
+        return last[1], last[2]
+
+    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
+        symbols, values = inputs(store)
+        w = store.symbol_width
+        return tuple(
+            CacheContent(_xor_rows(program.cache(u, k), symbols, values, w), k)
+            for u, k in enumerate(keys.user_keys)
+        )
+
+    def deliver(
+        store: FileStore, demand: DemandVector, keys: KeyAssignment
+    ) -> DeliveryMessage:
+        if len(demand) != len(program.key_sizes):
+            raise ParameterError(
+                f"{fields['name']} has {len(program.key_sizes)} users, "
+                f"but the demand has {len(demand)} entries"
+            )
+        symbols, values = inputs(store)
+        w = store.symbol_width
+        configs, pads = program.split_server(keys.server_random, w)
+        values = values + pads
+        rows, header = program.delivery(demand.entries, keys.user_keys, configs)
+        return DeliveryMessage(_xor_rows(rows, symbols, values, w), header)
+
+    def decode(
+        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
+    ) -> tuple[SubfileSymbol, ...]:
+        rows = program.recipe(user, demand, key, msg.header)
+        symbols = cache.symbols + msg.payload
+        return _xor_rows(rows, symbols, [s.value for s in symbols], symbols[0].width)
+
+    return SchemeInstance(
+        key_sizes=program.key_sizes,
+        header_sizes=program.header_sizes,
+        server_random_size=program.server_size,
+        place=place,
+        deliver=deliver,
+        decode=decode,
+        program=program,
+        **fields,
+    )

@@ -12,30 +12,27 @@ expanded virtual demand, which is statistically independent of the real one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .core import (
-    CacheContent,
-    DeliveryMessage,
-    DemandVector,
-    FileStore,
-    KeyAssignment,
+    ColumnProgram,
     ParameterError,
     Privacy,
+    Rows,
     SchemeInstance,
-    SubfileSymbol,
     cyclic_demand_set,
-    cyclic_shift,
-    identity_vector,
-    mod_sub,
-    split_bits,
+    run_program,
 )
 from .schemes import (
     high_memory_2x4_scheme,
     low_memory_2x4_scheme,
+    program_of,
+    split_recipe,
     split_subpacketization,
-    uncoded_split_functions,
+    uncoded_program,
+    unit_rows,
 )
 
 
@@ -54,34 +51,21 @@ def basic_private_scheme(
     """
     m = Fraction(memory)
     t, tc, tu = split_subpacketization(n_files, m)
-    name = f"thm1:{n_files},{n_users},{m}"
-
+    base = uncoded_program(n_files, n_users, t, tc)
+    params = dict(
+        name=f"thm1:{n_files},{n_users},{m}",
+        n_files=n_files,
+        n_users=n_users,
+        memory=m,
+        subpacketization=t,
+        privacy=Privacy.PRIVATE,
+    )
     if n_files <= n_users:
-        place, deliver, decode = uncoded_split_functions(n_files, t, tc)
-        return SchemeInstance(
-            name=name,
-            n_files=n_files,
-            n_users=n_users,
-            memory=m,
-            rate=Fraction(n_files) - m,
-            subpacketization=t,
-            key_sizes=(1,) * n_users,
-            header_sizes=(),
-            server_random_size=lambda width: 1,
-            place=place,
-            deliver=deliver,
-            decode=decode,
-            privacy=Privacy.PRIVATE,
-            served=None,
-        )
+        return run_program(base, rate=Fraction(n_files) - m, **params)
 
-    k = n_users
-    kfact = math.factorial(k)
+    k, n_cols = n_users, n_files * t
 
-    def fill_space(width: int) -> int:
-        return 1 << (k * tu * width)
-
-    def slot_assignment(demand: DemandVector, rank: int) -> list[int]:
+    def slot_assignment(demand: tuple[int, ...], rank: int) -> list[int]:
         """Slot per user: fresh demands take the rank-th unused slot in
         ascending candidate order, repeats reuse the earlier slot."""
         draws = []
@@ -89,64 +73,34 @@ def basic_private_scheme(
             rank, c = divmod(rank, size)
             draws.append(c)
         slots: dict[int, int] = {}
-        used: set[int] = set()
-        order = []
+        free = list(range(k))
         for d in demand:
             if d not in slots:
-                cand = [s for s in range(k) if s not in used]
-                slots[d] = cand[draws[len(used)]]
-                used.add(slots[d])
-            order.append(slots[d])
-        return order
+                slots[d] = free.pop(draws[len(slots)])
+        return [slots[d] for d in demand]
 
-    place, _, _ = uncoded_split_functions(n_files, t, tc)
-
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        width = store.symbol_width
-        rank, fill = divmod(keys.server_random, fill_space(width))
-        order = slot_assignment(demand, rank)
-        per_slot_bits = tu * width
-        by_slot: dict[int, tuple[SubfileSymbol, ...]] = {}
-        for user, d in enumerate(demand):
-            by_slot[order[user]] = tuple(store.symbols[d][tc:])
-        payload: list[SubfileSymbol] = []
+    def delivery(demand, keys, configs):
+        # the configuration is the slot rank; slot s carries the uncached
+        # run of the file assigned to it, or else pads s*tu onward
+        order = slot_assignment(demand, configs[0])
+        by_slot = dict(zip(order, demand))
+        rows: Rows = ()
         for slot in range(k):
-            if slot in by_slot:
-                payload.extend(by_slot[slot])
-            else:
-                chunk = (fill >> (slot * per_slot_bits)) & ((1 << per_slot_bits) - 1)
-                payload.extend(split_bits(chunk, width, tu))
-        header = tuple(
-            (order[user] + keys.user_keys[user]) % k for user in range(k)
-        )
-        return DeliveryMessage(tuple(payload), header)
+            start = by_slot[slot] * t + tc if slot in by_slot else n_cols + slot * tu
+            rows += unit_rows(start, tu)
+        return rows, tuple((order[u] + keys[u]) % k for u in range(k))
 
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        slot = (msg.header[user] - key) % k
-        cached = cache.symbols[demand * tc : (demand + 1) * tc]
-        uncached = msg.payload[slot * tu : (slot + 1) * tu]
-        return cached + uncached
-
-    return SchemeInstance(
-        name=name,
-        n_files=n_files,
-        n_users=n_users,
-        memory=m,
-        rate=k * (1 - m / n_files),
-        subpacketization=t,
+    program = ColumnProgram(
         key_sizes=(k,) * k,
         header_sizes=(k,) * k,
-        server_random_size=lambda width: kfact * fill_space(width),
-        place=place,
-        deliver=deliver,
-        decode=decode,
-        privacy=Privacy.PRIVATE,
-        served=None,
+        server=((math.factorial(k), k * tu),),
+        cache=base.cache,
+        delivery=delivery,
+        recipe=lambda user, demand, key, header: split_recipe(
+            n_files, tc, tu, demand, (header[user] - key) % k
+        ),
     )
+    return run_program(program, rate=k * (1 - m / n_files), **params)
 
 
 def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
@@ -158,7 +112,8 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
     (S_k - D_k) mod N, and the header publishes exactly those shifts. Since
     the keys are uniform pads, the shifts (and hence everything sent) are
     independent of the real demands, while virtual user k*N + S_k always
-    requests D_k, which keeps decoding intact.
+    requests D_k, which keeps decoding intact.  The expanded demand is
+    looked up in the cyclic demand set by its shifts.
     """
     n = np.n_files
     if np.privacy is not Privacy.NON_PRIVATE:
@@ -167,60 +122,44 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
         raise ParameterError("virtual user count must be a multiple of the file count")
     k = np.n_users // n
     cyc = cyclic_demand_set(n, k)
-    served = np.served_demands()
-    missing = [m for m in cyc if m not in served]
+    missing = [m for m in cyc if m not in np.served_demands()]
     if missing:
         raise ParameterError(f"scheme does not serve cyclic demand {missing[0]}")
     if any(size != 1 for size in np.key_sizes) or np.server_random_size(1) != 1:
         raise ParameterError("lifting expects a deterministic keyless scheme")
+    inner = program_of(np)
+    trivial = (0,) * np.n_users
 
-    ident = identity_vector(n)
-    trivial = KeyAssignment((0,) * np.n_users, 0)
+    # the members are listed in itertools.product order of their shifts
+    expanded = dict(zip(itertools.product(range(n), repeat=k), cyc.members))
 
-    def expanded(shifts: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for c in shifts:
-            out.extend(cyclic_shift(ident, c))
-        return tuple(out)
+    def delivery(demand, keys, configs):
+        shifts = tuple((key - d) % n for key, d in zip(keys, demand))
+        rows, _ = inner.delivery(expanded[shifts], trivial, ())
+        return rows, shifts
 
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        virtual = np.place(trivial, store)
-        return tuple(
-            CacheContent(virtual[u * n + keys.user_keys[u]].symbols, keys.user_keys[u])
-            for u in range(k)
-        )
+    def recipe(user, demand, key, header):
+        v, virtual = user * n + key, expanded[header]
+        _, inner_header = inner.delivery(virtual, trivial, ())
+        return inner.recipe(v, virtual[v], 0, inner_header)
 
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        shifts = mod_sub(keys.user_keys, demand.entries, n)
-        virtual_demand = DemandVector(n, expanded(shifts))
-        msg = np.deliver(store, virtual_demand, trivial)
-        return DeliveryMessage(msg.payload, shifts)
-
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        virtual_demand = expanded(msg.header)
-        v = user * n + key
-        inner = DeliveryMessage(msg.payload, virtual_demand)
-        return np.decode(v, virtual_demand[v], 0, inner, CacheContent(cache.symbols, 0))
-
-    return SchemeInstance(
+    program = ColumnProgram(
+        key_sizes=(n,) * k,
+        header_sizes=(n,) * k,
+        server=(),
+        cache=lambda user, key: inner.cache(user * n + key, 0),
+        delivery=delivery,
+        recipe=recipe,
+    )
+    return run_program(
+        program,
         name=name or f"lifted:{np.name}",
         n_files=n,
         n_users=k,
         memory=np.memory,
         rate=np.rate,
         subpacketization=np.subpacketization,
-        key_sizes=(n,) * k,
-        header_sizes=(n,) * k,
-        server_random_size=lambda width: 1,
-        place=place,
-        deliver=deliver,
-        decode=decode,
         privacy=Privacy.PRIVATE,
-        served=None,
     )
 
 

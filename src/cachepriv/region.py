@@ -83,15 +83,6 @@ def check_inequalities(
     return tuple(violated)
 
 
-def minimal_rate_on_grid(memory: Fraction, step: Fraction) -> Fraction:
-    """Smallest multiple of step that satisfies every constraint at this
-    memory; a cross-check of the closed-form envelope from below."""
-    r = Fraction(0)
-    while check_inequalities(memory, r):
-        r += step
-    return r
-
-
 def frac_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"

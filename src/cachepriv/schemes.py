@@ -13,19 +13,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
-    CacheContent,
-    DeliveryMessage,
-    DemandVector,
-    FileStore,
-    KeyAssignment,
+    ColumnProgram,
     ParameterError,
     Privacy,
+    Rows,
     SchemeInstance,
-    SubfileSymbol,
     cyclic_demand_set,
     full_demand_set,
-    pack_symbols,
-    split_bits,
+    run_program,
 )
 from .search import LinearSchemeMatrices, compile_linear_scheme
 
@@ -100,6 +95,9 @@ def high_memory_2x4_scheme() -> SchemeInstance:
 
 # ---------------------------------------------------------------------------
 # uncoded split placement shared by the baseline and the basic private scheme
+#
+# File i's first tc symbols sit in every cache, at cache symbols i*tc onward;
+# its other tu symbols are payload.
 
 
 def split_subpacketization(n_files: int, memory: Fraction) -> tuple[int, int, int]:
@@ -119,34 +117,32 @@ def split_subpacketization(n_files: int, memory: Fraction) -> tuple[int, int, in
     return t, tc, t - tc
 
 
-def uncoded_split_functions(n_files: int, t: int, tc: int):
-    """place/deliver/decode for identical caches holding the first tc symbols
-    of every file, with the remaining symbols of every file broadcast."""
+def unit_rows(start: int, count: int) -> Rows:
+    """Rows copying the count input columns from start on, one each."""
+    return tuple((start + j,) for j in range(count))
 
+
+def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows:
+    """The cached run of the demanded file, then payload slot `slot`."""
+    return unit_rows(demand * tc, tc) + unit_rows(n_files * tc + slot * tu, tu)
+
+
+def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgram:
+    """Identical caches holding the first tc symbols of every file, with the
+    remaining symbols of every file broadcast, file by file."""
     tu = t - tc
-
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        symbols = tuple(
-            store.symbols[i][j] for i in range(n_files) for j in range(tc)
-        )
-        return tuple(CacheContent(symbols, k) for k in keys.user_keys)
-
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        payload = tuple(
-            store.symbols[i][tc + j] for i in range(n_files) for j in range(tu)
-        )
-        return DeliveryMessage(payload, ())
-
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        cached = cache.symbols[demand * tc : (demand + 1) * tc]
-        uncached = msg.payload[demand * tu : (demand + 1) * tu]
-        return cached + uncached
-
-    return place, deliver, decode
+    cached = tuple((i * t + j,) for i in range(n_files) for j in range(tc))
+    sent = tuple((i * t + tc + j,) for i in range(n_files) for j in range(tu))
+    return ColumnProgram(
+        key_sizes=(1,) * n_users,
+        header_sizes=(),
+        server=(),
+        cache=lambda user, key: cached,
+        delivery=lambda demand, keys, configs: (sent, ()),
+        recipe=lambda user, demand, key, header: split_recipe(
+            n_files, tc, tu, demand, demand
+        ),
+    )
 
 
 def uncoded_baseline(
@@ -158,20 +154,14 @@ def uncoded_baseline(
     """
     m = Fraction(memory)
     t, tc, _tu = split_subpacketization(n_files, m)
-    place, deliver, decode = uncoded_split_functions(n_files, t, tc)
-    return SchemeInstance(
+    return run_program(
+        uncoded_program(n_files, n_users, t, tc),
         name=f"baseline:{n_files},{n_users},{m}",
         n_files=n_files,
         n_users=n_users,
         memory=m,
         rate=Fraction(n_files) - m,
         subpacketization=t,
-        key_sizes=(1,) * n_users,
-        header_sizes=(),
-        server_random_size=lambda width: 1,
-        place=place,
-        deliver=deliver,
-        decode=decode,
         privacy=Privacy.NON_PRIVATE,
         served=full_demand_set(n_files, n_users),
     )
@@ -179,6 +169,21 @@ def uncoded_baseline(
 
 # ---------------------------------------------------------------------------
 # memory sharing
+
+
+def program_of(s: SchemeInstance) -> ColumnProgram:
+    if s.program is None:
+        raise ParameterError(f"{s.name} has no column program")
+    return s.program
+
+
+def _narrow(rows: Rows, group: int, start: list[int]) -> Rows:
+    """Rows over symbols `group` times narrower: input c becomes the group
+    inputs start[c] + o, and each output symbol becomes group output
+    symbols, least significant first."""
+    return tuple(
+        tuple(start[c] + o for c in cols) for cols in rows for o in range(group)
+    )
 
 
 def memory_share(
@@ -192,7 +197,11 @@ def memory_share(
     and key alphabets are the per-segment products, and the combined
     subpacketization is the smallest t that makes both segments whole
     numbers of each constituent's subfiles.
-    """
+
+    A symbol of a is ga consecutive symbols of the result (gb for b): a's
+    column (i, j) becomes columns i*t + j*ga + o, b's sit after the prefix
+    x, b's pads after a's, and keys, configurations and headers split a's
+    part first."""
     lam = Fraction(share)
     if not 0 <= lam <= 1:
         raise ParameterError(f"share {lam} outside [0, 1]")
@@ -207,6 +216,7 @@ def memory_share(
     if a.privacy is Privacy.NON_PRIVATE:
         if set(a.served.members) != set(b.served.members):  # type: ignore[union-attr]
             raise ParameterError("memory sharing needs identical served demands")
+    pa, pb = program_of(a), program_of(b)
 
     n_files, n_users = a.n_files, a.n_users
     p, q = lam.numerator, lam.denominator
@@ -217,104 +227,64 @@ def memory_share(
     x = int(lam * t)
     ga, gb = x // ta, (t - x) // tb
 
-    counts = {}
-    for tag, s in (("a", a), ("b", b)):
-        cache_syms = s.memory * s.subpacketization
-        pay_syms = s.rate * s.subpacketization
-        if cache_syms.denominator != 1 or pay_syms.denominator != 1:
+    counts: list[int] = []
+    for s in (a, b):
+        syms = (s.memory * s.subpacketization, s.rate * s.subpacketization)
+        if any(v.denominator != 1 for v in syms):
             raise ParameterError(f"{s.name} has non-integral symbol counts")
-        counts[tag] = (int(cache_syms), int(pay_syms))
-        if counts[tag] == (0, 0):
+        if syms == (0, 0):
             raise ParameterError(f"{s.name} has no cache and no payload")
-    (ca_count, pa_count), (cb_count, pb_count) = counts["a"], counts["b"]
+        counts += map(int, syms)
+    ca, pay_a, cb, pay_b = counts
 
-    def regroup(store: FileStore, start: int, group: int, count: int) -> FileStore:
-        w = store.symbol_width
-        rows = []
-        for i in range(n_files):
-            row = []
-            for j in range(count):
-                seg = store.symbols[i][start + j * group : start + (j + 1) * group]
-                value, _ = pack_symbols(seg)
-                row.append(SubfileSymbol(group * w, value))
-            rows.append(tuple(row))
-        return FileStore(n_files, count, group * w, tuple(rows))
+    # where each column and each decoder input of a and b starts
+    pads_a, pads_b = (sum(pads for _, pads in s.server) for s in (pa, pb))
+    col_a = [i * t + j * ga for i in range(n_files) for j in range(ta)]
+    col_a += [n_files * t + p * ga for p in range(pads_a)]
+    col_b = [i * t + x + j * gb for i in range(n_files) for j in range(tb)]
+    col_b += [n_files * t + pads_a * ga + p * gb for p in range(pads_b)]
+    cached = ca * ga + cb * gb
+    in_a = [i * ga for i in range(ca)] + [cached + i * ga for i in range(pay_a)]
+    in_b = [ca * ga + i * gb for i in range(cb)]
+    in_b += [cached + pay_a * ga + i * gb for i in range(pay_b)]
+    parts_a, headers_a = len(pa.server), len(pa.header_sizes)
 
-    def split_keys(keys: KeyAssignment, width: int):
-        ka, kb = [], []
-        for u, k in enumerate(keys.user_keys):
-            ka.append(k % a.key_sizes[u])
-            kb.append(k // a.key_sizes[u])
-        pa = keys.server_random % a.server_random_size(ga * width)
-        pb = keys.server_random // a.server_random_size(ga * width)
-        return (
-            KeyAssignment(tuple(ka), pa),
-            KeyAssignment(tuple(kb), pb),
-        )
+    def cache(user: int, key: int) -> Rows:
+        size = pa.key_sizes[user]
+        rows_a, rows_b = pa.cache(user, key % size), pb.cache(user, key // size)
+        return _narrow(rows_a, ga, col_a) + _narrow(rows_b, gb, col_b)
 
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        keys_a, keys_b = split_keys(keys, store.symbol_width)
-        caches_a = a.place(keys_a, regroup(store, 0, ga, ta))
-        caches_b = b.place(keys_b, regroup(store, x, gb, tb))
-        return tuple(
-            CacheContent(
-                caches_a[u].symbols + caches_b[u].symbols, keys.user_keys[u]
-            )
-            for u in range(n_users)
-        )
+    def delivery(demand, keys, configs):
+        keys_a = tuple(k % size for k, size in zip(keys, pa.key_sizes))
+        keys_b = tuple(k // size for k, size in zip(keys, pa.key_sizes))
+        rows_a, header_a = pa.delivery(demand, keys_a, configs[:parts_a])
+        rows_b, header_b = pb.delivery(demand, keys_b, configs[parts_a:])
+        rows = _narrow(rows_a, ga, col_a) + _narrow(rows_b, gb, col_b)
+        return rows, header_a + header_b
 
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        keys_a, keys_b = split_keys(keys, store.symbol_width)
-        msg_a = a.deliver(regroup(store, 0, ga, ta), demand, keys_a)
-        msg_b = b.deliver(regroup(store, x, gb, tb), demand, keys_b)
-        return DeliveryMessage(
-            msg_a.payload + msg_b.payload, msg_a.header + msg_b.header
-        )
+    def recipe(user, demand, key, header):
+        size = pa.key_sizes[user]
+        rows_a = pa.recipe(user, demand, key % size, header[:headers_a])
+        rows_b = pb.recipe(user, demand, key // size, header[headers_a:])
+        return _narrow(rows_a, ga, in_a) + _narrow(rows_b, gb, in_b)
 
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        if ca_count:
-            width = cache.symbols[0].width // ga
-        else:
-            width = msg.payload[0].width // ga
-        k_a, k_b = key % a.key_sizes[user], key // a.key_sizes[user]
-        cache_a = CacheContent(cache.symbols[:ca_count], k_a)
-        cache_b = CacheContent(cache.symbols[ca_count:], k_b)
-        msg_a = DeliveryMessage(
-            msg.payload[:pa_count], msg.header[: len(a.header_sizes)]
-        )
-        msg_b = DeliveryMessage(
-            msg.payload[pa_count:], msg.header[len(a.header_sizes) :]
-        )
-        part_a = a.decode(user, demand, k_a, msg_a, cache_a)
-        part_b = b.decode(user, demand, k_b, msg_b, cache_b)
-        out: list[SubfileSymbol] = []
-        for sym in part_a:
-            out.extend(split_bits(sym.value, width, ga))
-        for sym in part_b:
-            out.extend(split_bits(sym.value, width, gb))
-        return tuple(out)
-
-    return SchemeInstance(
+    program = ColumnProgram(
+        key_sizes=tuple(ka * kb for ka, kb in zip(pa.key_sizes, pb.key_sizes)),
+        header_sizes=pa.header_sizes + pb.header_sizes,
+        server=tuple((c, pads * ga) for c, pads in pa.server)
+        + tuple((c, pads * gb) for c, pads in pb.server),
+        cache=cache,
+        delivery=delivery,
+        recipe=recipe,
+    )
+    return run_program(
+        program,
         name=f"share:{lam}:{a.name}:{b.name}",
         n_files=n_files,
         n_users=n_users,
         memory=lam * a.memory + (1 - lam) * b.memory,
         rate=lam * a.rate + (1 - lam) * b.rate,
         subpacketization=t,
-        key_sizes=tuple(
-            a.key_sizes[u] * b.key_sizes[u] for u in range(n_users)
-        ),
-        header_sizes=a.header_sizes + b.header_sizes,
-        server_random_size=lambda width: (
-            a.server_random_size(ga * width) * b.server_random_size(gb * width)
-        ),
-        place=place,
-        deliver=deliver,
-        decode=decode,
         privacy=a.privacy,
         served=a.served,
     )
@@ -330,26 +300,27 @@ def with_plaintext_demand_header(s: SchemeInstance) -> SchemeInstance:
     privacy checker something that must fail."""
     if s.served is not None and len(s.served) != s.n_files**s.n_users:
         raise ParameterError("control wrapper needs a scheme serving all demands")
-    base_header = len(s.header_sizes)
+    inner = program_of(s)
 
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        msg = s.deliver(store, demand, keys)
-        return DeliveryMessage(msg.payload, msg.header + tuple(demand))
+    def delivery(demand, keys, configs):
+        rows, header = inner.delivery(demand, keys, configs)
+        return rows, header + demand
 
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        inner = DeliveryMessage(msg.payload, msg.header[:base_header])
-        return s.decode(user, demand, key, inner, cache)
-
-    return replace(
-        s,
+    program = replace(
+        inner,
+        header_sizes=inner.header_sizes + (s.n_files,) * s.n_users,
+        delivery=delivery,
+        recipe=lambda user, demand, key, header: inner.recipe(
+            user, demand, key, header[: len(inner.header_sizes)]
+        ),
+    )
+    return run_program(
+        program,
         name=f"{s.name}+plaintext-header",
-        header_sizes=s.header_sizes + (s.n_files,) * s.n_users,
-        deliver=deliver,
-        decode=decode,
+        n_files=s.n_files,
+        n_users=s.n_users,
+        memory=s.memory,
+        rate=s.rate,
+        subpacketization=s.subpacketization,
         privacy=Privacy.PRIVATE,
-        served=None,
     )

@@ -18,17 +18,13 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .core import (
-    CacheContent,
-    DeliveryMessage,
+    ColumnProgram,
     DemandSubset,
-    DemandVector,
-    FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     SchemeInstance,
-    SubfileSymbol,
     UnservedDemand,
+    run_program,
 )
 from .verifier import Verdict
 
@@ -137,19 +133,6 @@ def _columns(row: int) -> tuple[int, ...]:
     return tuple(i for i in range(row.bit_length()) if (row >> i) & 1)
 
 
-def _run_columns(
-    program: Sequence[tuple[int, ...]], values: Sequence[int], width: int
-) -> tuple[SubfileSymbol, ...]:
-    """One symbol per column tuple: the XOR of the values it selects."""
-    out = []
-    for cols in program:
-        value = 0
-        for i in cols:
-            value ^= values[i]
-        out.append(SubfileSymbol(width, value))
-    return tuple(out)
-
-
 def compile_linear_scheme(
     m: LinearSchemeMatrices, served: DemandSubset, name: str
 ) -> SchemeInstance:
@@ -187,47 +170,32 @@ def compile_linear_scheme(
                 else tuple(tuple(i for i, c in enumerate(cs) if c) for cs in solved)
             )
 
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        values = [s.value for row in store.symbols for s in row]
-        w = store.symbol_width
-        return tuple(
-            CacheContent(_run_columns(cols, values, w), keys.user_keys[u])
-            for u, cols in enumerate(cache_cols)
-        )
+    def delivery(demand, keys, configs):
+        if demand not in delivery_cols:
+            raise UnservedDemand(f"{name} does not serve demand {demand}")
+        return delivery_cols[demand], demand
 
-    def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        key = tuple(demand)
-        rows = delivery_cols.get(key)
-        if rows is None:
-            raise UnservedDemand(f"{name} does not serve demand {key}")
-        values = [s.value for row in store.symbols for s in row]
-        return DeliveryMessage(_run_columns(rows, values, store.symbol_width), key)
+    def recipe(user, demand, key, header):
+        if (header, user) not in recipes:
+            raise UnservedDemand(f"{name} has no recipe for demand {header}")
+        return recipes[(header, user)]
 
-    def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
-    ) -> tuple[SubfileSymbol, ...]:
-        recipe = recipes.get((msg.header, user))
-        if recipe is None:
-            raise UnservedDemand(f"{name} has no recipe for demand {msg.header}")
-        available = cache.symbols + msg.payload
-        values = [s.value for s in available]
-        return _run_columns(recipe, values, available[0].width)
-
-    return SchemeInstance(
+    program = ColumnProgram(
+        key_sizes=(1,) * m.n_users,
+        header_sizes=(m.n_files,) * m.n_users,
+        server=(),
+        cache=lambda user, key: cache_cols[user],
+        delivery=delivery,
+        recipe=recipe,
+    )
+    return run_program(
+        program,
         name=name,
         n_files=m.n_files,
         n_users=m.n_users,
         memory=m.memory,
         rate=m.rate,
         subpacketization=t,
-        key_sizes=(1,) * m.n_users,
-        header_sizes=(m.n_files,) * m.n_users,
-        server_random_size=lambda width: 1,
-        place=place,
-        deliver=deliver,
-        decode=decode,
         privacy=Privacy.NON_PRIVATE,
         served=served,
     )
@@ -369,7 +337,8 @@ def search_linear_scheme(
     the lowest restart index no matter how trials are scheduled.  strategy
     "exhaustive" scans all placement rowspan combinations that pass the
     per-user rank filter; it is complete but only practical at tiny sizes.
-    Returns None when the budget runs out.
+    Returns None when the budget runs out, and before any trial when some
+    user's cache is too small for the filter ever to pass.
     """
     check_search_target(n_files, n_users, subpacketization, budget)
     t = subpacketization
@@ -380,6 +349,8 @@ def search_linear_scheme(
         raise ParameterError("cache dimension out of range")
     if not 0 <= tx_dim <= n_cols:
         raise ParameterError("delivery dimension out of range")
+    if strategy not in ("restart", "exhaustive"):
+        raise ParameterError(f"unknown search strategy {strategy!r}")
 
     if cache_dim == n_cols:
         # full caches decode anything locally; no broadcast rows needed
@@ -389,6 +360,10 @@ def search_linear_scheme(
         )
 
     files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
+    # the rank filter passes exactly when dim(C & file f) >= t - tx_dim for
+    # every needed file f; those intersections are independent subspaces of C
+    if any(len(fs) * max(0, t - tx_dim) > cache_dim for fs in files_needed):
+        return None
 
     def trials() -> Iterator[Sequence[dict[int, int]]]:
         if strategy == "restart":
@@ -409,7 +384,7 @@ def search_linear_scheme(
                         break
                 if len(bases) == n_users:
                     yield bases
-        elif strategy == "exhaustive":
+        else:
             per_user = []
             for u in range(n_users):
                 spans = map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim))
@@ -420,8 +395,6 @@ def search_linear_scheme(
                     return
                 per_user.append(options)
             yield from itertools.islice(itertools.product(*per_user), budget)
-        else:
-            raise ParameterError(f"unknown search strategy {strategy!r}")
 
     for bases in trials():
         deliveries = _try_placements(bases, demands, t, n_cols, tx_dim)

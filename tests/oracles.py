@@ -5,13 +5,15 @@ checks they back are not self-referential: decodability is judged from the
 information available to a user, mutual information is recomputed from
 entropies, linear rows are applied one output bit at a time, the
 verifier's sweep is redone atom by atom with no memo, and delivery rows are
-found by testing the rank condition on every candidate span.
+found by testing the rank condition on every candidate span, and the
+rate envelope is found by stepping up a grid until every constraint holds.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from cachepriv import gf2
@@ -23,6 +25,7 @@ from cachepriv.core import (
     SubfileSymbol,
     pack_symbols,
 )
+from cachepriv.region import check_inequalities
 from cachepriv.verifier import (
     DecodeCounterexample,
     IndependenceCounterexample,
@@ -263,3 +266,12 @@ def reference_complete_demand(
         ):
             return rows
     return None
+
+
+def minimal_rate_on_grid(memory: Fraction, step: Fraction) -> Fraction:
+    """Smallest multiple of step that satisfies every constraint at this
+    memory; a cross-check of the closed-form envelope from below."""
+    r = Fraction(0)
+    while check_inequalities(memory, r):
+        r += step
+    return r

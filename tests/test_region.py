@@ -12,9 +12,9 @@ from cachepriv.region import (
     default_scheme_points,
     emit_region,
     frac_str,
-    minimal_rate_on_grid,
     optimal_private_rate_2x2,
 )
+from oracles import minimal_rate_on_grid
 
 F = Fraction
 

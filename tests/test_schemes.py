@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     DemandVector,
+    FileStore,
+    KeyAssignment,
     ParameterError,
     Privacy,
     cyclic_demand_set,
 )
-from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
+from cachepriv.lift import (
+    basic_private_scheme,
+    lift_private,
+    low_memory_private_scheme,
+)
 from cachepriv.schemes import (
     HIGH_MEMORY_2X4_CACHES,
     HIGH_MEMORY_2X4_DELIVERIES,
@@ -26,7 +33,8 @@ from cachepriv.schemes import (
     uncoded_baseline,
     with_plaintext_demand_header,
 )
-from cachepriv.search import verify_linear
+from cachepriv.search import export_descriptor, verify_linear
+from cachepriv.session import simulate_session
 from cachepriv.verifier import (
     check_conditional_invariance,
     check_decodability,
@@ -179,3 +187,52 @@ def test_plaintext_header_control_leaks():
     assert v.mi_bits == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ParameterError):
         with_plaintext_demand_header(low_memory_2x4_scheme())
+
+
+def test_every_scheme_kind_rejects_a_demand_of_the_wrong_length(tmp_path):
+    descriptor = tmp_path / "lowmem.txt"
+    descriptor.write_text(export_descriptor(low_memory_2x4_matrices(), "lowmem"))
+    schemes = [
+        resolve_scheme(token)
+        for token in (
+            "example1",
+            "lowmem2x4",
+            "thm1:3,2,0",  # N > K: slots and pads
+            "thm1:2,3,1",  # N <= K
+            "baseline:3,2,1",
+            "share:1/2:thm1:3,2,0:thm1:3,2,3",
+            str(descriptor),
+        )
+    ]
+    schemes.append(with_plaintext_demand_header(low_memory_private_scheme()))
+    for s in schemes:
+        store = FileStore.zero(s.n_files, s.subpacketization, 1)
+        keys = KeyAssignment((0,) * s.n_users, 0)
+        for length in (s.n_users - 1, s.n_users + 1):
+            demand = DemandVector(s.n_files, (0,) * length)
+            with pytest.raises(
+                ParameterError, match=rf" {s.n_users} users.* {length} entries"
+            ):
+                s.deliver(store, demand, keys)
+
+
+def test_combinators_need_a_column_program():
+    bare = replace(low_memory_2x4_scheme(), program=None)
+    with pytest.raises(ParameterError, match="column program"):
+        lift_private(bare)
+    a, b = (replace(basic_private_scheme(2, 2, m), program=None) for m in (0, 2))
+    with pytest.raises(ParameterError, match="column program"):
+        memory_share(a, b, Fraction(1, 2))
+    with pytest.raises(ParameterError, match="column program"):
+        with_plaintext_demand_header(a)
+
+
+def test_share_nested_as_the_first_part_decodes():
+    # the inner share's symbols are narrow, so the outer share slices its
+    # cache and payload by the inner share's declared counts
+    s = resolve_scheme("share:1/2:share:1/3:example1:dual:thm1:2,2,2")
+    assert (s.memory, s.rate) == (Fraction(3, 2), Fraction(1, 3))
+    for width in (1, 3, 64):
+        for demand in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            t = simulate_session(s, DemandVector(2, demand), 7 * width, width)
+            assert t.all_matched, (width, demand)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -185,6 +186,82 @@ def test_search_rejects_bad_parameters():
     with pytest.raises(ParameterError, match="non-negative"):
         search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=-1)
     assert search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=0) is None
+
+
+class FirstDraw(Exception):
+    """Raised by the patched draw functions: the search reached a trial."""
+
+
+def reaches_a_trial(monkeypatch, target, strategy="restart", budget=1) -> bool:
+    """Whether the search draws a cache (restart) or scans the placements
+    (exhaustive) for this target, rather than refusing it up front."""
+
+    def draw(*args, **kwargs):
+        raise FirstDraw
+
+    monkeypatch.setattr(gf2, "random_full_rank_with_basis", draw)
+    monkeypatch.setattr(gf2, "iter_subspaces", draw)
+    n_files, n_users = target[:2]
+    demands = cyclic_demand_set(n_files, n_users // n_files)
+    try:
+        search_linear_scheme(*target, demands, strategy=strategy, budget=budget)
+    except FirstDraw:
+        return True
+    finally:
+        monkeypatch.undo()
+    return False
+
+
+def test_search_refuses_a_target_the_rank_filter_never_passes(monkeypatch):
+    # t=4 and one delivery row: each of the two files needs a 3-dim piece in
+    # a 5-dim cache, which made 16,384 rejected draws at budget 4
+    draws = []
+    original = gf2.random_full_rank_with_basis
+
+    def counting(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gf2, "random_full_rank_with_basis", counting)
+    assert search_linear_scheme(2, 4, 4, 5, 1, CYCLIC, budget=4) is None
+    assert draws == []
+    monkeypatch.undo()
+    assert not reaches_a_trial(monkeypatch, (2, 4, 4, 5, 1), "exhaustive")
+
+
+def test_search_refuses_only_targets_exhaustive_search_cannot_meet(monkeypatch):
+    refused = 0
+    for t in (1, 2, 3):
+        n_cols = 2 * t
+        for cache_dim in range(1, n_cols):
+            for tx_dim in range(n_cols + 1):
+                target = (2, 4, t, cache_dim, tx_dim)
+                if reaches_a_trial(monkeypatch, target):
+                    continue
+                refused += 1
+                found = search_linear_scheme(*target, CYCLIC, strategy="exhaustive")
+                assert found is None
+                # the exhaustive scan would find no placement that passes the
+                # filter: every virtual user needs both files
+                spans = map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim))
+                assert not any(
+                    search._user_feasible(b, {0, 1}, t, tx_dim) for b in spans
+                ), target
+    assert refused > 0
+
+
+def test_no_pinned_or_benchmark_target_is_refused(monkeypatch):
+    pins_file = Path(__file__).with_name("search_pins.json")
+    assert hashlib.sha256(pins_file.read_bytes()).hexdigest() == (
+        "25aa13a05a447c9c42ae7ad6345ccf4f010060ed27ff7a9400d7745612eb0768"
+    )
+    pins = json.loads(pins_file.read_text())
+    assert len(pins) == 36
+    for p in pins:
+        assert reaches_a_trial(monkeypatch, p["target"], p["strategy"]), p
+    # the search-seeds benchmark targets: hit, scan and the infeasible miss
+    for target in ((2, 4, 3, 4, 1), (2, 4, 3, 1, 4), (2, 4, 3, 3, 2)):
+        assert reaches_a_trial(monkeypatch, target), target
 
 
 def test_search_matches_the_pinned_results():
