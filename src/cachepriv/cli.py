@@ -51,6 +51,7 @@ from .search import (
     compile_linear_scheme,
     export_descriptor,
     parse_descriptor,
+    rank_filter_never_passes,
     search_linear_scheme,
 )
 from .session import simulate_session, transcript_to_bytes
@@ -194,6 +195,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     elapsed = time.perf_counter() - started
+    if found is None and rank_filter_never_passes(demands, t, cache_dim, tx_dim):
+        print(
+            "no scheme found: the target was refused before the first trial, "
+            "as some user's cache is too small for the rank filter ever to pass"
+        )
+        return 1
     if found is None:
         print(f"no scheme found within {args.budget} trials ({elapsed:.1f}s)")
         return 1

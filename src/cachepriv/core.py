@@ -450,58 +450,80 @@ def _xor_rows(
     return tuple(out)
 
 
-def run_program(program: ColumnProgram, **fields) -> SchemeInstance:
-    """The scheme that runs a column program; fields are the SchemeInstance
-    fields the program does not give.  place, deliver and decode look their
-    rows up in the program's tables and only XOR symbol values.  deliver
-    raises ParameterError unless the demand has one entry per user.
+class ProgramRunner:
+    """place, deliver and decode of the scheme that runs one column program.
+
+    They look their rows up in the program's tables and only XOR symbol
+    values.  run_program hands out this object's bound methods, which is
+    how the verifier tells a scheme that still runs its program apart from
+    one whose callables were replaced.
     """
-    # the last store seen, with its symbols and their values in column order
-    last: list = [None, (), []]
 
-    def inputs(store: FileStore) -> tuple[tuple[SubfileSymbol, ...], list[int]]:
-        if store is not last[0]:
+    def __init__(self, program: ColumnProgram, name: str) -> None:
+        self.program = program
+        self.name = name
+        # the last store seen, with its symbols and their values in column order
+        self._last: tuple = (None, (), [])
+
+    def _inputs(self, store: FileStore) -> tuple[tuple[SubfileSymbol, ...], list[int]]:
+        if store is not self._last[0]:
             symbols = store.flat()
-            last[:] = store, symbols, [s.value for s in symbols]
-        return last[1], last[2]
+            self._last = (store, symbols, [s.value for s in symbols])
+        return self._last[1], self._last[2]
 
-    def place(keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        symbols, values = inputs(store)
+    def check_demand(self, demand: Sequence[int]) -> None:
+        """Raise ParameterError unless the demand has one entry per user."""
+        if len(demand) != len(self.program.key_sizes):
+            raise ParameterError(
+                f"{self.name} has {len(self.program.key_sizes)} users, "
+                f"but the demand has {len(demand)} entries"
+            )
+
+    def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
+        symbols, values = self._inputs(store)
         w = store.symbol_width
         return tuple(
-            CacheContent(_xor_rows(program.cache(u, k), symbols, values, w), k)
+            CacheContent(_xor_rows(self.program.cache(u, k), symbols, values, w), k)
             for u, k in enumerate(keys.user_keys)
         )
 
     def deliver(
-        store: FileStore, demand: DemandVector, keys: KeyAssignment
+        self, store: FileStore, demand: DemandVector, keys: KeyAssignment
     ) -> DeliveryMessage:
-        if len(demand) != len(program.key_sizes):
-            raise ParameterError(
-                f"{fields['name']} has {len(program.key_sizes)} users, "
-                f"but the demand has {len(demand)} entries"
-            )
-        symbols, values = inputs(store)
+        self.check_demand(demand)
+        symbols, values = self._inputs(store)
         w = store.symbol_width
-        configs, pads = program.split_server(keys.server_random, w)
-        values = values + pads
-        rows, header = program.delivery(demand.entries, keys.user_keys, configs)
-        return DeliveryMessage(_xor_rows(rows, symbols, values, w), header)
+        configs, pads = self.program.split_server(keys.server_random, w)
+        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
+        return DeliveryMessage(_xor_rows(rows, symbols, values + pads, w), header)
 
     def decode(
-        user: int, demand: int, key: int, msg: DeliveryMessage, cache: CacheContent
+        self,
+        user: int,
+        demand: int,
+        key: int,
+        msg: DeliveryMessage,
+        cache: CacheContent,
     ) -> tuple[SubfileSymbol, ...]:
-        rows = program.recipe(user, demand, key, msg.header)
+        rows = self.program.recipe(user, demand, key, msg.header)
         symbols = cache.symbols + msg.payload
         return _xor_rows(rows, symbols, [s.value for s in symbols], symbols[0].width)
 
+
+def run_program(program: ColumnProgram, **fields) -> SchemeInstance:
+    """The scheme that runs a column program; fields are the SchemeInstance
+    fields the program does not give.  Its place, deliver and decode are the
+    bound methods of one ProgramRunner; deliver raises ParameterError unless
+    the demand has one entry per user.
+    """
+    runner = ProgramRunner(program, fields["name"])
     return SchemeInstance(
         key_sizes=program.key_sizes,
         header_sizes=program.header_sizes,
         server_random_size=program.server_size,
-        place=place,
-        deliver=deliver,
-        decode=decode,
+        place=runner.place,
+        deliver=runner.deliver,
+        decode=runner.decode,
         program=program,
         **fields,
     )

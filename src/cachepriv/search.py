@@ -316,6 +316,22 @@ def check_search_target(n_files: int, n_users: int, t: int, budget: int) -> None
         raise ParameterError(f"trial budget must be non-negative, not {budget}")
 
 
+def rank_filter_never_passes(
+    demands: DemandSubset, t: int, cache_dim: int, tx_dim: int
+) -> bool:
+    """True when some user's cache is too small for the per-user rank filter
+    ever to pass, so a search refuses the target before its first trial.
+
+    The filter passes exactly when dim(C & file f) >= t - tx_dim for every
+    file f the user may demand, and those intersections are independent
+    subspaces of the cache span C.
+    """
+    return any(
+        len({demand[u] for demand in demands}) * max(0, t - tx_dim) > cache_dim
+        for u in range(demands.n_users)
+    )
+
+
 def search_linear_scheme(
     n_files: int,
     n_users: int,
@@ -359,11 +375,9 @@ def search_linear_scheme(
             n_files, n_users, t, (ident,) * n_users, tuple((d, ()) for d in demands)
         )
 
-    files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
-    # the rank filter passes exactly when dim(C & file f) >= t - tx_dim for
-    # every needed file f; those intersections are independent subspaces of C
-    if any(len(fs) * max(0, t - tx_dim) > cache_dim for fs in files_needed):
+    if rank_filter_never_passes(demands, t, cache_dim, tx_dim):
         return None
+    files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
 
     def trials() -> Iterator[Sequence[dict[int, int]]]:
         if strategy == "restart":

@@ -14,17 +14,19 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CacheContent,
-    DeliveryMessage,
     DemandVector,
     FileStore,
     KeyAssignment,
     ParameterError,
     Privacy,
+    ProgramRunner,
+    Rows,
     SchemeError,
     SchemeInstance,
     pack_symbols,
@@ -47,12 +49,27 @@ class BudgetExceeded(SchemeError):
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The atom budget: the argument, else BUDGET_ENV_VAR, else the default.
+
+    Raises ParameterError for a negative budget and for an environment
+    value that is not a non-negative integer.
+    """
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+            valid = budget >= 0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ParameterError(
+                f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}"
+            )
+    elif budget < 0:
+        raise ParameterError(f"budget must be non-negative, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -124,27 +141,44 @@ class AtomSpace:
             * self.server_count
         )
 
-    def iter_atoms(self) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
-        """Every atom once: store outermost, then demand, then user keys
-        (key 0 fastest), then server randomness innermost.
+    @cached_property
+    def demand_vectors(self) -> tuple[DemandVector, ...]:
+        return tuple(DemandVector(self.scheme.n_files, d) for d in self.demands)
 
-        Each store is built once, and the demand vectors and key assignments
-        once per sweep; the atoms that share one yield the same object.
-        """
-        s = self.scheme
-        demands = [DemandVector(s.n_files, d) for d in self.demands]
-        assignments = [
+    @cached_property
+    def assignments(self) -> tuple[KeyAssignment, ...]:
+        """Every key realization: user keys with key 0 fastest, then server
+        randomness innermost."""
+        return tuple(
             KeyAssignment(tuple(reversed(keys)), p)
             for keys in itertools.product(*map(range, reversed(self.key_sizes)))
             for p in range(self.server_count)
-        ]
+        )
+
+    def iter_indexed(
+        self,
+    ) -> Iterator[tuple[int, int, DemandVector, int, KeyAssignment]]:
+        """Every atom once as (store index, demand number, demand, key
+        realization number, keys): store outermost, then demand, then the
+        key realizations in assignments order.  The atoms that share a
+        demand vector or a key assignment yield the same object."""
+        demands = tuple(enumerate(self.demand_vectors))
+        assignments = tuple(enumerate(self.assignments))
         for index in range(self.store_count):
-            store = FileStore.from_index(
-                s.n_files, s.subpacketization, self.width, index
-            )
-            for demand in demands:
-                for keys in assignments:
-                    yield store, demand, keys
+            for d, demand in demands:
+                for a, keys in assignments:
+                    yield index, d, demand, a, keys
+
+    def iter_atoms(self) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
+        """Every atom once, in iter_indexed order, with its store built once."""
+        s, loaded = self.scheme, -1
+        for index, _, demand, _, keys in self.iter_indexed():
+            if index != loaded:
+                loaded = index
+                store = FileStore.from_index(
+                    s.n_files, s.subpacketization, self.width, index
+                )
+            yield store, demand, keys
 
 
 def atom_space(s: SchemeInstance, width: int) -> AtomSpace:
@@ -188,16 +222,17 @@ class JointDistribution:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "JointDistribution":
-        dist = cls()
-        for l, r in pairs:
-            dist.add(l, r)
-        return dist
+        return cls.of(Counter(pairs))
 
-    def add(self, l: object, r: object) -> None:
-        self.joint[(l, r)] += 1
-        self.left[l] += 1
-        self.right[r] += 1
-        self.total += 1
+    @classmethod
+    def of(cls, joint: Counter) -> "JointDistribution":
+        """The distribution with these joint counts.  Its margins list their
+        values in order of first appearance in joint."""
+        dist = cls(sum(joint.values()), joint)
+        for (l, r), c in joint.items():
+            dist.left[l] += c
+            dist.right[r] += c
+        return dist
 
     def first_violation(self) -> tuple[object, object, int] | None:
         """First (left, right, count) cell breaking the exact product identity.
@@ -239,6 +274,11 @@ class JointDistribution:
 # checks
 
 
+def _check_width(width: int) -> None:
+    if width < 1:
+        raise ParameterError(f"symbol width must be at least 1, got {width}")
+
+
 def run_checks(
     s: SchemeInstance,
     width: int = 1,
@@ -258,8 +298,13 @@ def run_checks(
 
     A user's observation is the int tuple (cache value, cache bits, key,
     payload value, payload bits, header, own demand); the invariance views
-    pair it with the packed content of the demanded file.
+    pair it with the packed content of the demanded file.  A scheme whose
+    place, deliver and decode are still its runner's is evaluated on packed
+    ints straight from its column program (_PackedRun); any other scheme
+    runs its own callables (_SymbolRun).  Both feed this loop the same
+    values.
     """
+    _check_width(width)
     users = tuple(users)
     if (users or invariance) and s.privacy is not Privacy.PRIVATE:
         raise ParameterError(f"{s.name} is not a private scheme")
@@ -270,61 +315,88 @@ def run_checks(
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
     _check_budget(s, width, budget)
     space = atom_space(s, width)
-    cache_bits = s.memory * s.subpacketization * width
-    payload_bits = s.rate * s.subpacketization * width
+    runner = _runner_of(s)
+    run = _SymbolRun(s, width) if runner is None else _PackedRun(runner, space)
+    cache_bits, payload_bits = (
+        _exact(v * s.subpacketization * width) for v in (s.memory, s.rate)
+    )
+    file_bits = s.subpacketization * width
+    file_mask = (1 << file_bits) - 1
     decode_cases = 0
     decode_failure: DecodeCounterexample | None = None
-    tables = {user: JointDistribution() for user in users}
+    joints = {user: Counter() for user in users}
+    # per demand number: (user, that user's joint counts, the other demands)
+    observers = [
+        tuple((user, joints[user], demand.drop(user)) for user in users)
+        for demand in space.demand_vectors
+    ]
     views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
-    placed_store = None
-    placements: dict[KeyAssignment, tuple] = {}
+    # per demand number: (user, own demand, the view table of that pair)
+    viewers = [
+        tuple((k, d[k], views[(k, d[k], d[1 - k])]) for k in (0, 1))
+        for d in (space.demands if invariance else ())
+    ]
+    loaded = -1
+    placed: list = []
     files: tuple[tuple[int, int], ...] = ()
-    for store, demand, keys in space.iter_atoms():
+    for index, d, demand, a, keys in space.iter_indexed():
         checking = decodability and decode_failure is None
-        if store is not placed_store:
-            placed_store, placements = store, {}
+        if index != loaded:
+            loaded = index
+            run.load(index)
+            placed = [None] * len(space.assignments)
             if invariance:
-                files = tuple(pack_symbols(f) for f in store.symbols)
-        placed = placements.get(keys)
-        if placed is None:
-            caches = s.place(keys, store)
-            packed = tuple(pack_symbols(c.symbols) + (c.key,) for c in caches)
+                files = tuple(
+                    ((index >> j * file_bits) & file_mask, file_bits)
+                    for j in range(s.n_files)
+                )
+        packed = placed[a]
+        if packed is None:
+            packed = placed[a] = run.place(a, keys)
             if checking:
                 _check_caches(s, packed, cache_bits)
-            placed = placements[keys] = (caches, packed)
-        caches, packed = placed
-        msg = s.deliver(store, demand, keys)
-        pay_val, pay_bits = pack_symbols(msg.payload)
+        pay_val, pay_bits, header = run.deliver(d, a, demand, keys)
+        wants = demand.entries
         if checking:
             if pay_bits != payload_bits:
                 raise SchemeError(
                     f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
                 )
             decode_cases += 1
-            decode_failure = _decode_failure(s, store, demand, keys, caches, msg)
-            if decode_failure is not None and not (users or invariance):
-                break
-        header, wants = msg.header, demand.entries
-        for user, table in tables.items():
+            failed = run.decode_failure(a, wants, keys.user_keys, packed)
+            if failed is not None:
+                k, actual = failed
+                want = (index >> wants[k] * file_bits) & file_mask
+                decode_failure = DecodeCounterexample(
+                    index,
+                    wants,
+                    keys.user_keys,
+                    keys.server_random,
+                    k,
+                    _split(want, width, s.subpacketization),
+                    actual,
+                )
+                if not (users or invariance):
+                    break
+        for user, joint, others in observers[d]:
             cache_val, cache_len, key = packed[user]
             obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
-            table.add(demand.drop(user), obs)
+            joint[(others, obs)] += 1
         if invariance:
-            for k in (0, 1):
-                j = wants[k]
+            for k, j, view in viewers[d]:
                 cache_val, cache_len, key = packed[k]
                 obs = (cache_val, cache_len, key, pay_val, pay_bits, header, j)
-                views[(k, j, wants[1 - k])][(obs, files[j])] += 1
+                view[(obs, files[j])] += 1
 
     verdicts: dict[str, Verdict] = {}
     if decodability:
         verdicts["decodability"] = Verdict(
             decode_failure is None, decode_cases, decode_failure
         )
-    for user, table in tables.items():
-        verdicts[f"privacy[user {user}]"] = table.verdict()
+    for user, joint in joints.items():
+        verdicts[f"privacy[user {user}]"] = JointDistribution.of(joint).verdict()
     if invariance:
         verdicts["conditional-invariance"] = _invariance_verdict(views, space.total)
     return verdicts
@@ -341,30 +413,205 @@ def _check_caches(
             raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
 
 
-def _decode_failure(
-    s: SchemeInstance,
-    store: FileStore,
-    demand: DemandVector,
-    keys: KeyAssignment,
-    caches: Sequence[CacheContent],
-    msg: DeliveryMessage,
-) -> DecodeCounterexample | None:
-    """The first user that does not recover its demanded file, if any."""
-    wants, user_keys = demand.entries, keys.user_keys
-    for k in range(s.n_users):
-        got = s.decode(k, wants[k], user_keys[k], msg, caches[k])
-        want = store.symbols[wants[k]]
-        if got != want:
-            return DecodeCounterexample(
-                store.index(),
-                demand.entries,
-                user_keys,
-                keys.server_random,
-                k,
-                tuple(sym.value for sym in want),
-                tuple(sym.value for sym in got),
-            )
+def _exact(value: Fraction) -> Fraction | int:
+    """value as an int when it is whole, which compares faster."""
+    value = Fraction(value)
+    return int(value) if value.denominator == 1 else value
+
+
+def _split(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The count width-bit symbol values packed in value, first lowest."""
+    mask = (1 << width) - 1
+    return tuple((value >> (i * width)) & mask for i in range(count))
+
+
+def _runner_of(s: SchemeInstance) -> ProgramRunner | None:
+    """The runner whose bound methods s's place, deliver and decode are."""
+    runner = getattr(s.place, "__self__", None)
+    if isinstance(runner, ProgramRunner) and (s.place, s.deliver, s.decode) == (
+        runner.place,
+        runner.deliver,
+        runner.decode,
+    ):
+        return runner
     return None
+
+
+# a compiled row table: XOR over its triples of ((x >> shift) & mask) * factor
+Ops = tuple[tuple[int, int, int], ...]
+
+
+def _compile(rows: Rows, n_inputs: int, width: int) -> Ops:
+    """Row table as triples that map packed inputs to packed outputs.
+
+    x holds n_inputs width-bit inputs, input c at bits [c*w, (c+1)*w); the
+    result holds one output per row, row r at bits [r*w, (r+1)*w), the XOR
+    of the inputs the row names.  An input feeds the rows that name it an
+    odd number of times, and factor places it in all of them at once.  A
+    run of consecutive inputs whose row sets are shifts of the first one's
+    by 1, 2, ... shares one triple, so long as the run is no longer than
+    the least gap between those rows (then the product never carries).  A
+    row naming an input outside range(n_inputs) raises IndexError, where
+    the runner's own XOR fails too.
+    """
+    feeds: dict[int, int] = {}  # input -> bit r set for each row it feeds
+    for r, cols in enumerate(rows):
+        for c in cols:
+            if not 0 <= c < n_inputs:
+                raise IndexError(f"row {r} names input {c} of {n_inputs}")
+            feeds[c] = feeds.get(c, 0) ^ (1 << r)
+    runs = sorted((c, f) for c, f in feeds.items() if f)
+    ops = []
+    i = 0
+    while i < len(runs):
+        c, f = runs[i]
+        targets = [r for r in range(f.bit_length()) if (f >> r) & 1]
+        gap = min((b - a for a, b in zip(targets, targets[1:])), default=len(runs))
+        n = 1
+        while i + n < len(runs) and n < gap and runs[i + n] == (c + n, f << n):
+            n += 1
+        factor = sum(1 << (r * width) for r in targets)
+        ops.append((c * width, (1 << (n * width)) - 1, factor))
+        i += n
+    return tuple(ops)
+
+
+class _SymbolRun:
+    """A scheme's own callables, run on boxed symbols, packed for the sweep."""
+
+    def __init__(self, s: SchemeInstance, width: int) -> None:
+        self.s, self.width = s, width
+
+    def load(self, index: int) -> None:
+        s = self.s
+        self.store = FileStore.from_index(
+            s.n_files, s.subpacketization, self.width, index
+        )
+        self.caches: dict[int, tuple[CacheContent, ...]] = {}
+
+    def place(self, a: int, keys: KeyAssignment) -> tuple[tuple[int, int, int], ...]:
+        caches = self.caches[a] = self.s.place(keys, self.store)
+        return tuple(pack_symbols(c.symbols) + (c.key,) for c in caches)
+
+    def deliver(
+        self, d: int, a: int, demand: DemandVector, keys: KeyAssignment
+    ) -> tuple[int, int, tuple[int, ...]]:
+        msg = self.msg = self.s.deliver(self.store, demand, keys)
+        return pack_symbols(msg.payload) + (msg.header,)
+
+    def decode_failure(
+        self, a: int, wants: tuple[int, ...], user_keys: tuple[int, ...], packed
+    ) -> tuple[int, tuple[int, ...]] | None:
+        """(user, decoded values) of the first user that misses its file."""
+        caches, files = self.caches[a], self.store.symbols
+        for k in range(self.s.n_users):
+            got = self.s.decode(k, wants[k], user_keys[k], self.msg, caches[k])
+            if got != files[wants[k]]:
+                return k, tuple(sym.value for sym in got)
+        return None
+
+
+class _PackedRun:
+    """A runner's column program evaluated on packed ints, with no FileStore,
+    CacheContent or SubfileSymbol built.
+
+    The store index is the packed store, column c at bits [c*w, (c+1)*w);
+    a server value's pads are packed once and ORed above it, pad p as
+    column n_cols + p.  Each row table is compiled (_compile) when first
+    used and kept for the sweep.  A decode recipe runs on the user's cache
+    with the payload packed above it, and succeeds when it gives t symbols
+    equal to the demanded file's bits of the index.
+    """
+
+    def __init__(self, runner: ProgramRunner, space: AtomSpace) -> None:
+        s = space.scheme
+        self.runner, self.program = runner, runner.program
+        self.n_users, self.t, self.width = s.n_users, s.subpacketization, space.width
+        self.n_cols = s.n_files * s.subpacketization
+        self.file_mask = (1 << (self.t * self.width)) - 1
+        self.compiled: dict[tuple[Rows, int], Ops] = {}
+        self.servers: dict[int, tuple[tuple[int, ...], int, int]] = {}
+        # per key realization: (ops, cache bits, key) per user
+        self.placers: list = [None] * len(space.assignments)
+        # per (demand, key realization): [ops, pad bits, payload bits,
+        # header, per-user recipes as (ops, rows, file shift, file mask)]
+        self.entries: list[list] = [
+            [None] * len(space.assignments) for _ in space.demand_vectors
+        ]
+
+    def load(self, index: int) -> None:
+        self.x = index
+
+    def _ops(self, rows: Rows, n_inputs: int) -> Ops:
+        ops = self.compiled.get((rows, n_inputs))
+        if ops is None:
+            ops = self.compiled[(rows, n_inputs)] = _compile(rows, n_inputs, self.width)
+        return ops
+
+    def place(self, a: int, keys: KeyAssignment) -> tuple[tuple[int, int, int], ...]:
+        placer = self.placers[a]
+        if placer is None:
+            tables = [self.program.cache(u, k) for u, k in enumerate(keys.user_keys)]
+            placer = self.placers[a] = tuple(
+                (self._ops(rows, self.n_cols), len(rows) * self.width, k)
+                for rows, k in zip(tables, keys.user_keys)
+            )
+        x, out = self.x, []
+        for ops, bits, key in placer:
+            value = 0
+            for shift, mask, factor in ops:
+                value ^= ((x >> shift) & mask) * factor
+            out.append((value, bits, key))
+        return tuple(out)
+
+    def deliver(
+        self, d: int, a: int, demand: DemandVector, keys: KeyAssignment
+    ) -> tuple[int, int, tuple[int, ...]]:
+        entry = self.entries[d][a]
+        if entry is None:
+            entry = self.entries[d][a] = self._delivery(demand, keys)
+        ops, pads, bits, header, _ = entry
+        x, value = self.x | pads, 0
+        for shift, mask, factor in ops:
+            value ^= ((x >> shift) & mask) * factor
+        self.entry, self.payload = entry, value
+        return value, bits, header
+
+    def _delivery(self, demand: DemandVector, keys: KeyAssignment) -> list:
+        self.runner.check_demand(demand)
+        p, w = keys.server_random, self.width
+        if p not in self.servers:
+            configs, pads = self.program.split_server(p, w)
+            packed = sum(v << ((self.n_cols + i) * w) for i, v in enumerate(pads))
+            self.servers[p] = configs, packed, len(pads)
+        configs, pads, n_pads = self.servers[p]
+        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
+        ops = self._ops(rows, self.n_cols + n_pads)
+        return [ops, pads, len(rows) * w, header, [None] * self.n_users]
+
+    def decode_failure(
+        self, a: int, wants: tuple[int, ...], user_keys: tuple[int, ...], packed
+    ) -> tuple[int, tuple[int, ...]] | None:
+        """(user, decoded values) of the first user that misses its file."""
+        x, payload, t, w = self.x, self.payload, self.t, self.width
+        _, _, pay_bits, header, recipes = self.entry
+        for k, recipe in enumerate(recipes):
+            cache, cache_bits, _ = packed[k]
+            if recipe is None:
+                rows = self.program.recipe(k, wants[k], user_keys[k], header)
+                recipe = recipes[k] = (
+                    self._ops(rows, (cache_bits + pay_bits) // w),
+                    len(rows),
+                    wants[k] * t * w,
+                    self.file_mask,
+                )
+            ops, n_out, file_shift, file_mask = recipe
+            y, value = cache | payload << cache_bits, 0
+            for shift, mask, factor in ops:
+                value ^= ((y >> shift) & mask) * factor
+            if n_out != t or value != (x >> file_shift) & file_mask:
+                return k, _split(value, w, n_out)
+        return None
 
 
 def _invariance_verdict(
@@ -435,6 +682,7 @@ def measure_rates(
     rate counts broadcast payload bits only (the header is excluded).
     Both are exact fractions of the file size.
     """
+    _check_width(width)
     file_bits = s.subpacketization * width
     store = FileStore.zero(s.n_files, s.subpacketization, width)
     keys = KeyAssignment((0,) * s.n_users, 0)

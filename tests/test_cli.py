@@ -125,6 +125,19 @@ def test_search_rejects_bad_targets(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_search_says_a_refused_target_ran_no_trial(capsys):
+    assert main(["search", "--target", "2,4,4,5,1", "--budget", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "no scheme found: the target was refused before the first trial, as "
+        "some user's cache is too small for the rank filter ever to pass\n"
+    )
+    assert captured.err == ""
+    # a target the filter can pass still reports the trials it ran
+    assert main(["search", "--target", "2,4,3,3,2", "--budget", "0"]) == 1
+    assert capsys.readouterr().out.startswith("no scheme found within 0 trials (")
+
+
 def test_region_writes_files(tmp_path, capsys):
     prefix = tmp_path / "region"
     assert main(["region", "--out", str(prefix)]) == 0
@@ -194,3 +207,30 @@ def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+WIDTH = "symbol width must be at least 1, got "
+BUDGET = "budget must be non-negative, got "
+ENV_BUDGET = "CACHEPRIV_BUDGET must be a non-negative integer, got "
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["verify", "example1", "--width", "-1"], None, WIDTH + "-1"),
+        (["verify", "example1", "--width", "0"], None, WIDTH + "0"),
+        (["verify", "lowmem2x4", "--width", "0"], None, WIDTH + "0"),
+        (["measure", "example1", "--width", "0"], None, WIDTH + "0"),
+        (["verify", "example1", "--budget", "-1"], None, BUDGET + "-1"),
+        (["verify", "example1"], "abc", ENV_BUDGET + "'abc'"),
+        (["verify", "example1"], "-5", ENV_BUDGET + "'-5'"),
+        (["verify", "example1"], "1.5", ENV_BUDGET + "'1.5'"),
+    ],
+)
+def test_bad_width_and_budget_are_usage_errors(monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("CACHEPRIV_BUDGET", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "overall" not in captured.out

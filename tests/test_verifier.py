@@ -318,6 +318,18 @@ def test_budget_environment_variable(monkeypatch):
     assert check_decodability(low_memory_private_scheme(), budget=5000).passed
 
 
+def test_budget_must_be_a_non_negative_integer(monkeypatch):
+    with pytest.raises(ParameterError, match="^budget must be non-negative, got -1$"):
+        resolve_budget(-1)
+    assert resolve_budget(0) == 0
+    for bad in ("abc", "-1", "", "1e3"):
+        monkeypatch.setenv(BUDGET_ENV_VAR, bad)
+        with pytest.raises(ParameterError, match=f"^{BUDGET_ENV_VAR} must be"):
+            resolve_budget()
+        # an explicit budget does not read the environment
+        assert resolve_budget(7) == 7
+
+
 def test_conditional_invariance_scope():
     with pytest.raises(ParameterError):
         check_conditional_invariance(uncoded_baseline(2, 2, 1))
