@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -323,6 +323,20 @@ def alphabet_bits(size: int) -> int:
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _nonnegative(lookup: Callable[..., tuple], with_header: bool) -> Callable:
+    """lookup, raising IndexError for a row that names a negative column;
+    memoised, each table entry is checked once."""
+
+    def checked(*args):
+        result = lookup(*args)
+        for r, cols in enumerate(result[0] if with_header else result):
+            if any(c < 0 for c in cols):
+                raise IndexError(f"row {r} names a negative column: {cols}")
+        return result
+
+    return checked
+
+
 @dataclass(frozen=True, eq=False)
 class ColumnProgram:
     """A keyed GF(2)-linear scheme as three lazily filled, memoised tables.
@@ -336,6 +350,9 @@ class ColumnProgram:
     first, as (configurations, pads).  At width w a part's low pads*w bits
     fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
     above them modulo configurations is the part's configuration.
+
+    A row naming a negative column raises IndexError when its table entry
+    is first looked up.
     """
 
     key_sizes: tuple[int, ...]
@@ -347,7 +364,8 @@ class ColumnProgram:
 
     def __post_init__(self) -> None:
         for table in ("cache", "delivery", "recipe"):
-            object.__setattr__(self, table, functools.cache(getattr(self, table)))
+            lookup = _nonnegative(getattr(self, table), table == "delivery")
+            object.__setattr__(self, table, functools.cache(lookup))
 
     def server_size(self, width: int) -> int:
         return math.prod(configs << (pads * width) for configs, pads in self.server)
@@ -366,21 +384,23 @@ class ColumnProgram:
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """An executable caching scheme with declared exact parameters.
+    """An executable caching scheme: a column program with declared exact
+    parameters.  Building one binds these to one ProgramRunner of the
+    program:
 
     place(keys, store)           -> one CacheContent per user
     deliver(store, demand, keys) -> DeliveryMessage
     decode(user, demand, key, message, cache) -> the demanded file's symbols
 
-    All three must be deterministic functions of their arguments (any
-    randomness arrives through `keys`): the verifier places each (store, key
-    realization) once and reuses those caches for every demand of the store.
+    deliver raises ParameterError unless the demand has one entry per user.
+    They are attributes of the instance, not init fields, so replace()
+    builds a new runner and refuses other callables.  The verifier
+    evaluates the program itself and never calls them.
 
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile
     symbols are l bits wide.  Non-private schemes must declare an explicit
     served demand set; private schemes serve every demand (served is None).
-    Schemes built by run_program carry the column program they run.
     """
 
     name: str
@@ -389,21 +409,40 @@ class SchemeInstance:
     memory: Fraction
     rate: Fraction
     subpacketization: int
-    key_sizes: tuple[int, ...]
-    header_sizes: tuple[int, ...]
-    server_random_size: Callable[[int], int]
-    place: PlaceFn
-    deliver: DeliverFn
-    decode: DecodeFn
+    program: ColumnProgram
     privacy: Privacy
     served: DemandSubset | None = None
-    program: ColumnProgram | None = None
+    place: PlaceFn = field(init=False, repr=False, compare=False)
+    deliver: DeliverFn = field(init=False, repr=False, compare=False)
+    decode: DecodeFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.key_sizes) != self.n_users:
             raise ValueError("one key alphabet per user required")
         if self.privacy is Privacy.NON_PRIVATE and self.served is None:
             raise ValueError("non-private schemes must declare a served demand set")
+        runner = ProgramRunner(self)
+        for attr in ("place", "deliver", "decode"):
+            object.__setattr__(self, attr, getattr(runner, attr))
+
+    @property
+    def key_sizes(self) -> tuple[int, ...]:
+        return self.program.key_sizes
+
+    @property
+    def header_sizes(self) -> tuple[int, ...]:
+        return self.program.header_sizes
+
+    def server_random_size(self, width: int) -> int:
+        return self.program.server_size(width)
+
+    def check_demand(self, demand: Sequence[int]) -> None:
+        """Raise ParameterError unless the demand has one entry per user."""
+        if len(demand) != self.n_users:
+            raise ParameterError(
+                f"{self.name} has {self.n_users} users, "
+                f"but the demand has {len(demand)} entries"
+            )
 
     @property
     def header_bits(self) -> int:
@@ -436,7 +475,8 @@ def _xor_rows(
 ) -> tuple[SubfileSymbol, ...]:
     """One symbol per row.  A one-column row over symbols passes that symbol
     object through; any other row boxes the XOR of the values it selects
-    (values may go on past symbols, into the pad columns)."""
+    (values may go on past symbols, into the pad columns).  Columns are
+    never negative: the program's tables reject such rows."""
     out = []
     n_symbols = len(symbols)
     for cols in rows:
@@ -451,17 +491,15 @@ def _xor_rows(
 
 
 class ProgramRunner:
-    """place, deliver and decode of the scheme that runs one column program.
+    """place, deliver and decode of a scheme, run from its column program.
 
     They look their rows up in the program's tables and only XOR symbol
-    values.  run_program hands out this object's bound methods, which is
-    how the verifier tells a scheme that still runs its program apart from
-    one whose callables were replaced.
+    values.
     """
 
-    def __init__(self, program: ColumnProgram, name: str) -> None:
-        self.program = program
-        self.name = name
+    def __init__(self, scheme: SchemeInstance) -> None:
+        self.program = scheme.program
+        self.check_demand = scheme.check_demand
         # the last store seen, with its symbols and their values in column order
         self._last: tuple = (None, (), [])
 
@@ -470,14 +508,6 @@ class ProgramRunner:
             symbols = store.flat()
             self._last = (store, symbols, [s.value for s in symbols])
         return self._last[1], self._last[2]
-
-    def check_demand(self, demand: Sequence[int]) -> None:
-        """Raise ParameterError unless the demand has one entry per user."""
-        if len(demand) != len(self.program.key_sizes):
-            raise ParameterError(
-                f"{self.name} has {len(self.program.key_sizes)} users, "
-                f"but the demand has {len(demand)} entries"
-            )
 
     def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
         symbols, values = self._inputs(store)
@@ -508,22 +538,3 @@ class ProgramRunner:
         rows = self.program.recipe(user, demand, key, msg.header)
         symbols = cache.symbols + msg.payload
         return _xor_rows(rows, symbols, [s.value for s in symbols], symbols[0].width)
-
-
-def run_program(program: ColumnProgram, **fields) -> SchemeInstance:
-    """The scheme that runs a column program; fields are the SchemeInstance
-    fields the program does not give.  Its place, deliver and decode are the
-    bound methods of one ProgramRunner; deliver raises ParameterError unless
-    the demand has one entry per user.
-    """
-    runner = ProgramRunner(program, fields["name"])
-    return SchemeInstance(
-        key_sizes=program.key_sizes,
-        header_sizes=program.header_sizes,
-        server_random_size=program.server_size,
-        place=runner.place,
-        deliver=runner.deliver,
-        decode=runner.decode,
-        program=program,
-        **fields,
-    )

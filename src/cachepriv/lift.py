@@ -23,12 +23,10 @@ from .core import (
     Rows,
     SchemeInstance,
     cyclic_demand_set,
-    run_program,
 )
 from .schemes import (
     high_memory_2x4_scheme,
     low_memory_2x4_scheme,
-    program_of,
     split_recipe,
     split_subpacketization,
     uncoded_program,
@@ -61,7 +59,7 @@ def basic_private_scheme(
         privacy=Privacy.PRIVATE,
     )
     if n_files <= n_users:
-        return run_program(base, rate=Fraction(n_files) - m, **params)
+        return SchemeInstance(program=base, rate=Fraction(n_files) - m, **params)
 
     k, n_cols = n_users, n_files * t
 
@@ -100,7 +98,7 @@ def basic_private_scheme(
             n_files, tc, tu, demand, (header[user] - key) % k
         ),
     )
-    return run_program(program, rate=k * (1 - m / n_files), **params)
+    return SchemeInstance(program=program, rate=k * (1 - m / n_files), **params)
 
 
 def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
@@ -127,7 +125,7 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
         raise ParameterError(f"scheme does not serve cyclic demand {missing[0]}")
     if any(size != 1 for size in np.key_sizes) or np.server_random_size(1) != 1:
         raise ParameterError("lifting expects a deterministic keyless scheme")
-    inner = program_of(np)
+    inner = np.program
     trivial = (0,) * np.n_users
 
     # the members are listed in itertools.product order of their shifts
@@ -151,8 +149,8 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
         delivery=delivery,
         recipe=recipe,
     )
-    return run_program(
-        program,
+    return SchemeInstance(
+        program=program,
         name=name or f"lifted:{np.name}",
         n_files=n,
         n_users=k,

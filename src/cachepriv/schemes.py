@@ -20,7 +20,6 @@ from .core import (
     SchemeInstance,
     cyclic_demand_set,
     full_demand_set,
-    run_program,
 )
 from .search import LinearSchemeMatrices, compile_linear_scheme
 
@@ -154,8 +153,8 @@ def uncoded_baseline(
     """
     m = Fraction(memory)
     t, tc, _tu = split_subpacketization(n_files, m)
-    return run_program(
-        uncoded_program(n_files, n_users, t, tc),
+    return SchemeInstance(
+        program=uncoded_program(n_files, n_users, t, tc),
         name=f"baseline:{n_files},{n_users},{m}",
         n_files=n_files,
         n_users=n_users,
@@ -169,12 +168,6 @@ def uncoded_baseline(
 
 # ---------------------------------------------------------------------------
 # memory sharing
-
-
-def program_of(s: SchemeInstance) -> ColumnProgram:
-    if s.program is None:
-        raise ParameterError(f"{s.name} has no column program")
-    return s.program
 
 
 def _narrow(rows: Rows, group: int, start: list[int]) -> Rows:
@@ -216,7 +209,7 @@ def memory_share(
     if a.privacy is Privacy.NON_PRIVATE:
         if set(a.served.members) != set(b.served.members):  # type: ignore[union-attr]
             raise ParameterError("memory sharing needs identical served demands")
-    pa, pb = program_of(a), program_of(b)
+    pa, pb = a.program, b.program
 
     n_files, n_users = a.n_files, a.n_users
     p, q = lam.numerator, lam.denominator
@@ -277,8 +270,8 @@ def memory_share(
         delivery=delivery,
         recipe=recipe,
     )
-    return run_program(
-        program,
+    return SchemeInstance(
+        program=program,
         name=f"share:{lam}:{a.name}:{b.name}",
         n_files=n_files,
         n_users=n_users,
@@ -300,7 +293,7 @@ def with_plaintext_demand_header(s: SchemeInstance) -> SchemeInstance:
     privacy checker something that must fail."""
     if s.served is not None and len(s.served) != s.n_files**s.n_users:
         raise ParameterError("control wrapper needs a scheme serving all demands")
-    inner = program_of(s)
+    inner = s.program
 
     def delivery(demand, keys, configs):
         rows, header = inner.delivery(demand, keys, configs)
@@ -314,8 +307,8 @@ def with_plaintext_demand_header(s: SchemeInstance) -> SchemeInstance:
             user, demand, key, header[: len(inner.header_sizes)]
         ),
     )
-    return run_program(
-        program,
+    return SchemeInstance(
+        program=program,
         name=f"{s.name}+plaintext-header",
         n_files=s.n_files,
         n_users=s.n_users,

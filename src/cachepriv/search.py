@@ -24,7 +24,6 @@ from .core import (
     Privacy,
     SchemeInstance,
     UnservedDemand,
-    run_program,
 )
 from .verifier import Verdict
 
@@ -188,8 +187,8 @@ def compile_linear_scheme(
         delivery=delivery,
         recipe=recipe,
     )
-    return run_program(
-        program,
+    return SchemeInstance(
+        program=program,
         name=name,
         n_files=m.n_files,
         n_users=m.n_users,

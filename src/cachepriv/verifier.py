@@ -19,17 +19,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    CacheContent,
     DemandVector,
     FileStore,
     KeyAssignment,
     ParameterError,
     Privacy,
-    ProgramRunner,
     Rows,
     SchemeError,
     SchemeInstance,
-    pack_symbols,
 )
 
 DEFAULT_BUDGET = 1 << 28
@@ -169,17 +166,6 @@ class AtomSpace:
                 for a, keys in assignments:
                     yield index, d, demand, a, keys
 
-    def iter_atoms(self) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
-        """Every atom once, in iter_indexed order, with its store built once."""
-        s, loaded = self.scheme, -1
-        for index, _, demand, _, keys in self.iter_indexed():
-            if index != loaded:
-                loaded = index
-                store = FileStore.from_index(
-                    s.n_files, s.subpacketization, self.width, index
-                )
-            yield store, demand, keys
-
 
 def atom_space(s: SchemeInstance, width: int) -> AtomSpace:
     demands = s.served_demands().members
@@ -298,11 +284,11 @@ def run_checks(
 
     A user's observation is the int tuple (cache value, cache bits, key,
     payload value, payload bits, header, own demand); the invariance views
-    pair it with the packed content of the demanded file.  A scheme whose
-    place, deliver and decode are still its runner's is evaluated on packed
-    ints straight from its column program (_PackedRun); any other scheme
-    runs its own callables (_SymbolRun).  Both feed this loop the same
-    values.
+    pair it with the packed content of the demanded file.  Every value is
+    computed from the scheme's column program on packed ints (_Compiled),
+    with no FileStore, CacheContent or SubfileSymbol built.  A decode
+    succeeds when its recipe gives t symbols equal to the demanded file's
+    bits of the store index.
     """
     _check_width(width)
     users = tuple(users)
@@ -315,12 +301,11 @@ def run_checks(
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
     _check_budget(s, width, budget)
     space = atom_space(s, width)
-    runner = _runner_of(s)
-    run = _SymbolRun(s, width) if runner is None else _PackedRun(runner, space)
-    cache_bits, payload_bits = (
-        _exact(v * s.subpacketization * width) for v in (s.memory, s.rate)
-    )
-    file_bits = s.subpacketization * width
+    tables = _Compiled(s, space)
+    entries = tables.entries
+    t = s.subpacketization
+    cache_bits, payload_bits = (_exact(v * t * width) for v in (s.memory, s.rate))
+    file_bits = t * width
     file_mask = (1 << file_bits) - 1
     decode_cases = 0
     decode_failure: DecodeCounterexample | None = None
@@ -345,7 +330,6 @@ def run_checks(
         checking = decodability and decode_failure is None
         if index != loaded:
             loaded = index
-            run.load(index)
             placed = [None] * len(space.assignments)
             if invariance:
                 files = tuple(
@@ -354,10 +338,19 @@ def run_checks(
                 )
         packed = placed[a]
         if packed is None:
-            packed = placed[a] = run.place(a, keys)
+            packed = placed[a] = tuple(
+                (_apply(ops, index), bits, key)
+                for ops, bits, key in tables.placer(a, keys)
+            )
             if checking:
-                _check_caches(s, packed, cache_bits)
-        pay_val, pay_bits, header = run.deliver(d, a, demand, keys)
+                _check_caches(packed, cache_bits)
+        entry = entries[d][a]
+        if entry is None:
+            entry = tables.delivery(d, a, demand, keys)
+        ops, pads, pay_bits, header, recipes = entry
+        x, pay_val = index | pads, 0
+        for shift, mask, factor in ops:
+            pay_val ^= ((x >> shift) & mask) * factor
         wants = demand.entries
         if checking:
             if pay_bits != payload_bits:
@@ -365,21 +358,30 @@ def run_checks(
                     f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
                 )
             decode_cases += 1
-            failed = run.decode_failure(a, wants, keys.user_keys, packed)
-            if failed is not None:
-                k, actual = failed
+            for k, recipe in enumerate(recipes):
+                cache_val, cache_len, key = packed[k]
+                if recipe is None:
+                    recipe = recipes[k] = tables.recipe(
+                        k, wants[k], key, header, cache_len + pay_bits
+                    )
+                ops, n_out = recipe
+                x, got = cache_val | pay_val << cache_len, 0
+                for shift, mask, factor in ops:
+                    got ^= ((x >> shift) & mask) * factor
                 want = (index >> wants[k] * file_bits) & file_mask
-                decode_failure = DecodeCounterexample(
-                    index,
-                    wants,
-                    keys.user_keys,
-                    keys.server_random,
-                    k,
-                    _split(want, width, s.subpacketization),
-                    actual,
-                )
-                if not (users or invariance):
+                if n_out != t or got != want:
+                    decode_failure = DecodeCounterexample(
+                        index,
+                        wants,
+                        keys.user_keys,
+                        keys.server_random,
+                        k,
+                        _split(want, width, t),
+                        _split(got, width, n_out),
+                    )
                     break
+            if decode_failure is not None and not (users or invariance):
+                break
         for user, joint, others in observers[d]:
             cache_val, cache_len, key = packed[user]
             obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
@@ -403,11 +405,9 @@ def run_checks(
 
 
 def _check_caches(
-    s: SchemeInstance, packed: Sequence[tuple[int, int, int]], cache_bits: Fraction
+    packed: Sequence[tuple[int, int, int]], cache_bits: Fraction
 ) -> None:
-    """Raise SchemeError unless placement made one cache of M*F bits per user."""
-    if len(packed) != s.n_users:
-        raise SchemeError("placement did not produce one cache per user")
+    """Raise SchemeError unless every cache holds M*F bits."""
     for _, bits, _ in packed:
         if bits != cache_bits:
             raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
@@ -423,18 +423,6 @@ def _split(value: int, width: int, count: int) -> tuple[int, ...]:
     """The count width-bit symbol values packed in value, first lowest."""
     mask = (1 << width) - 1
     return tuple((value >> (i * width)) & mask for i in range(count))
-
-
-def _runner_of(s: SchemeInstance) -> ProgramRunner | None:
-    """The runner whose bound methods s's place, deliver and decode are."""
-    runner = getattr(s.place, "__self__", None)
-    if isinstance(runner, ProgramRunner) and (s.place, s.deliver, s.decode) == (
-        runner.place,
-        runner.deliver,
-        runner.decode,
-    ):
-        return runner
-    return None
 
 
 # a compiled row table: XOR over its triples of ((x >> shift) & mask) * factor
@@ -476,71 +464,36 @@ def _compile(rows: Rows, n_inputs: int, width: int) -> Ops:
     return tuple(ops)
 
 
-class _SymbolRun:
-    """A scheme's own callables, run on boxed symbols, packed for the sweep."""
-
-    def __init__(self, s: SchemeInstance, width: int) -> None:
-        self.s, self.width = s, width
-
-    def load(self, index: int) -> None:
-        s = self.s
-        self.store = FileStore.from_index(
-            s.n_files, s.subpacketization, self.width, index
-        )
-        self.caches: dict[int, tuple[CacheContent, ...]] = {}
-
-    def place(self, a: int, keys: KeyAssignment) -> tuple[tuple[int, int, int], ...]:
-        caches = self.caches[a] = self.s.place(keys, self.store)
-        return tuple(pack_symbols(c.symbols) + (c.key,) for c in caches)
-
-    def deliver(
-        self, d: int, a: int, demand: DemandVector, keys: KeyAssignment
-    ) -> tuple[int, int, tuple[int, ...]]:
-        msg = self.msg = self.s.deliver(self.store, demand, keys)
-        return pack_symbols(msg.payload) + (msg.header,)
-
-    def decode_failure(
-        self, a: int, wants: tuple[int, ...], user_keys: tuple[int, ...], packed
-    ) -> tuple[int, tuple[int, ...]] | None:
-        """(user, decoded values) of the first user that misses its file."""
-        caches, files = self.caches[a], self.store.symbols
-        for k in range(self.s.n_users):
-            got = self.s.decode(k, wants[k], user_keys[k], self.msg, caches[k])
-            if got != files[wants[k]]:
-                return k, tuple(sym.value for sym in got)
-        return None
+def _apply(ops: Ops, x: int) -> int:
+    """A compiled row table applied to the packed inputs x; run_checks
+    inlines this loop for each atom's payload and decodes."""
+    value = 0
+    for shift, mask, factor in ops:
+        value ^= ((x >> shift) & mask) * factor
+    return value
 
 
-class _PackedRun:
-    """A runner's column program evaluated on packed ints, with no FileStore,
-    CacheContent or SubfileSymbol built.
+class _Compiled:
+    """A scheme's column program as compiled row tables for one sweep, each
+    compiled (_compile) when the sweep first needs it and kept.
 
     The store index is the packed store, column c at bits [c*w, (c+1)*w);
-    a server value's pads are packed once and ORed above it, pad p as
-    column n_cols + p.  Each row table is compiled (_compile) when first
-    used and kept for the sweep.  A decode recipe runs on the user's cache
-    with the payload packed above it, and succeeds when it gives t symbols
-    equal to the demanded file's bits of the index.
+    a delivery's pads are packed with it and ORed above the store, pad p as
+    column n_cols + p.  A decode recipe runs on the user's cache with the
+    payload packed above it.
     """
 
-    def __init__(self, runner: ProgramRunner, space: AtomSpace) -> None:
-        s = space.scheme
-        self.runner, self.program = runner, runner.program
-        self.n_users, self.t, self.width = s.n_users, s.subpacketization, space.width
+    def __init__(self, s: SchemeInstance, space: AtomSpace) -> None:
+        self.s, self.program, self.width = s, s.program, space.width
         self.n_cols = s.n_files * s.subpacketization
-        self.file_mask = (1 << (self.t * self.width)) - 1
         self.compiled: dict[tuple[Rows, int], Ops] = {}
-        self.servers: dict[int, tuple[tuple[int, ...], int, int]] = {}
         # per key realization: (ops, cache bits, key) per user
         self.placers: list = [None] * len(space.assignments)
         # per (demand, key realization): [ops, pad bits, payload bits,
-        # header, per-user recipes as (ops, rows, file shift, file mask)]
+        # header, per-user recipes as (ops, output count)]
         self.entries: list[list] = [
-            [None] * len(space.assignments) for _ in space.demand_vectors
+            [None] * len(space.assignments) for _ in space.demands
         ]
-
-    def load(self, index: int) -> None:
-        self.x = index
 
     def _ops(self, rows: Rows, n_inputs: int) -> Ops:
         ops = self.compiled.get((rows, n_inputs))
@@ -548,7 +501,8 @@ class _PackedRun:
             ops = self.compiled[(rows, n_inputs)] = _compile(rows, n_inputs, self.width)
         return ops
 
-    def place(self, a: int, keys: KeyAssignment) -> tuple[tuple[int, int, int], ...]:
+    def placer(self, a: int, keys: KeyAssignment) -> tuple[tuple[Ops, int, int], ...]:
+        """(ops, cache bits, key) per user under key realization a."""
         placer = self.placers[a]
         if placer is None:
             tables = [self.program.cache(u, k) for u, k in enumerate(keys.user_keys)]
@@ -556,62 +510,30 @@ class _PackedRun:
                 (self._ops(rows, self.n_cols), len(rows) * self.width, k)
                 for rows, k in zip(tables, keys.user_keys)
             )
-        x, out = self.x, []
-        for ops, bits, key in placer:
-            value = 0
-            for shift, mask, factor in ops:
-                value ^= ((x >> shift) & mask) * factor
-            out.append((value, bits, key))
-        return tuple(out)
+        return placer
 
-    def deliver(
+    def delivery(
         self, d: int, a: int, demand: DemandVector, keys: KeyAssignment
-    ) -> tuple[int, int, tuple[int, ...]]:
-        entry = self.entries[d][a]
-        if entry is None:
-            entry = self.entries[d][a] = self._delivery(demand, keys)
-        ops, pads, bits, header, _ = entry
-        x, value = self.x | pads, 0
-        for shift, mask, factor in ops:
-            value ^= ((x >> shift) & mask) * factor
-        self.entry, self.payload = entry, value
-        return value, bits, header
-
-    def _delivery(self, demand: DemandVector, keys: KeyAssignment) -> list:
-        self.runner.check_demand(demand)
-        p, w = keys.server_random, self.width
-        if p not in self.servers:
-            configs, pads = self.program.split_server(p, w)
-            packed = sum(v << ((self.n_cols + i) * w) for i, v in enumerate(pads))
-            self.servers[p] = configs, packed, len(pads)
-        configs, pads, n_pads = self.servers[p]
+    ) -> list:
+        """Compile and keep the entry of demand number d under key
+        realization a."""
+        self.s.check_demand(demand)
+        w = self.width
+        configs, pads = self.program.split_server(keys.server_random, w)
         rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
-        ops = self._ops(rows, self.n_cols + n_pads)
-        return [ops, pads, len(rows) * w, header, [None] * self.n_users]
+        ops = self._ops(rows, self.n_cols + len(pads))
+        packed = sum(v << ((self.n_cols + i) * w) for i, v in enumerate(pads))
+        recipes = [None] * self.s.n_users
+        entry = self.entries[d][a] = [ops, packed, len(rows) * w, header, recipes]
+        return entry
 
-    def decode_failure(
-        self, a: int, wants: tuple[int, ...], user_keys: tuple[int, ...], packed
-    ) -> tuple[int, tuple[int, ...]] | None:
-        """(user, decoded values) of the first user that misses its file."""
-        x, payload, t, w = self.x, self.payload, self.t, self.width
-        _, _, pay_bits, header, recipes = self.entry
-        for k, recipe in enumerate(recipes):
-            cache, cache_bits, _ = packed[k]
-            if recipe is None:
-                rows = self.program.recipe(k, wants[k], user_keys[k], header)
-                recipe = recipes[k] = (
-                    self._ops(rows, (cache_bits + pay_bits) // w),
-                    len(rows),
-                    wants[k] * t * w,
-                    self.file_mask,
-                )
-            ops, n_out, file_shift, file_mask = recipe
-            y, value = cache | payload << cache_bits, 0
-            for shift, mask, factor in ops:
-                value ^= ((y >> shift) & mask) * factor
-            if n_out != t or value != (x >> file_shift) & file_mask:
-                return k, _split(value, w, n_out)
-        return None
+    def recipe(
+        self, user: int, demand: int, key: int, header: tuple[int, ...], bits: int
+    ) -> tuple[Ops, int]:
+        """(ops, output count) of a decode recipe over bits of cache and
+        payload."""
+        rows = self.program.recipe(user, demand, key, header)
+        return self._ops(rows, bits // self.width), len(rows)
 
 
 def _invariance_verdict(

@@ -1,10 +1,11 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles used by the test suite, and the helpers they share.
 
 These deliberately avoid the library's own decode and counting paths so the
 checks they back are not self-referential: decodability is judged from the
 information available to a user, mutual information is recomputed from
 entropies, linear rows are applied one output bit at a time, the
-verifier's sweep is redone atom by atom with no memo, and delivery rows are
+verifier's sweep is redone atom by atom with no memo through the scheme's
+own place, deliver and decode, and delivery rows are
 found by testing the rank condition on every candidate span, and the
 rate envelope is found by stepping up a grid until every constraint holds.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Sequence
+from dataclasses import replace
+from typing import Iterable, Iterator, Sequence
 
 from cachepriv import gf2
 from cachepriv.core import (
@@ -27,10 +29,31 @@ from cachepriv.core import (
 )
 from cachepriv.region import check_inequalities
 from cachepriv.verifier import (
+    AtomSpace,
     DecodeCounterexample,
     IndependenceCounterexample,
     atom_space,
 )
+
+
+def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:
+    """s with some tables of its column program replaced, for example a
+    corrupted recipe."""
+    return replace(s, program=replace(s.program, **tables))
+
+
+def iter_atoms(
+    space: AtomSpace,
+) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
+    """Every atom once, in iter_indexed order, with its store built once."""
+    s, loaded = space.scheme, -1
+    for index, _, demand, _, keys in space.iter_indexed():
+        if index != loaded:
+            loaded = index
+            store = FileStore.from_index(
+                s.n_files, s.subpacketization, space.width, index
+            )
+        yield store, demand, keys
 
 
 def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
@@ -40,7 +63,7 @@ def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
     not, no decoder can work."""
     space = atom_space(s, width)
     seen: dict[tuple, tuple[int, ...]] = {}
-    for store, demand, keys in space.iter_atoms():
+    for store, demand, keys in iter_atoms(space):
         caches = s.place(keys, store)
         msg = s.deliver(store, demand, keys)
         for u in range(s.n_users):

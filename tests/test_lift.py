@@ -98,7 +98,8 @@ def test_lift_preconditions():
         lift_private(low_memory_private_scheme())  # already private
     with pytest.raises(ParameterError):
         lift_private(uncoded_baseline(2, 3, 1))  # 3 users not a multiple of 2
-    keyed = replace(low_memory_2x4_scheme(), key_sizes=(2, 1, 1, 1))
+    s = low_memory_2x4_scheme()
+    keyed = replace(s, program=replace(s.program, key_sizes=(2, 1, 1, 1)))
     with pytest.raises(ParameterError):
         lift_private(keyed)
 

@@ -1,17 +1,17 @@
 """The verifier's packed path against the independent reference sweep.
 
-run_checks evaluates a scheme whose place, deliver and decode are still its
-runner's straight from the column program on packed ints; any other scheme
-runs its callables on boxed symbols.  reference_checks (tests/oracles.py)
-always runs the callables, atom by atom, so agreement with it checks the
-packed path against the symbol arithmetic it replaces.
+run_checks evaluates every scheme straight from its column program on
+packed ints.  reference_checks (tests/oracles.py) runs the scheme's place,
+deliver and decode on boxed symbols, atom by atom, so agreement with it
+checks the packed path against the symbol arithmetic that simulate runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,10 +19,12 @@ import pytest
 from cachepriv import gf2
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
+    DemandVector,
+    FileStore,
+    KeyAssignment,
     ParameterError,
     Privacy,
     SubfileSymbol,
-    run_program,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
@@ -34,8 +36,9 @@ from cachepriv.schemes import (
     with_plaintext_demand_header,
 )
 from cachepriv.search import LinearSchemeMatrices, export_descriptor
+from cachepriv.session import run_session, simulate_session
 from cachepriv.verifier import _compile, atom_space, measure_rates, run_checks
-from oracles import reference_checks
+from oracles import reference_checks, with_tables
 
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 PINNED = [
@@ -137,21 +140,17 @@ def descriptor_scheme(tmp_path, seed: int, perturb: bool):
     return resolve_scheme(str(path))
 
 
-def with_tables(s, **tables):
-    """s's column program with some tables replaced, run by a new runner."""
-    fields = ("name", "n_files", "n_users", "memory", "rate", "subpacketization")
-    return run_program(
-        replace(s.program, **tables),
-        privacy=s.privacy,
-        served=s.served,
-        **{f: getattr(s, f) for f in fields},
-    )
+def rebound(s, calls: Counter):
+    """s with place, deliver and decode rebound to wrappers that count
+    their calls in calls, the way a tracer wraps them."""
+    for attr in ("place", "deliver", "decode"):
 
+        def wrapper(*args, fn=getattr(s, attr), attr=attr):
+            calls[attr] += 1
+            return fn(*args)
 
-def through_callables(s):
-    """s with its decode wrapped, so run_checks takes the symbol path."""
-    decode = s.decode
-    return replace(s, decode=lambda *args: decode(*args))
+        object.__setattr__(s, attr, wrapper)
+    return s
 
 
 def agreement_params():
@@ -200,24 +199,33 @@ def test_every_bundled_scheme_takes_the_packed_path(monkeypatch, tmp_path):
     schemes += [
         descriptor_scheme(tmp_path, seed, p) for seed in SEEDS for p in (False, True)
     ]
+    schemes.append(rebound(low_memory_private_scheme(), Counter()))
     for s in schemes:
         _, built = symbols_built(monkeypatch, lambda: sweep(s))
         assert built == 0, s.name
 
 
-def test_replaced_decode_takes_the_symbol_path(monkeypatch):
+def test_a_scheme_is_not_given_other_callables():
     s = low_memory_private_scheme()
-    decode = s.decode
+    for attr in ("place", "deliver", "decode"):
+        with pytest.raises(ValueError, match=f"{attr} is declared with init=False"):
+            dataclasses.replace(s, **{attr: getattr(s, attr)})
+    # replace builds a new runner for the new scheme
+    renamed = dataclasses.replace(s, name="renamed")
+    assert renamed.decode.__self__ is not s.decode.__self__
 
-    def corrupted(user, demand, key, msg, cache):
-        out = decode(user, demand, key, msg, cache)
-        return (SubfileSymbol(out[0].width, out[0].value ^ 1),) + out[1:]
 
-    broken = replace(s, decode=corrupted)
-    got, built = symbols_built(monkeypatch, lambda: sweep(broken))
-    assert built > 0
-    assert not got["decodability"][0]
-    assert got == oracle(broken)
+@pytest.mark.parametrize("token", ["example1", "thm1:3,2,0", "lowmem2x4"])
+def test_rebound_callables_leave_the_sweep_unchanged(monkeypatch, token):
+    calls = Counter()
+    s = rebound(resolve_scheme(token), calls)
+    got, built = symbols_built(monkeypatch, lambda: sweep(s))
+    assert got == sweep(resolve_scheme(token))
+    assert built == 0 and not calls  # the sweep reads the program only
+    # simulate still runs the rebound callables
+    demand = DemandVector(s.n_files, s.served_demands().members[-1])
+    assert simulate_session(s, demand, 5).all_matched
+    assert calls == {"place": 1, "deliver": 1, "decode": s.n_users}
 
 
 @pytest.mark.parametrize("make", [low_memory_2x4_scheme, low_memory_private_scheme])
@@ -250,7 +258,7 @@ def test_recipe_of_the_wrong_length_fails_as_on_the_symbol_path(change):
     broken = with_tables(s, recipe=lambda *args: change(recipe(*args)))
     got = sweep(broken)
     assert not got["decodability"][0]
-    assert got == oracle(broken) == sweep(through_callables(broken))
+    assert got == oracle(broken)
 
 
 def test_rows_past_their_inputs_raise_on_both_paths():
@@ -262,11 +270,38 @@ def test_rows_past_their_inputs_raise_on_both_paths():
         with_tables(s, recipe=lambda *args: recipe(*args)[:-1] + ((5,),)),
         with_tables(s, cache=lambda user, key: cache(user, key)[:-1] + ((n_cols,),)),
     ]
+    store = FileStore.zero(s.n_files, s.subpacketization, 1)
+    demand = DemandVector(s.n_files, s.served_demands().members[0])
     for b in broken:
         with pytest.raises(IndexError):
             sweep(b)
         with pytest.raises(IndexError):
-            sweep(through_callables(b))
+            run_session(b, store, demand, KeyAssignment((0,) * s.n_users, 0))
+
+
+@pytest.mark.parametrize("table", ["cache", "delivery", "recipe"])
+@pytest.mark.parametrize("make", [low_memory_2x4_scheme, low_memory_private_scheme])
+def test_negative_columns_raise_on_both_paths(make, table):
+    s = make()
+    lookup = getattr(s.program, table)
+    if table == "delivery":
+
+        def negative(*args):
+            rows, header = lookup(*args)
+            return rows[:-1] + ((-1,),), header
+
+    else:
+
+        def negative(*args):
+            return lookup(*args)[:-1] + ((-1,),)
+
+    broken = with_tables(s, **{table: negative})
+    store = FileStore.zero(s.n_files, s.subpacketization, 1)
+    demand = DemandVector(s.n_files, s.served_demands().members[0])
+    with pytest.raises(IndexError, match="negative column"):
+        run_session(broken, store, demand, KeyAssignment((0,) * s.n_users, 0))
+    with pytest.raises(IndexError, match="negative column"):
+        run_checks(broken)
 
 
 def test_compile_matches_symbolwise_xor():
@@ -303,7 +338,7 @@ def test_compile_matches_symbolwise_xor():
 @pytest.mark.parametrize("width", [0, -1])
 def test_width_below_one_is_refused_on_both_paths(width):
     s = basic_private_scheme(2, 2, 1)
-    for scheme in (s, through_callables(s)):
+    for scheme in (s, rebound(basic_private_scheme(2, 2, 1), Counter())):
         with pytest.raises(ParameterError, match=f"at least 1, got {width}$"):
             run_checks(scheme, width)
         with pytest.raises(ParameterError, match=f"at least 1, got {width}$"):

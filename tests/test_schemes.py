@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,11 +13,7 @@ from cachepriv.core import (
     Privacy,
     cyclic_demand_set,
 )
-from cachepriv.lift import (
-    basic_private_scheme,
-    lift_private,
-    low_memory_private_scheme,
-)
+from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
     HIGH_MEMORY_2X4_CACHES,
     HIGH_MEMORY_2X4_DELIVERIES,
@@ -41,7 +36,7 @@ from cachepriv.verifier import (
     check_privacy,
     measure_rates,
 )
-from oracles import view_determines_file
+from oracles import view_determines_file, with_tables
 
 CYCLIC = cyclic_demand_set(2, 2)
 
@@ -93,10 +88,11 @@ def test_corner_schemes_decode_and_match_oracle():
 
 def test_corrupted_delivery_fails_decodability():
     good = low_memory_2x4_scheme()
-    fixed = DemandVector(2, (0, 1, 0, 1))
-    deliver = good.deliver
-    bad = replace(
-        good, deliver=lambda store, demand, keys: deliver(store, fixed, keys)
+    delivery = good.program.delivery
+    # every demand is served the rows of demand (0, 1, 0, 1)
+    fixed = (0, 1, 0, 1)
+    bad = with_tables(
+        good, delivery=lambda demand, keys, configs: delivery(fixed, keys, configs)
     )
     v = check_decodability(bad)
     assert not v.passed
@@ -214,17 +210,6 @@ def test_every_scheme_kind_rejects_a_demand_of_the_wrong_length(tmp_path):
                 ParameterError, match=rf" {s.n_users} users.* {length} entries"
             ):
                 s.deliver(store, demand, keys)
-
-
-def test_combinators_need_a_column_program():
-    bare = replace(low_memory_2x4_scheme(), program=None)
-    with pytest.raises(ParameterError, match="column program"):
-        lift_private(bare)
-    a, b = (replace(basic_private_scheme(2, 2, m), program=None) for m in (0, 2))
-    with pytest.raises(ParameterError, match="column program"):
-        memory_share(a, b, Fraction(1, 2))
-    with pytest.raises(ParameterError, match="column program"):
-        with_plaintext_demand_header(a)
 
 
 def test_share_nested_as_the_first_part_decodes():

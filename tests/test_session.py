@@ -11,7 +11,6 @@ from cachepriv.core import (
     FileStore,
     KeyAssignment,
     ParameterError,
-    SubfileSymbol,
     UnservedDemand,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
@@ -32,6 +31,7 @@ from cachepriv.session import (
     transcript_to_bytes,
 )
 from cachepriv.verifier import JointDistribution, atom_space, check_privacy
+from oracles import iter_atoms, with_tables
 
 
 def tiny_transcript() -> SessionTranscript:
@@ -191,13 +191,9 @@ def test_run_session_checks_the_demand():
 
 def test_run_session_records_mismatches():
     s = low_memory_private_scheme()
-    decode = s.decode
-
-    def corrupted(user, demand, key, msg, cache):
-        out = decode(user, demand, key, msg, cache)
-        return (SubfileSymbol(out[0].width, out[0].value ^ 1),) + out[1:]
-
-    bad = replace(s, decode=corrupted)
+    recipe = s.program.recipe
+    # every user decodes one symbol short of its file
+    bad = with_tables(s, recipe=lambda *args: recipe(*args)[:-1])
     store = FileStore.random(2, 3, 1, random.Random(3))
     t = run_session(bad, store, DemandVector(2, (1, 0)), KeyAssignment((0, 1), 0))
     assert not t.all_matched
@@ -210,7 +206,7 @@ def test_wire_observations_reproduce_the_privacy_verdict():
     s = low_memory_private_scheme()
     space = atom_space(s, 1)
     pairs = []
-    for store, demand, keys in space.iter_atoms():
+    for store, demand, keys in iter_atoms(space):
         parsed = parse_transcript(
             transcript_to_bytes(run_session(s, store, demand, keys))
         )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -12,13 +13,13 @@ from pathlib import Path
 import pytest
 
 import cachepriv
+from cachepriv import verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     FileStore,
     ParameterError,
     Privacy,
     SchemeError,
-    SubfileSymbol,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
@@ -38,7 +39,7 @@ from cachepriv.verifier import (
     resolve_budget,
     run_checks,
 )
-from oracles import mi_from_pairs, reference_checks
+from oracles import iter_atoms, mi_from_pairs, reference_checks, with_tables
 
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 
@@ -83,38 +84,54 @@ def test_atom_space_is_a_bijection():
     s = basic_private_scheme(3, 2, 0)
     space = atom_space(s, 1)
     seen = set()
-    for store, demand, keys in space.iter_atoms():
+    for store, demand, keys in iter_atoms(space):
         seen.add((store.index(), demand.entries, keys.user_keys, keys.server_random))
     assert len(seen) == space.total == 2304
 
 
 def decode_corrupted(s):
-    """s with the first decoded symbol of every user flipped."""
-    decode = s.decode
+    """s with the first decode recipe row of every user also reading the
+    user's first input symbol."""
+    recipe = s.program.recipe
 
-    def corrupted(user, demand, key, msg, cache):
-        out = decode(user, demand, key, msg, cache)
-        flipped = SubfileSymbol(out[0].width, out[0].value ^ 1)
-        return (flipped,) + out[1:]
+    def corrupted(user, demand, key, header):
+        rows = recipe(user, demand, key, header)
+        return (rows[0] + (0,),) + rows[1:]
 
-    return replace(s, decode=corrupted)
+    return with_tables(s, recipe=corrupted)
 
 
-def test_decodability_counterexample_reporting():
+def counting_placements(monkeypatch) -> list:
+    """The key realization number of every placement run_checks makes."""
+    placer = verifier._Compiled.placer
+    calls = []
+
+    def counting(self, a, keys):
+        calls.append(a)
+        return placer(self, a, keys)
+
+    monkeypatch.setattr(verifier._Compiled, "placer", counting)
+    return calls
+
+
+def test_decodability_counterexample_reporting(monkeypatch):
     s = decode_corrupted(low_memory_private_scheme())
-    placed = []
-
-    def counting_place(keys, store):
-        placed.append(store)
-        return s.place(keys, store)
-
-    v = check_decodability(replace(s, place=counting_place))
+    placed = counting_placements(monkeypatch)
+    v = check_decodability(s)
     assert not v.passed
-    assert len(placed) == v.cases  # the sweep stops at the first failure
     ce = v.counterexample
     assert ce is not None and "decoded" in str(ce)
     assert 0 <= ce.user < 2
     assert ce.expected != ce.actual
+    # the sweep stops at the first failure, which is the atom it reports
+    atoms = list(itertools.islice(atom_space(s, 1).iter_indexed(), v.cases))
+    index, _, demand, _, keys = atoms[-1]
+    assert (index, demand.entries, keys.user_keys) == (
+        ce.store_index,
+        ce.demand,
+        ce.user_keys,
+    )
+    assert len(placed) == len({(index, a) for index, _, _, a, _ in atoms})
 
 
 def verify_call_params():
@@ -159,43 +176,33 @@ def test_sweep_matches_the_reference_oracle(s, width):
 
 
 @pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
-def test_place_runs_once_per_store_and_key_realization(token):
+def test_place_runs_once_per_store_and_key_realization(monkeypatch, token):
     s = resolve_scheme(token)
-    place = s.place
-    calls = []
-
-    def counting_place(keys, store):
-        calls.append(keys)
-        return place(keys, store)
-
-    run_checks(
-        replace(s, place=counting_place),
-        users=range(s.n_users),
-        invariance=s.n_files == 2,
-    )
+    calls = counting_placements(monkeypatch)
+    run_checks(s, users=range(s.n_users), invariance=s.n_files == 2)
     stores = FileStore.space_size(s.n_files, s.subpacketization, 1)
     assert len(calls) == stores * s.key_space_size * s.server_random_size(1)
     assert len(calls) < atom_space(s, 1).total
 
 
-def test_wrong_cache_size_raises_on_the_placement_that_has_it():
+def test_wrong_cache_size_raises_on_the_placement_that_has_it(monkeypatch):
     s = low_memory_private_scheme()
-    place = s.place
+    cache = s.program.cache
 
-    def late_oversized(keys, store):
-        caches = place(keys, store)
-        if keys.user_keys != (1, 1) or store.index() != 5:
-            return caches
-        bigger = caches[1].symbols + caches[1].symbols[:1]
-        return (caches[0], replace(caches[1], symbols=bigger))
+    def late_oversized(user, key):
+        rows = cache(user, key)
+        return rows + rows[:1] if (user, key) == (1, 1) else rows
 
-    def one_short(keys, store):
-        return place(keys, store)[:1]
-
+    placed = counting_placements(monkeypatch)
     with pytest.raises(SchemeError, match=r"cache holds 2 bits, declared M\*F = 1$"):
-        check_decodability(replace(s, place=late_oversized))
-    with pytest.raises(SchemeError, match="one cache per user"):
-        check_decodability(replace(s, place=one_short))
+        check_decodability(with_tables(s, cache=late_oversized))
+    # key realizations run with user 0's key fastest, so the first that
+    # gives user 1 key 1 is number 2, keys (0, 1)
+    assert placed == [0, 1, 2]
+    # a program with one key alphabet per user is what makes one cache per
+    # user, and a scheme is built only from such a program
+    with pytest.raises(ValueError, match="one key alphabet per user"):
+        replace(s, program=replace(s.program, key_sizes=(2,)))
 
 
 def test_invariance_counterexample_does_not_depend_on_the_hash_seed():
@@ -359,12 +366,11 @@ def test_measure_rates():
 
 def test_measure_rates_rejects_unequal_caches():
     s = low_memory_private_scheme()
-    place = s.place
+    cache = s.program.cache
 
-    def lopsided(keys, store):
-        caches = place(keys, store)
-        bigger = caches[0].symbols + caches[0].symbols
-        return (replace(caches[0], symbols=bigger),) + caches[1:]
+    def lopsided(user, key):
+        rows = cache(user, key)
+        return rows + rows if user == 0 else rows
 
-    with pytest.raises(SchemeError):
-        measure_rates(replace(s, place=lopsided))
+    with pytest.raises(SchemeError, match="unequal cache sizes"):
+        measure_rates(with_tables(s, cache=lopsided))
