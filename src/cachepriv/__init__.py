@@ -24,7 +24,6 @@ from .core import (
     Privacy,
     SchemeError,
     SchemeInstance,
-    SubfileSymbol,
     UnservedDemand,
     cyclic_demand_set,
     expand_demand,
@@ -86,7 +85,6 @@ __all__ = [
     "SchemeError",
     "SchemeInstance",
     "SessionTranscript",
-    "SubfileSymbol",
     "UnservedDemand",
     "Verdict",
     "basic_private_scheme",

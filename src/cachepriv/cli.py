@@ -64,11 +64,18 @@ class UnknownScheme(SchemeError):
     pass
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParameterError(f"zero denominator in {text!r}") from None
+
+
 def _parse_nkm(params: str) -> tuple[int, int, Fraction]:
     parts = params.split(",")
     if len(parts) != 3:
         raise UnknownScheme(f"expected N,K,M after the colon, got {params!r}")
-    return int(parts[0]), int(parts[1]), Fraction(parts[2])
+    return int(parts[0]), int(parts[1]), _fraction(parts[2])
 
 
 def _load_descriptor(path: str) -> SchemeInstance:
@@ -103,7 +110,7 @@ def resolve_scheme(token: str) -> SchemeInstance:
         lam_str, _, pair = rest.partition(":")
         if not pair:
             raise UnknownScheme(f"expected share:L:A:B, got {token!r}")
-        lam = Fraction(lam_str)
+        lam = _fraction(lam_str)
         # the first colon split where both halves resolve wins
         positions = [i for i, ch in enumerate(pair) if ch == ":"]
         for i in positions:
@@ -158,7 +165,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    csv_path, svg_path = emit_region(args.out, Fraction(args.step))
+    csv_path, svg_path = emit_region(args.out, _fraction(args.step))
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return 0
@@ -305,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownScheme, ParameterError, ValueError) as exc:
+    except (UnknownScheme, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchemeError as exc:

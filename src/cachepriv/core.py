@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -32,88 +32,63 @@ class UnservedDemand(SchemeError):
 
 
 # ---------------------------------------------------------------------------
-# symbols and bit packing
+# bit packing and the file store
 
 
-@dataclass(frozen=True, slots=True)
-class SubfileSymbol:
-    """A fixed-width bit vector, the atomic unit schemes operate on."""
-
-    width: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"symbol width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+def check_width(width: int) -> None:
+    """Raise ParameterError for a symbol width below one bit."""
+    if width < 1:
+        raise ParameterError(f"symbol width must be at least 1, got {width}")
 
 
-def pack_symbols(symbols: Sequence[SubfileSymbol]) -> tuple[int, int]:
-    """Pack symbols into one int, first symbol in the least significant bits.
+def pack_symbols(values: Sequence[int], width: int) -> tuple[int, int]:
+    """Pack width-bit values into one int, the first value in the least
+    significant bits.
 
     Returns (value, total_bit_length).
     """
     value = 0
     offset = 0
-    for s in symbols:
-        value |= s.value << offset
-        offset += s.width
+    for v in values:
+        value |= v << offset
+        offset += width
     return value, offset
-
-
-def split_bits(value: int, width: int, count: int) -> tuple[SubfileSymbol, ...]:
-    """Inverse of pack_symbols for a run of equal-width symbols."""
-    mask = (1 << width) - 1
-    return tuple(
-        SubfileSymbol(width, (value >> (i * width)) & mask) for i in range(count)
-    )
-
-
-def total_width(symbols: Sequence[SubfileSymbol]) -> int:
-    return sum(s.width for s in symbols)
-
-
-# ---------------------------------------------------------------------------
-# file store
 
 
 @dataclass(frozen=True, slots=True)
 class FileStore:
-    """A library of n_files files, each split into t subfile symbols.
+    """A library of n_files files, each split into t subfile symbols of
+    symbol_width bits.
 
-    Symbols are indexed (file, subfile) and flattened row-major wherever a
-    linear order is needed, so file i subfile j is flat position i*t + j.
+    The symbols are ints in column order: file i subfile j is
+    values[i*t + j].
     """
 
     n_files: int
     subpacketization: int
     symbol_width: int
-    symbols: tuple[tuple[SubfileSymbol, ...], ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.symbols) != self.n_files:
-            raise ValueError("file count does not match symbol grid")
-        for row in self.symbols:
-            if len(row) != self.subpacketization:
-                raise ValueError("subfile count does not match symbol grid")
-            for s in row:
-                if s.width != self.symbol_width:
-                    raise ValueError("mixed symbol widths in store")
+        check_width(self.symbol_width)
+        if len(self.values) != self.n_files * self.subpacketization:
+            raise ValueError("symbol count does not match files x subfiles")
+        limit = 1 << self.symbol_width
+        for v in self.values:
+            if not 0 <= v < limit:
+                raise ValueError(f"value {v} out of range for width {self.symbol_width}")
 
     @property
     def file_bits(self) -> int:
         return self.subpacketization * self.symbol_width
 
-    def file(self, i: int) -> tuple[SubfileSymbol, ...]:
-        return self.symbols[i]
-
-    def flat(self) -> tuple[SubfileSymbol, ...]:
-        return tuple(s for row in self.symbols for s in row)
+    def file(self, i: int) -> tuple[int, ...]:
+        t = self.subpacketization
+        return self.values[i * t : (i + 1) * t]
 
     def index(self) -> int:
-        """Rank of this realization in the row-major enumeration of stores."""
-        value, _ = pack_symbols(self.flat())
+        """Rank of this realization in the column-order enumeration of stores."""
+        value, _ = pack_symbols(self.values, self.symbol_width)
         return value
 
     @staticmethod
@@ -124,26 +99,21 @@ class FileStore:
     def from_index(
         cls, n_files: int, subpacketization: int, width: int, index: int
     ) -> "FileStore":
-        flat = split_bits(index, width, n_files * subpacketization)
-        rows = tuple(
-            flat[i * subpacketization : (i + 1) * subpacketization]
-            for i in range(n_files)
+        mask = (1 << width) - 1
+        values = tuple(
+            (index >> (i * width)) & mask for i in range(n_files * subpacketization)
         )
-        return cls(n_files, subpacketization, width, rows)
+        return cls(n_files, subpacketization, width, values)
 
     @classmethod
     def random(
         cls, n_files: int, subpacketization: int, width: int, rng: random.Random
     ) -> "FileStore":
-        # one independent draw per symbol, in (file, subfile) order
-        rows = tuple(
-            tuple(
-                SubfileSymbol(width, rng.getrandbits(width))
-                for _ in range(subpacketization)
-            )
-            for _ in range(n_files)
+        # one independent draw per symbol, in column order
+        values = tuple(
+            rng.getrandbits(width) for _ in range(n_files * subpacketization)
         )
-        return cls(n_files, subpacketization, width, rows)
+        return cls(n_files, subpacketization, width, values)
 
     @classmethod
     def zero(cls, n_files: int, subpacketization: int, width: int) -> "FileStore":
@@ -280,36 +250,21 @@ class KeyAssignment:
 class CacheContent:
     """One user's cache: coded symbols plus the stored key value."""
 
-    symbols: tuple[SubfileSymbol, ...]
+    symbols: tuple[int, ...]
     key: int
-
-    @property
-    def bit_length(self) -> int:
-        return total_width(self.symbols)
 
 
 @dataclass(frozen=True, slots=True)
 class DeliveryMessage:
     """The broadcast: a symbol payload and a small finite-alphabet header."""
 
-    payload: tuple[SubfileSymbol, ...]
+    payload: tuple[int, ...]
     header: tuple[int, ...]
-
-    @property
-    def payload_bits(self) -> int:
-        return total_width(self.payload)
 
 
 class Privacy(Enum):
     PRIVATE = "private"
     NON_PRIVATE = "non-private"
-
-
-PlaceFn = Callable[[KeyAssignment, FileStore], tuple[CacheContent, ...]]
-DeliverFn = Callable[[FileStore, DemandVector, KeyAssignment], DeliveryMessage]
-DecodeFn = Callable[
-    [int, int, int, DeliveryMessage, CacheContent], tuple[SubfileSymbol, ...]
-]
 
 
 def alphabet_bits(size: int) -> int:
@@ -382,20 +337,40 @@ class ColumnProgram:
         return tuple(configs), pads
 
 
+def check_shape(n_files: int, n_users: int) -> None:
+    """Raise ParameterError unless there is at least one file and one user."""
+    if n_files < 1 or n_users < 1:
+        raise ParameterError(
+            f"a scheme needs at least one file and one user, "
+            f"got {n_files} files and {n_users} users"
+        )
+
+
+def _xor_rows(rows: Rows, values: Sequence[int]) -> tuple[int, ...]:
+    """One value per row, the XOR of the values its columns select.  Columns
+    are never negative: the program's tables reject such rows."""
+    out = []
+    for cols in rows:
+        value = 0
+        for i in cols:
+            value ^= values[i]
+        out.append(value)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SchemeInstance:
     """An executable caching scheme: a column program with declared exact
-    parameters.  Building one binds these to one ProgramRunner of the
-    program:
+    parameters.  place, deliver and decode run the program on symbol values:
 
     place(keys, store)           -> one CacheContent per user
     deliver(store, demand, keys) -> DeliveryMessage
     decode(user, demand, key, message, cache) -> the demanded file's symbols
 
     deliver raises ParameterError unless the demand has one entry per user.
-    They are attributes of the instance, not init fields, so replace()
-    builds a new runner and refuses other callables.  The verifier
-    evaluates the program itself and never calls them.
+    They are plain methods, so an instance attribute may shadow them (a
+    tracer's wrapper, say).  The verifier evaluates the program itself and
+    never calls them.
 
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile
@@ -412,18 +387,41 @@ class SchemeInstance:
     program: ColumnProgram
     privacy: Privacy
     served: DemandSubset | None = None
-    place: PlaceFn = field(init=False, repr=False, compare=False)
-    deliver: DeliverFn = field(init=False, repr=False, compare=False)
-    decode: DecodeFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_shape(self.n_files, self.n_users)
         if len(self.key_sizes) != self.n_users:
             raise ValueError("one key alphabet per user required")
         if self.privacy is Privacy.NON_PRIVATE and self.served is None:
             raise ValueError("non-private schemes must declare a served demand set")
-        runner = ProgramRunner(self)
-        for attr in ("place", "deliver", "decode"):
-            object.__setattr__(self, attr, getattr(runner, attr))
+
+    def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
+        cache = self.program.cache
+        return tuple(
+            CacheContent(_xor_rows(cache(u, k), store.values), k)
+            for u, k in enumerate(keys.user_keys)
+        )
+
+    def deliver(
+        self, store: FileStore, demand: DemandVector, keys: KeyAssignment
+    ) -> DeliveryMessage:
+        self.check_demand(demand)
+        configs, pads = self.program.split_server(
+            keys.server_random, store.symbol_width
+        )
+        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
+        return DeliveryMessage(_xor_rows(rows, (*store.values, *pads)), header)
+
+    def decode(
+        self,
+        user: int,
+        demand: int,
+        key: int,
+        msg: DeliveryMessage,
+        cache: CacheContent,
+    ) -> tuple[int, ...]:
+        rows = self.program.recipe(user, demand, key, msg.header)
+        return _xor_rows(rows, cache.symbols + msg.payload)
 
     @property
     def key_sizes(self) -> tuple[int, ...]:
@@ -468,73 +466,3 @@ class SchemeInstance:
             f"M={self.memory} R={self.rate} t={self.subpacketization}, "
             f"{self.privacy.value})"
         )
-
-
-def _xor_rows(
-    rows: Rows, symbols: Sequence[SubfileSymbol], values: Sequence[int], width: int
-) -> tuple[SubfileSymbol, ...]:
-    """One symbol per row.  A one-column row over symbols passes that symbol
-    object through; any other row boxes the XOR of the values it selects
-    (values may go on past symbols, into the pad columns).  Columns are
-    never negative: the program's tables reject such rows."""
-    out = []
-    n_symbols = len(symbols)
-    for cols in rows:
-        if len(cols) == 1 and cols[0] < n_symbols:
-            out.append(symbols[cols[0]])
-        else:
-            value = 0
-            for i in cols:
-                value ^= values[i]
-            out.append(SubfileSymbol(width, value))
-    return tuple(out)
-
-
-class ProgramRunner:
-    """place, deliver and decode of a scheme, run from its column program.
-
-    They look their rows up in the program's tables and only XOR symbol
-    values.
-    """
-
-    def __init__(self, scheme: SchemeInstance) -> None:
-        self.program = scheme.program
-        self.check_demand = scheme.check_demand
-        # the last store seen, with its symbols and their values in column order
-        self._last: tuple = (None, (), [])
-
-    def _inputs(self, store: FileStore) -> tuple[tuple[SubfileSymbol, ...], list[int]]:
-        if store is not self._last[0]:
-            symbols = store.flat()
-            self._last = (store, symbols, [s.value for s in symbols])
-        return self._last[1], self._last[2]
-
-    def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
-        symbols, values = self._inputs(store)
-        w = store.symbol_width
-        return tuple(
-            CacheContent(_xor_rows(self.program.cache(u, k), symbols, values, w), k)
-            for u, k in enumerate(keys.user_keys)
-        )
-
-    def deliver(
-        self, store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
-        self.check_demand(demand)
-        symbols, values = self._inputs(store)
-        w = store.symbol_width
-        configs, pads = self.program.split_server(keys.server_random, w)
-        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
-        return DeliveryMessage(_xor_rows(rows, symbols, values + pads, w), header)
-
-    def decode(
-        self,
-        user: int,
-        demand: int,
-        key: int,
-        msg: DeliveryMessage,
-        cache: CacheContent,
-    ) -> tuple[SubfileSymbol, ...]:
-        rows = self.program.recipe(user, demand, key, msg.header)
-        symbols = cache.symbols + msg.payload
-        return _xor_rows(rows, symbols, [s.value for s in symbols], symbols[0].width)

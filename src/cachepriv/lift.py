@@ -22,6 +22,7 @@ from .core import (
     Privacy,
     Rows,
     SchemeInstance,
+    check_shape,
     cyclic_demand_set,
 )
 from .schemes import (
@@ -47,6 +48,7 @@ def basic_private_scheme(
     slot), unused slots carry uniform filler, and the header publishes each
     slot index shifted by the user's key modulo K.
     """
+    check_shape(n_files, n_users)
     m = Fraction(memory)
     t, tc, tu = split_subpacketization(n_files, m)
     base = uncoded_program(n_files, n_users, t, tc)

@@ -18,6 +18,7 @@ from .core import (
     Privacy,
     Rows,
     SchemeInstance,
+    check_shape,
     cyclic_demand_set,
     full_demand_set,
 )
@@ -151,6 +152,7 @@ def uncoded_baseline(
 
     Serves every demand of any number of users at rate n_files - memory.
     """
+    check_shape(n_files, n_users)
     m = Fraction(memory)
     t, tc, _tu = split_subpacketization(n_files, m)
     return SchemeInstance(

@@ -21,6 +21,7 @@ from .core import (
     SchemeInstance,
     UnservedDemand,
     alphabet_bits,
+    check_width,
     pack_symbols,
 )
 
@@ -214,17 +215,18 @@ def run_session(
         raise UnservedDemand(f"{s.name} does not serve demand {tuple(demand)}")
     caches = s.place(keys, store)
     msg = s.deliver(store, demand, keys)
+    w = store.symbol_width
     placements = []
     for user, cache in enumerate(caches):
-        value, bits = pack_symbols(cache.symbols)
+        value, bits = pack_symbols(cache.symbols, w)
         placements.append(PlacementFrame(user, cache.key, bits, value))
     hvalue, hbits = pack_header(msg.header, s.header_sizes)
-    pvalue, pbits = pack_symbols(msg.payload)
+    pvalue, pbits = pack_symbols(msg.payload, w)
     delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
     reports = []
     for user in range(s.n_users):
         decoded = s.decode(user, demand[user], keys.user_keys[user], msg, caches[user])
-        value, bits = pack_symbols(decoded)
+        value, bits = pack_symbols(decoded, w)
         matched = decoded == store.file(demand[user])
         reports.append(DecodeReport(user, demand[user], matched, bits, value))
     return SessionTranscript(s.name, tuple(placements), delivery, tuple(reports))
@@ -240,8 +242,10 @@ def simulate_session(
     from one generator (in that order), then runs the session.
 
     The same (scheme, demand, seed, width) always yields byte-identical
-    transcripts.  The demand is checked by run_session before it runs.
+    transcripts.  The width is checked before anything is drawn, the demand
+    by run_session before it runs.
     """
+    check_width(width)
     rng = random.Random(seed)
     store = FileStore.random(s.n_files, s.subpacketization, width, rng)
     user_keys = tuple(rng.randrange(size) for size in s.key_sizes)

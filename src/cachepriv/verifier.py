@@ -27,6 +27,7 @@ from .core import (
     Rows,
     SchemeError,
     SchemeInstance,
+    check_width,
 )
 
 DEFAULT_BUDGET = 1 << 28
@@ -260,11 +261,6 @@ class JointDistribution:
 # checks
 
 
-def _check_width(width: int) -> None:
-    if width < 1:
-        raise ParameterError(f"symbol width must be at least 1, got {width}")
-
-
 def run_checks(
     s: SchemeInstance,
     width: int = 1,
@@ -286,11 +282,11 @@ def run_checks(
     payload value, payload bits, header, own demand); the invariance views
     pair it with the packed content of the demanded file.  Every value is
     computed from the scheme's column program on packed ints (_Compiled),
-    with no FileStore, CacheContent or SubfileSymbol built.  A decode
+    with no FileStore or CacheContent built.  A decode
     succeeds when its recipe gives t symbols equal to the demanded file's
     bits of the store index.
     """
-    _check_width(width)
+    check_width(width)
     users = tuple(users)
     if (users or invariance) and s.privacy is not Privacy.PRIVATE:
         raise ParameterError(f"{s.name} is not a private scheme")
@@ -440,7 +436,7 @@ def _compile(rows: Rows, n_inputs: int, width: int) -> Ops:
     by 1, 2, ... shares one triple, so long as the run is no longer than
     the least gap between those rows (then the product never carries).  A
     row naming an input outside range(n_inputs) raises IndexError, where
-    the runner's own XOR fails too.
+    the scheme's own place, deliver and decode fail too.
     """
     feeds: dict[int, int] = {}  # input -> bit r set for each row it feeds
     for r, cols in enumerate(rows):
@@ -600,22 +596,17 @@ def measure_rates(
 ) -> tuple[Fraction, Fraction, int]:
     """Measured (memory, rate, header bits) from actual output lengths.
 
-    Memory counts cache payload bits only (the stored key is excluded);
-    rate counts broadcast payload bits only (the header is excluded).
-    Both are exact fractions of the file size.
+    Memory counts cache symbols only (the stored key is excluded); rate
+    counts broadcast payload symbols only (the header is excluded).  Both
+    are exact fractions of the t symbols of a file.
     """
-    _check_width(width)
-    file_bits = s.subpacketization * width
-    store = FileStore.zero(s.n_files, s.subpacketization, width)
+    check_width(width)
+    t = s.subpacketization
+    store = FileStore.zero(s.n_files, t, width)
     keys = KeyAssignment((0,) * s.n_users, 0)
-    caches = s.place(keys, store)
-    sizes = {c.bit_length for c in caches}
+    sizes = {len(c.symbols) for c in s.place(keys, store)}
     if len(sizes) != 1:
         raise SchemeError(f"users have unequal cache sizes: {sorted(sizes)}")
     demand = DemandVector(s.n_files, s.served_demands().members[0])
     msg = s.deliver(store, demand, keys)
-    return (
-        Fraction(sizes.pop(), file_bits),
-        Fraction(msg.payload_bits, file_bits),
-        s.header_bits,
-    )
+    return Fraction(sizes.pop(), t), Fraction(len(msg.payload), t), s.header_bits

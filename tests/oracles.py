@@ -24,7 +24,6 @@ from cachepriv.core import (
     FileStore,
     KeyAssignment,
     SchemeInstance,
-    SubfileSymbol,
     pack_symbols,
 )
 from cachepriv.region import check_inequalities
@@ -71,11 +70,11 @@ def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
                 u,
                 demand[u],
                 keys.user_keys[u],
-                pack_symbols(caches[u].symbols),
-                pack_symbols(msg.payload),
+                pack_symbols(caches[u].symbols, width),
+                pack_symbols(msg.payload, width),
                 msg.header,
             )
-            want = tuple(sym.value for sym in store.file(demand[u]))
+            want = store.file(demand[u])
             if seen.setdefault(view, want) != want:
                 return False
     return True
@@ -101,8 +100,8 @@ def mi_from_pairs(pairs: Iterable[tuple[object, object]]) -> float:
     return entropy_bits(left) + entropy_bits(right) - entropy_bits(joint)
 
 
-def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[SubfileSymbol, ...]:
-    """Each GF(2) row applied to the store's flat symbols (column i*t + j is
+def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[int, ...]:
+    """Each GF(2) row applied to the store's symbols (column i*t + j is
     file i subfile j), built bit by bit from the packed store index, where
     symbol k holds bits k*width .. (k+1)*width - 1."""
     width = store.symbol_width
@@ -117,7 +116,7 @@ def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[SubfileSymbol, ..
                 if (row >> col) & 1:
                     bit ^= (packed >> (col * width + b)) & 1
             value |= bit << b
-        out.append(SubfileSymbol(width, value))
+        out.append(value)
     return tuple(out)
 
 
@@ -143,8 +142,8 @@ def reference_checks(
     Atom i is decoded from its flat index: server randomness fastest, then
     user keys (key 0 fastest), then demand, then store.  Every atom is
     built, placed, delivered and decoded on its own, and the count tables
-    are kept here.  Privacy observations use their own encoding (symbol
-    widths and values); the invariance cells use the verifier's layout
+    are kept here.  Privacy observations use their own encoding (the
+    tuples of symbol values); the invariance cells use the verifier's layout
     because the counterexample prints one.
     """
     demands = s.served_demands().members
@@ -187,25 +186,25 @@ def reference_checks(
                             keys.user_keys,
                             server,
                             k,
-                            tuple(sym.value for sym in want),
-                            tuple(sym.value for sym in got),
+                            want,
+                            got,
                         )
                     )
                     break
             if decode_text is not None and not (users or invariance):
                 break
-        payload = tuple((sym.width, sym.value) for sym in msg.payload)
         for u in users:
-            cache = tuple((sym.width, sym.value) for sym in caches[u].symbols)
-            view = (cache, caches[u].key, payload, msg.header, demand[u])
+            cache = caches[u]
+            view = (cache.symbols, cache.key, msg.payload, msg.header, demand[u])
             joint[u][(demand.drop(u), view)] += 1
         if invariance:
-            pay = pack_symbols(msg.payload)
+            pay = pack_symbols(msg.payload, width)
             for k in (0, 1):
                 j = demand[k]
-                view = pack_symbols(caches[k].symbols) + (caches[k].key,)
+                view = pack_symbols(caches[k].symbols, width) + (caches[k].key,)
                 view += pay + (msg.header, j)
-                views[(k, j, demand[1 - k])][(view, pack_symbols(store.file(j)))] += 1
+                file = pack_symbols(store.file(j), width)
+                views[(k, j, demand[1 - k])][(view, file)] += 1
 
     out: dict[str, tuple[bool, int, float | None, str | None]] = {
         "decodability": (decode_text is None, decode_cases, None, decode_text)

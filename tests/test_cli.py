@@ -225,6 +225,8 @@ ENV_BUDGET = "CACHEPRIV_BUDGET must be a non-negative integer, got "
         (["verify", "example1"], "abc", ENV_BUDGET + "'abc'"),
         (["verify", "example1"], "-5", ENV_BUDGET + "'-5'"),
         (["verify", "example1"], "1.5", ENV_BUDGET + "'1.5'"),
+        (["simulate", "example1", "--demands", "0,1", "--width", "0"], None, WIDTH + "0"),
+        (["simulate", "example1", "--demands", "0,1", "--width", "-3"], None, WIDTH + "-3"),
     ],
 )
 def test_bad_width_and_budget_are_usage_errors(monkeypatch, capsys, argv, env, message):
@@ -234,3 +236,49 @@ def test_bad_width_and_budget_are_usage_errors(monkeypatch, capsys, argv, env, m
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{tmp}"],
+        ["region", "--out", "{tmp}/missing/x"],
+        ["simulate", "example1", "--demands", "0,1", "--out", "{tmp}/missing/x.bin"],
+        ["search", "--target", "2,4,3,6,0", "--out", "{tmp}/missing/x.txt"],
+        ["verify", "thm1:2,2,1/0"],
+        ["verify", "share:1/0:example1:dual"],
+        ["region", "--step", "1/0"],
+        ["verify", "thm1:0,2,0"],
+        ["measure", "baseline:0,2,0"],
+        ["verify", "thm1:2,0,0"],
+        ["verify", "baseline:2,0,1"],
+    ],
+    ids=[
+        "scheme-path-is-a-directory",
+        "region-out-dir-missing",
+        "simulate-out-dir-missing",
+        "search-out-dir-missing",
+        "thm1-zero-denominator",
+        "share-zero-denominator",
+        "region-zero-denominator",
+        "thm1-no-files",
+        "baseline-no-files",
+        "thm1-no-users",
+        "baseline-no-users",
+    ],
+)
+def test_bad_inputs_are_usage_errors_without_a_traceback(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        err.splitlines()[-1]
+    ]
+    assert "Traceback" not in err
+
+
+def test_search_exhaustive_strategy(capsys):
+    assert main(["search", "--strategy", "exhaustive", "--target", "2,2,1,1,1"]) == 0
+    out = capsys.readouterr().out
+    assert "cache 0: 01\ncache 1: 01\n" in out
+    assert main(["search", "--strategy", "exhaustive", "--target", "2,4,2,2,1"]) == 1
+    assert capsys.readouterr().out.startswith("no scheme found within ")

@@ -9,7 +9,7 @@ from cachepriv.core import (
     DemandSubset,
     DemandVector,
     FileStore,
-    SubfileSymbol,
+    ParameterError,
     alphabet_bits,
     cyclic_demand_set,
     cyclic_shift,
@@ -18,34 +18,34 @@ from cachepriv.core import (
     identity_vector,
     mod_sub,
     pack_symbols,
-    split_bits,
-    total_width,
 )
 
 
 def test_symbol_validation():
-    with pytest.raises(ValueError):
-        SubfileSymbol(0, 0)
-    with pytest.raises(ValueError):
-        SubfileSymbol(3, 8)
-    assert SubfileSymbol(3, 7).value == 7
+    # the store checks every value against its width, and the width itself
+    with pytest.raises(ParameterError, match="width must be at least 1, got 0"):
+        FileStore(1, 1, 0, (0,))
+    with pytest.raises(ValueError, match="out of range"):
+        FileStore(1, 1, 3, (8,))
+    with pytest.raises(ValueError, match="out of range"):
+        FileStore(1, 1, 3, (-1,))
+    assert FileStore(1, 1, 3, (7,)).values == (7,)
 
 
 def test_pack_split_roundtrip():
     rng = random.Random(11)
     for _ in range(50):
         width = rng.randrange(1, 7)
-        count = rng.randrange(1, 9)
-        syms = tuple(
-            SubfileSymbol(width, rng.getrandbits(width)) for _ in range(count)
-        )
-        value, bits = pack_symbols(syms)
-        assert bits == width * count == total_width(syms)
-        assert split_bits(value, width, count) == syms
+        n_files, t = rng.randrange(1, 4), rng.randrange(1, 4)
+        store = FileStore.random(n_files, t, width, rng)
+        value, bits = pack_symbols(store.values, width)
+        assert bits == width * n_files * t
+        assert value == store.index()
+        assert FileStore.from_index(n_files, t, width, value) == store
 
 
 def test_pack_first_symbol_least_significant():
-    value, bits = pack_symbols((SubfileSymbol(2, 0b01), SubfileSymbol(2, 0b11)))
+    value, bits = pack_symbols((0b01, 0b11), 2)
     assert (value, bits) == (0b1101, 4)
 
 
@@ -53,8 +53,8 @@ def test_store_roundtrip_and_flat_order():
     rng = random.Random(5)
     store = FileStore.random(3, 4, 2, rng)
     assert FileStore.from_index(3, 4, 2, store.index()) == store
-    flat = store.flat()
-    assert flat[1 * 4 + 2] == store.symbols[1][2]
+    assert store.values[1 * 4 + 2] == store.file(1)[2]
+    assert store.file(2) == store.values[8:]
     assert store.file_bits == 8
     assert FileStore.space_size(3, 4, 2) == 1 << 24
 
@@ -65,13 +65,12 @@ def test_store_index_enumeration_is_dense():
 
 
 def test_store_shape_validation():
-    sym = SubfileSymbol(1, 0)
-    with pytest.raises(ValueError):
-        FileStore(2, 1, 1, ((sym,),))
-    with pytest.raises(ValueError):
-        FileStore(1, 2, 1, ((sym,),))
-    with pytest.raises(ValueError):
-        FileStore(1, 1, 2, ((sym,),))
+    with pytest.raises(ValueError, match="symbol count"):
+        FileStore(2, 1, 1, (0,))
+    with pytest.raises(ValueError, match="symbol count"):
+        FileStore(1, 2, 1, (0,))
+    with pytest.raises(ValueError, match="out of range"):
+        FileStore(1, 1, 2, (4,))
 
 
 def test_demand_vector():

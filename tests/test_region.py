@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_default_scheme_points_lie_on_the_boundary():
 def test_emit_region_files(tmp_path):
     prefix = str(tmp_path / "region")
     csv_path, svg_path = emit_region(prefix, F(1, 6))
-    csv = open(csv_path, encoding="utf-8").read().splitlines()
+    csv = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert csv[0] == "M,R_optimal,scheme,label"
     boundary_rows = [line for line in csv if line.endswith(",boundary")]
     scheme_rows = [line for line in csv if line.endswith(",scheme")]
@@ -122,7 +123,7 @@ def test_emit_region_files(tmp_path):
         m_str, r_str = line.split(",")[:2]
         assert "/" in m_str and "/" in r_str
 
-    svg = open(svg_path, encoding="utf-8").read()
+    svg = Path(svg_path).read_text(encoding="utf-8")
     for element_id in ("rate-region", "axis-m", "axis-r", "boundary"):
         assert f'id="{element_id}"' in svg
     assert 'id="point-example1"' in svg
@@ -132,5 +133,5 @@ def test_emit_region_files(tmp_path):
 def test_emit_region_with_explicit_points(tmp_path):
     prefix = str(tmp_path / "tiny")
     csv_path, _ = emit_region(prefix, F(1), points=[("demo", F(1), F(2, 3))])
-    csv = open(csv_path, encoding="utf-8").read()
+    csv = Path(csv_path).read_text(encoding="utf-8")
     assert "1/1,2/3,demo,scheme" in csv

@@ -112,6 +112,13 @@ def test_split_subpacketization():
         split_subpacketization(2, Fraction(-1))
 
 
+@pytest.mark.parametrize("make", [uncoded_baseline, basic_private_scheme])
+@pytest.mark.parametrize("n_files, n_users", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+def test_schemes_need_a_file_and_a_user(make, n_files, n_users):
+    with pytest.raises(ParameterError, match="at least one file"):
+        make(n_files, n_users, 0)
+
+
 def test_baseline_parameters_and_decodability():
     s = uncoded_baseline(2, 2, 1)
     assert (s.memory, s.rate) == (Fraction(1), Fraction(1))

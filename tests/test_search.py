@@ -156,6 +156,32 @@ def test_exhaustive_strategy_finds_the_high_memory_target():
     assert (found.memory, found.rate) == (Fraction(4, 3), Fraction(1, 3))
 
 
+def test_exhaustive_strategy_solves_a_small_target():
+    demands = cyclic_demand_set(2, 1)
+    found = search_linear_scheme(2, 2, 1, 1, 1, demands, strategy="exhaustive")
+    assert found is not None
+    assert found.cache_rows == ((0b10,), (0b10,))
+    assert found.deliveries == (((0, 1), (0b01,)), ((1, 0), (0b01,)))
+    assert verify_linear(found, demands).passed
+
+
+def test_exhaustive_strategy_returns_none_once_every_option_is_scanned(monkeypatch):
+    # the rank filter passes 9 caches per user, and none of the 9^4
+    # placements can be completed: the scan ends well inside the budget
+    target = (2, 4, 2, 2, 1)
+    assert reaches_a_trial(monkeypatch, target, "exhaustive")
+    completions = []
+    original = search._try_placements
+
+    def counting(*args):
+        completions.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(search, "_try_placements", counting)
+    assert search_linear_scheme(*target, CYCLIC, strategy="exhaustive") is None
+    assert len(completions) == 9**4 < search.DEFAULT_TRIAL_BUDGET
+
+
 def test_search_budget_exhaustion_returns_none():
     assert search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, seed=0, budget=3) is None
 

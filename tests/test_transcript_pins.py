@@ -68,7 +68,7 @@ def decode_outputs(s, demand: DemandVector, seed: int, width: int) -> list:
     outputs = []
     for u in range(s.n_users):
         decoded = s.decode(u, demand[u], user_keys[u], msg, caches[u])
-        outputs.append([[sym.width, sym.value] for sym in decoded])
+        outputs.append([[width, value] for value in decoded])
     return outputs
 
 
