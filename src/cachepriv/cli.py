@@ -17,6 +17,7 @@ M and L parse as exact fractions ("1/3").
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -126,6 +127,14 @@ def resolve_scheme(token: str) -> SchemeInstance:
     raise UnknownScheme(f"unknown scheme {token!r}")
 
 
+def _open_out(path: str | None):
+    """The --out file, opened for binary writing before the command's work,
+    so that a path that cannot be written fails first.  As with a shell
+    redirection, the file is created or emptied then, even if the command
+    goes on to fail.  Without --out, a null context."""
+    return contextlib.nullcontext() if path is None else open(path, "wb")
+
+
 def _print_verdict(label: str, v: Verdict) -> None:
     status = "PASS" if v.passed else "FAIL"
     extra = f"{v.cases} cases"
@@ -189,69 +198,70 @@ def cmd_search(args: argparse.Namespace) -> int:
         print("user count must be a multiple of the file count", file=sys.stderr)
         return 2
     demands = cyclic_demand_set(n_files, n_users // n_files)
-    started = time.perf_counter()
-    found = search_linear_scheme(
-        n_files,
-        n_users,
-        t,
-        cache_dim,
-        tx_dim,
-        demands,
-        strategy=args.strategy,
-        seed=args.seed,
-        budget=args.budget,
-    )
-    elapsed = time.perf_counter() - started
-    if found is None and rank_filter_never_passes(demands, t, cache_dim, tx_dim):
-        print(
-            "no scheme found: the target was refused before the first trial, "
-            "as some user's cache is too small for the rank filter ever to pass"
+    # --regen compares with the committed matrices and writes no file
+    with _open_out(None if args.regen else args.out) as out:
+        started = time.perf_counter()
+        found = search_linear_scheme(
+            n_files,
+            n_users,
+            t,
+            cache_dim,
+            tx_dim,
+            demands,
+            strategy=args.strategy,
+            seed=args.seed,
+            budget=args.budget,
         )
-        return 1
-    if found is None:
-        print(f"no scheme found within {args.budget} trials ({elapsed:.1f}s)")
-        return 1
-    print(
-        f"found (M, R) = ({found.memory}, {found.rate}) scheme "
-        f"in {elapsed:.1f}s", file=sys.stderr,
-    )
-    if args.regen:
-        committed = high_memory_2x4_matrices()
-        if (
-            found.cache_rows == committed.cache_rows
-            and found.deliveries == committed.deliveries
-        ):
-            print("witness reproduced: search output matches the committed matrices")
-            return 0
-        print("witness MISMATCH against the committed matrices", file=sys.stderr)
-        print(export_descriptor(found, "regenerated"), file=sys.stderr)
-        return 1
-    text = export_descriptor(found, f"search-{'-'.join(map(str, target))}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return 0
+        elapsed = time.perf_counter() - started
+        if found is None and rank_filter_never_passes(demands, t, cache_dim, tx_dim):
+            print(
+                "no scheme found: the target was refused before the first trial, "
+                "as some user's cache is too small for the rank filter ever to pass"
+            )
+            return 1
+        if found is None:
+            print(f"no scheme found within {args.budget} trials ({elapsed:.1f}s)")
+            return 1
+        print(
+            f"found (M, R) = ({found.memory}, {found.rate}) scheme "
+            f"in {elapsed:.1f}s", file=sys.stderr,
+        )
+        if args.regen:
+            committed = high_memory_2x4_matrices()
+            if (
+                found.cache_rows == committed.cache_rows
+                and found.deliveries == committed.deliveries
+            ):
+                print("witness reproduced: search output matches the committed matrices")
+                return 0
+            print("witness MISMATCH against the committed matrices", file=sys.stderr)
+            print(export_descriptor(found, "regenerated"), file=sys.stderr)
+            return 1
+        text = export_descriptor(found, f"search-{'-'.join(map(str, target))}")
+        if out is not None:
+            out.write(text.encode("utf-8"))
+            print(f"wrote {args.out}")
+        else:
+            print(text, end="")
+        return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     s = resolve_scheme(args.scheme)
     entries = tuple(int(x) for x in args.demands.split(","))
     demand = DemandVector(s.n_files, entries)
-    t = simulate_session(s, demand, args.seed, args.width)
-    for p in t.placements:
-        print(f"placement user={p.user} key={p.key} cache_bits={p.cache_bits}")
-    d = t.delivery
-    print(f"delivery header_bits={d.header_bits} payload_bits={d.payload_bits}")
-    for r in t.reports:
-        status = "ok" if r.matched else "MISMATCH"
-        print(f"decode user={r.user} file={r.file_index} {status}")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(transcript_to_bytes(t))
-        print(f"wrote {args.out}")
+    with _open_out(args.out) as out:
+        t = simulate_session(s, demand, args.seed, args.width)
+        for p in t.placements:
+            print(f"placement user={p.user} key={p.key} cache_bits={p.cache_bits}")
+        d = t.delivery
+        print(f"delivery header_bits={d.header_bits} payload_bits={d.payload_bits}")
+        for r in t.reports:
+            status = "ok" if r.matched else "MISMATCH"
+            print(f"decode user={r.user} file={r.file_index} {status}")
+        if out is not None:
+            out.write(transcript_to_bytes(t))
+            print(f"wrote {args.out}")
     return 0 if t.all_matched else 1
 
 

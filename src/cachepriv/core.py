@@ -435,12 +435,16 @@ class SchemeInstance:
         return self.program.server_size(width)
 
     def check_demand(self, demand: Sequence[int]) -> None:
-        """Raise ParameterError unless the demand has one entry per user."""
+        """Raise ParameterError unless the demand has one entry per user,
+        each in range(n_files)."""
         if len(demand) != self.n_users:
             raise ParameterError(
                 f"{self.name} has {self.n_users} users, "
                 f"but the demand has {len(demand)} entries"
             )
+        for d in demand:
+            if not 0 <= d < self.n_files:
+                raise ParameterError(f"demand {d} out of range for {self.n_files} files")
 
     @property
     def header_bits(self) -> int:

@@ -90,6 +90,10 @@ class LinearSchemeMatrices:
         for d, rows in self.deliveries:
             if len(d) != self.n_users:
                 raise ParameterError("demand length does not match user count")
+            if any(not 0 <= f < self.n_files for f in d):
+                raise ParameterError(
+                    f"demand {d} names a file outside range({self.n_files})"
+                )
             if len(rows) != self.tx_dim:
                 raise ParameterError("ragged delivery matrices")
             if any(not 0 <= r < limit for r in rows):

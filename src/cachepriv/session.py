@@ -243,9 +243,19 @@ def simulate_session(
 
     The same (scheme, demand, seed, width) always yields byte-identical
     transcripts.  The width is checked before anything is drawn, the demand
-    by run_session before it runs.
+    by run_session before it runs.  A width at which a cache, payload or
+    decoded file (M*t*w, R*t*w and t*w bits) would not fit a bit block's
+    4-octet count raises ParameterError.
     """
     check_width(width)
+    file_bits = s.subpacketization * width
+    # compared in integers: Fraction arithmetic is slow next to a narrow round
+    for blocks in (1, s.memory, s.rate):
+        if blocks.numerator * file_bits >= blocks.denominator << 32:
+            raise ParameterError(
+                f"width {width} is too large: a transcript bit block holds "
+                f"fewer than 2^32 bits"
+            )
     rng = random.Random(seed)
     store = FileStore.random(s.n_files, s.subpacketization, width, rng)
     user_keys = tuple(rng.randrange(size) for size in s.key_sizes)

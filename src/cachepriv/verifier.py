@@ -9,14 +9,14 @@ pass or fail.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .core import (
     DemandVector,
@@ -119,79 +119,15 @@ class Verdict:
 # atom space
 
 
-@dataclass(frozen=True)
-class AtomSpace:
-    """The joint space (stores x demands x keys x server randomness)."""
-
-    scheme: SchemeInstance
-    width: int
-    store_count: int
-    demands: tuple[tuple[int, ...], ...]
-    key_sizes: tuple[int, ...]
-    server_count: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.store_count
-            * len(self.demands)
-            * math.prod(self.key_sizes)
-            * self.server_count
-        )
-
-    @cached_property
-    def demand_vectors(self) -> tuple[DemandVector, ...]:
-        return tuple(DemandVector(self.scheme.n_files, d) for d in self.demands)
-
-    @cached_property
-    def assignments(self) -> tuple[KeyAssignment, ...]:
-        """Every key realization: user keys with key 0 fastest, then server
-        randomness innermost."""
-        return tuple(
-            KeyAssignment(tuple(reversed(keys)), p)
-            for keys in itertools.product(*map(range, reversed(self.key_sizes)))
-            for p in range(self.server_count)
-        )
-
-    def iter_indexed(
-        self,
-    ) -> Iterator[tuple[int, int, DemandVector, int, KeyAssignment]]:
-        """Every atom once as (store index, demand number, demand, key
-        realization number, keys): store outermost, then demand, then the
-        key realizations in assignments order.  The atoms that share a
-        demand vector or a key assignment yield the same object."""
-        demands = tuple(enumerate(self.demand_vectors))
-        assignments = tuple(enumerate(self.assignments))
-        for index in range(self.store_count):
-            for d, demand in demands:
-                for a, keys in assignments:
-                    yield index, d, demand, a, keys
-
-
-def atom_space(s: SchemeInstance, width: int) -> AtomSpace:
-    demands = s.served_demands().members
-    return AtomSpace(
-        scheme=s,
-        width=width,
-        store_count=FileStore.space_size(s.n_files, s.subpacketization, width),
-        demands=demands,
-        key_sizes=s.key_sizes,
-        server_count=s.server_random_size(width),
-    )
-
-
-def _check_budget(s: SchemeInstance, width: int, budget: int | None) -> int:
-    """Atom-count arithmetic, done before any demand set is materialized."""
-    limit = resolve_budget(budget)
-    required = (
+def atom_count(s: SchemeInstance, width: int) -> int:
+    """Atoms in the joint space (stores x served demands x user keys x server
+    randomness), counted without listing any of them."""
+    return (
         FileStore.space_size(s.n_files, s.subpacketization, width)
         * s.n_served()
         * math.prod(s.key_sizes)
         * s.server_random_size(width)
     )
-    if required > limit:
-        raise BudgetExceeded(required, limit)
-    return required
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +207,29 @@ def run_checks(
 ) -> dict[str, Verdict]:
     """Run the requested checks over one enumeration of the atom space.
 
+    The sweep is three nested loops: store index, then served demand, then
+    key realization (user 0's key fastest, server randomness innermost).
+    Every row table of the scheme's column program is compiled (_compile)
+    before the first atom: per key realization each user's cache, and per
+    (demand, key realization) the delivery, its packed pads, payload bits
+    and header and, with decodability, each user's decode recipe.  The
+    declared M*F and R*F sizes are checked there, once per table entry.
     Placement never sees the demand, so each store is placed once per key
-    realization and that placement serves every demand of the store.  Each
-    atom is delivered once and feeds every requested check.  Verdicts are
-    keyed "decodability", "privacy[user k]" and "conditional-invariance",
-    in that order.  Decodability stops counting at its first failure, and
-    the enumeration stops there when no other check was requested.
+    realization, at the top of the store loop, and that placement serves
+    every demand of the store.  Each atom is delivered once and feeds every
+    requested check.  Verdicts are keyed "decodability", "privacy[user k]"
+    and "conditional-invariance", in that order.  Decodability stops
+    counting at its first failure, and the enumeration stops there when no
+    other check was requested.
 
-    A user's observation is the int tuple (cache value, cache bits, key,
-    payload value, payload bits, header, own demand); the invariance views
-    pair it with the packed content of the demanded file.  Every value is
-    computed from the scheme's column program on packed ints (_Compiled),
-    with no FileStore or CacheContent built.  A decode
-    succeeds when its recipe gives t symbols equal to the demanded file's
-    bits of the store index.
+    The store index is the packed store, column c at bits [c*w, (c+1)*w);
+    a delivery's pads are packed with it and ORed above the store, pad p as
+    column n_cols + p.  A decode recipe runs on the user's cache with the
+    payload packed above it, and succeeds when it gives t symbols equal to
+    the demanded file's bits of the store index.  A user's observation is
+    the int tuple (cache value, cache bits, key, payload value, payload
+    bits, header, own demand); the invariance views pair it with the packed
+    content of the demanded file.
     """
     check_width(width)
     users = tuple(users)
@@ -295,98 +240,123 @@ def run_checks(
             raise ParameterError(f"no user {user} in a {s.n_users}-user scheme")
     if invariance and (s.n_files != 2 or s.n_users != 2):
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
-    _check_budget(s, width, budget)
-    space = atom_space(s, width)
-    tables = _Compiled(s, space)
-    entries = tables.entries
-    t = s.subpacketization
-    cache_bits, payload_bits = (_exact(v * t * width) for v in (s.memory, s.rate))
-    file_bits = t * width
+    total = atom_count(s, width)
+    limit = resolve_budget(budget)
+    if total > limit:
+        raise BudgetExceeded(total, limit)
+
+    program, t = s.program, s.subpacketization
+    n_cols, file_bits = s.n_files * t, t * width
     file_mask = (1 << file_bits) - 1
-    decode_cases = 0
-    decode_failure: DecodeCounterexample | None = None
-    joints = {user: Counter() for user in users}
-    # per demand number: (user, that user's joint counts, the other demands)
-    observers = [
-        tuple((user, joints[user], demand.drop(user)) for user in users)
-        for demand in space.demand_vectors
+    cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
+    compiled = functools.cache(functools.partial(_compile, width=width))
+    demands = s.served_demands().members
+    realizations = [
+        (tuple(reversed(keys)), server)
+        for keys in itertools.product(*map(range, reversed(s.key_sizes)))
+        for server in range(s.server_random_size(width))
     ]
+    # per key realization: (ops, cache bits, key) per user
+    placers = []
+    for user_keys, _ in realizations:
+        placer = []
+        for user, key in enumerate(user_keys):
+            rows = program.cache(user, key)
+            bits = len(rows) * width
+            if decodability and bits != cache_bits:
+                raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
+            placer.append((compiled(rows, n_cols), bits, key))
+        placers.append(placer)
+    joints = {user: Counter() for user in users}
     views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
-    # per demand number: (user, own demand, the view table of that pair)
-    viewers = [
-        tuple((k, d[k], views[(k, d[k], d[1 - k])]) for k in (0, 1))
-        for d in (space.demands if invariance else ())
-    ]
-    loaded = -1
-    placed: list = []
-    files: tuple[tuple[int, int], ...] = ()
-    for index, d, demand, a, keys in space.iter_indexed():
-        checking = decodability and decode_failure is None
-        if index != loaded:
-            loaded = index
-            placed = [None] * len(space.assignments)
-            if invariance:
-                files = tuple(
-                    ((index >> j * file_bits) & file_mask, file_bits)
-                    for j in range(s.n_files)
-                )
-        packed = placed[a]
-        if packed is None:
-            packed = placed[a] = tuple(
-                (_apply(ops, index), bits, key)
-                for ops, bits, key in tables.placer(a, keys)
-            )
-            if checking:
-                _check_caches(packed, cache_bits)
-        entry = entries[d][a]
-        if entry is None:
-            entry = tables.delivery(d, a, demand, keys)
-        ops, pads, pay_bits, header, recipes = entry
-        x, pay_val = index | pads, 0
-        for shift, mask, factor in ops:
-            pay_val ^= ((x >> shift) & mask) * factor
-        wants = demand.entries
-        if checking:
-            if pay_bits != payload_bits:
-                raise SchemeError(
-                    f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
-                )
-            decode_cases += 1
-            for k, recipe in enumerate(recipes):
-                cache_val, cache_len, key = packed[k]
-                if recipe is None:
-                    recipe = recipes[k] = tables.recipe(
-                        k, wants[k], key, header, cache_len + pay_bits
+    # per demand: (demand, entries, observers, viewers), where an entry per
+    # key realization is (realization number, ops, pads, payload bits,
+    # header, per-user recipes as (user, ops, output count)), an observer is
+    # (user, that user's joint counts, the other users' demands) and a
+    # viewer is (user, own demand, the view table of that pair)
+    sweep = []
+    for wants in demands:
+        s.check_demand(wants)
+        entries = []
+        for a, ((user_keys, server), placer) in enumerate(zip(realizations, placers)):
+            configs, pads = program.split_server(server, width)
+            rows, header = program.delivery(wants, user_keys, configs)
+            pay_bits = len(rows) * width
+            recipes = []
+            if decodability:
+                if pay_bits != payload_bits:
+                    raise SchemeError(
+                        f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
                     )
-                ops, n_out = recipe
-                x, got = cache_val | pay_val << cache_len, 0
-                for shift, mask, factor in ops:
-                    got ^= ((x >> shift) & mask) * factor
-                want = (index >> wants[k] * file_bits) & file_mask
-                if n_out != t or got != want:
-                    decode_failure = DecodeCounterexample(
-                        index,
-                        wants,
-                        keys.user_keys,
-                        keys.server_random,
-                        k,
-                        _split(want, width, t),
-                        _split(got, width, n_out),
-                    )
-                    break
-            if decode_failure is not None and not (users or invariance):
-                break
-        for user, joint, others in observers[d]:
-            cache_val, cache_len, key = packed[user]
-            obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
-            joint[(others, obs)] += 1
+                for user, (_, bits, key) in enumerate(placer):
+                    recipe = program.recipe(user, wants[user], key, header)
+                    n_inputs = (bits + pay_bits) // width
+                    recipes.append((user, compiled(recipe, n_inputs), len(recipe)))
+            packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
+            ops = compiled(rows, n_cols + len(pads))
+            entries.append((a, ops, packed, pay_bits, header, recipes))
+        observers = tuple(
+            (user, joints[user], wants[:user] + wants[user + 1 :]) for user in users
+        )
+        viewers = ()
         if invariance:
-            for k, j, view in viewers[d]:
-                cache_val, cache_len, key = packed[k]
-                obs = (cache_val, cache_len, key, pay_val, pay_bits, header, j)
-                view[(obs, files[j])] += 1
+            viewers = tuple(
+                (k, wants[k], views[(k, wants[k], wants[1 - k])]) for k in (0, 1)
+            )
+        sweep.append((wants, entries, observers, viewers))
+
+    decode_cases = 0
+    decode_failure: DecodeCounterexample | None = None
+    checking, stop = decodability, False
+    for index in range(FileStore.space_size(s.n_files, t, width)):
+        placed = [
+            [(_apply(ops, index), bits, key) for ops, bits, key in placer]
+            for placer in placers
+        ]
+        files = [
+            ((index >> j * file_bits) & file_mask, file_bits) for j in range(s.n_files)
+        ]
+        for wants, entries, observers, viewers in sweep:
+            for a, ops, pads, pay_bits, header, recipes in entries:
+                caches = placed[a]
+                x, pay_val = index | pads, 0
+                for shift, mask, factor in ops:
+                    pay_val ^= ((x >> shift) & mask) * factor
+                if checking:
+                    decode_cases += 1
+                    for k, ops, n_out in recipes:
+                        cache_val, cache_len, _ = caches[k]
+                        x, got = cache_val | pay_val << cache_len, 0
+                        for shift, mask, factor in ops:
+                            got ^= ((x >> shift) & mask) * factor
+                        want = files[wants[k]][0]
+                        if n_out != t or got != want:
+                            decode_failure = DecodeCounterexample(
+                                index,
+                                wants,
+                                *realizations[a],
+                                k,
+                                _split(want, width, t),
+                                _split(got, width, n_out),
+                            )
+                            checking, stop = False, not (users or invariance)
+                            break
+                    if stop:
+                        break
+                for user, joint, others in observers:
+                    cache_val, cache_len, key = caches[user]
+                    obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
+                    joint[(others, obs)] += 1
+                for k, j, view in viewers:
+                    cache_val, cache_len, key = caches[k]
+                    obs = (cache_val, cache_len, key, pay_val, pay_bits, header, j)
+                    view[(obs, files[j])] += 1
+            if stop:
+                break
+        if stop:
+            break
 
     verdicts: dict[str, Verdict] = {}
     if decodability:
@@ -396,17 +366,8 @@ def run_checks(
     for user, joint in joints.items():
         verdicts[f"privacy[user {user}]"] = JointDistribution.of(joint).verdict()
     if invariance:
-        verdicts["conditional-invariance"] = _invariance_verdict(views, space.total)
+        verdicts["conditional-invariance"] = _invariance_verdict(views, total)
     return verdicts
-
-
-def _check_caches(
-    packed: Sequence[tuple[int, int, int]], cache_bits: Fraction
-) -> None:
-    """Raise SchemeError unless every cache holds M*F bits."""
-    for _, bits, _ in packed:
-        if bits != cache_bits:
-            raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
 
 
 def _exact(value: Fraction) -> Fraction | int:
@@ -467,69 +428,6 @@ def _apply(ops: Ops, x: int) -> int:
     for shift, mask, factor in ops:
         value ^= ((x >> shift) & mask) * factor
     return value
-
-
-class _Compiled:
-    """A scheme's column program as compiled row tables for one sweep, each
-    compiled (_compile) when the sweep first needs it and kept.
-
-    The store index is the packed store, column c at bits [c*w, (c+1)*w);
-    a delivery's pads are packed with it and ORed above the store, pad p as
-    column n_cols + p.  A decode recipe runs on the user's cache with the
-    payload packed above it.
-    """
-
-    def __init__(self, s: SchemeInstance, space: AtomSpace) -> None:
-        self.s, self.program, self.width = s, s.program, space.width
-        self.n_cols = s.n_files * s.subpacketization
-        self.compiled: dict[tuple[Rows, int], Ops] = {}
-        # per key realization: (ops, cache bits, key) per user
-        self.placers: list = [None] * len(space.assignments)
-        # per (demand, key realization): [ops, pad bits, payload bits,
-        # header, per-user recipes as (ops, output count)]
-        self.entries: list[list] = [
-            [None] * len(space.assignments) for _ in space.demands
-        ]
-
-    def _ops(self, rows: Rows, n_inputs: int) -> Ops:
-        ops = self.compiled.get((rows, n_inputs))
-        if ops is None:
-            ops = self.compiled[(rows, n_inputs)] = _compile(rows, n_inputs, self.width)
-        return ops
-
-    def placer(self, a: int, keys: KeyAssignment) -> tuple[tuple[Ops, int, int], ...]:
-        """(ops, cache bits, key) per user under key realization a."""
-        placer = self.placers[a]
-        if placer is None:
-            tables = [self.program.cache(u, k) for u, k in enumerate(keys.user_keys)]
-            placer = self.placers[a] = tuple(
-                (self._ops(rows, self.n_cols), len(rows) * self.width, k)
-                for rows, k in zip(tables, keys.user_keys)
-            )
-        return placer
-
-    def delivery(
-        self, d: int, a: int, demand: DemandVector, keys: KeyAssignment
-    ) -> list:
-        """Compile and keep the entry of demand number d under key
-        realization a."""
-        self.s.check_demand(demand)
-        w = self.width
-        configs, pads = self.program.split_server(keys.server_random, w)
-        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
-        ops = self._ops(rows, self.n_cols + len(pads))
-        packed = sum(v << ((self.n_cols + i) * w) for i, v in enumerate(pads))
-        recipes = [None] * self.s.n_users
-        entry = self.entries[d][a] = [ops, packed, len(rows) * w, header, recipes]
-        return entry
-
-    def recipe(
-        self, user: int, demand: int, key: int, header: tuple[int, ...], bits: int
-    ) -> tuple[Ops, int]:
-        """(ops, output count) of a decode recipe over bits of cache and
-        payload."""
-        rows = self.program.recipe(user, demand, key, header)
-        return self._ops(rows, bits // self.width), len(rows)
 
 
 def _invariance_verdict(

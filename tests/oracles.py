@@ -27,12 +27,7 @@ from cachepriv.core import (
     pack_symbols,
 )
 from cachepriv.region import check_inequalities
-from cachepriv.verifier import (
-    AtomSpace,
-    DecodeCounterexample,
-    IndependenceCounterexample,
-    atom_space,
-)
+from cachepriv.verifier import DecodeCounterexample, IndependenceCounterexample
 
 
 def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:
@@ -41,18 +36,39 @@ def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:
     return replace(s, program=replace(s.program, **tables))
 
 
+def atom_total(s: SchemeInstance, width: int = 1) -> int:
+    """Atoms in the joint space, from the sizes of its four factors."""
+    return (
+        FileStore.space_size(s.n_files, s.subpacketization, width)
+        * len(s.served_demands().members)
+        * math.prod(s.key_sizes)
+        * s.server_random_size(width)
+    )
+
+
 def iter_atoms(
-    space: AtomSpace,
+    s: SchemeInstance, width: int = 1
 ) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
-    """Every atom once, in iter_indexed order, with its store built once."""
-    s, loaded = space.scheme, -1
-    for index, _, demand, _, keys in space.iter_indexed():
-        if index != loaded:
-            loaded = index
+    """Every atom once, in the verifier's order, each decoded from its flat
+    index: server randomness fastest, then user keys (key 0 fastest), then
+    demand, then store.  A store is built once for the atoms that share it."""
+    demands = s.served_demands().members
+    servers = s.server_random_size(width)
+    loaded = -1
+    for index in range(atom_total(s, width)):
+        rest, server = divmod(index, servers)
+        user_keys = []
+        for size in s.key_sizes:
+            rest, key = divmod(rest, size)
+            user_keys.append(key)
+        store_index, d = divmod(rest, len(demands))
+        if store_index != loaded:
+            loaded = store_index
             store = FileStore.from_index(
-                s.n_files, s.subpacketization, space.width, index
+                s.n_files, s.subpacketization, width, store_index
             )
-        yield store, demand, keys
+        demand = DemandVector(s.n_files, demands[d])
+        yield store, demand, KeyAssignment(tuple(user_keys), server)
 
 
 def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
@@ -60,9 +76,8 @@ def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
     observation (cache, key, broadcast, own demand) must pin down the
     demanded file's content.  If it does, some decoder exists; if it does
     not, no decoder can work."""
-    space = atom_space(s, width)
     seen: dict[tuple, tuple[int, ...]] = {}
-    for store, demand, keys in iter_atoms(space):
+    for store, demand, keys in iter_atoms(s, width):
         caches = s.place(keys, store)
         msg = s.deliver(store, demand, keys)
         for u in range(s.n_users):
@@ -139,38 +154,18 @@ def reference_checks(
     reports, as {label: (passed, cases, mi_bits, counterexample text)},
     computed the naive way.
 
-    Atom i is decoded from its flat index: server randomness fastest, then
-    user keys (key 0 fastest), then demand, then store.  Every atom is
-    built, placed, delivered and decoded on its own, and the count tables
-    are kept here.  Privacy observations use their own encoding (the
-    tuples of symbol values); the invariance cells use the verifier's layout
-    because the counterexample prints one.
+    Every atom of iter_atoms is placed, delivered and decoded on its own,
+    and the count tables are kept here.  Privacy observations use their own
+    encoding (the tuples of symbol values); the invariance cells use the
+    verifier's layout because the counterexample prints one.
     """
-    demands = s.served_demands().members
-    servers = s.server_random_size(width)
-    total = (
-        FileStore.space_size(s.n_files, s.subpacketization, width)
-        * len(demands)
-        * math.prod(s.key_sizes)
-        * servers
-    )
+    total = atom_total(s, width)
     decode_cases, decode_text = 0, None
     joint = {u: Counter() for u in users}
     views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
-    for index in range(total):
-        rest, server = divmod(index, servers)
-        user_keys = []
-        for size in s.key_sizes:
-            rest, key = divmod(rest, size)
-            user_keys.append(key)
-        store_index, d = divmod(rest, len(demands))
-        store = FileStore.from_index(
-            s.n_files, s.subpacketization, width, store_index
-        )
-        demand = DemandVector(s.n_files, demands[d])
-        keys = KeyAssignment(tuple(user_keys), server)
+    for store, demand, keys in iter_atoms(s, width):
         caches = s.place(keys, store)
         msg = s.deliver(store, demand, keys)
         if decode_text is None:
@@ -181,10 +176,10 @@ def reference_checks(
                 if got != want:
                     decode_text = str(
                         DecodeCounterexample(
-                            store_index,
+                            store.index(),
                             demand.entries,
                             keys.user_keys,
-                            server,
+                            keys.server_random,
                             k,
                             want,
                             got,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from cachepriv.cli import main, resolve_scheme
@@ -188,21 +191,34 @@ FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, command",
     [
-        FROZEN.replace("users: 4\n", ""),
-        FROZEN.replace("files: 2\n", ""),
-        FROZEN.replace("subpacketization: 3\n", ""),
-        FROZEN.replace("cache 1:", "# cache 1:"),
-        FROZEN.replace("users: 4\n", "users: four\n"),
-        "version: 1\nfiles: 0\nusers: 1\nsubpacketization: 1\ncache 0:\n",
+        (FROZEN.replace("users: 4\n", ""), "verify"),
+        (FROZEN.replace("files: 2\n", ""), "verify"),
+        (FROZEN.replace("subpacketization: 3\n", ""), "verify"),
+        (FROZEN.replace("cache 1:", "# cache 1:"), "verify"),
+        (FROZEN.replace("users: 4\n", "users: four\n"), "verify"),
+        ("version: 1\nfiles: 0\nusers: 1\nsubpacketization: 1\ncache 0:\n", "verify"),
+        (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,5:"), "verify"),
+        (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,-1:"), "verify"),
+        (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,5:"), "measure"),
     ],
-    ids=["no-users", "no-files", "no-t", "no-cache-1", "bad-int", "zero-files"],
+    ids=[
+        "no-users",
+        "no-files",
+        "no-t",
+        "no-cache-1",
+        "bad-int",
+        "zero-files",
+        "demand-past-the-files",
+        "negative-demand",
+        "measure-demand-past-the-files",
+    ],
 )
-def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text):
+def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text, command):
     path = tmp_path / "bad.desc"
     path.write_text(text)
-    assert main(["verify", str(path)]) == 2
+    assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -227,6 +243,12 @@ ENV_BUDGET = "CACHEPRIV_BUDGET must be a non-negative integer, got "
         (["verify", "example1"], "1.5", ENV_BUDGET + "'1.5'"),
         (["simulate", "example1", "--demands", "0,1", "--width", "0"], None, WIDTH + "0"),
         (["simulate", "example1", "--demands", "0,1", "--width", "-3"], None, WIDTH + "-3"),
+        (
+            ["simulate", "thm1:3,2,0", "--demands", "0,1", "--width", "100000000000"],
+            None,
+            "width 100000000000 is too large: a transcript bit block holds "
+            "fewer than 2^32 bits",
+        ),
     ],
 )
 def test_bad_width_and_budget_are_usage_errors(monkeypatch, capsys, argv, env, message):
@@ -269,11 +291,30 @@ def test_bad_width_and_budget_are_usage_errors(monkeypatch, capsys, argv, env, m
 )
 def test_bad_inputs_are_usage_errors_without_a_traceback(tmp_path, capsys, argv):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [
         err.splitlines()[-1]
     ]
     assert "Traceback" not in err
+    if "--out" in argv:
+        # the output path is opened before any work is done or printed
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
+
+
+@pytest.mark.parametrize(
+    "call",
+    json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8")),
+    ids=lambda call: " ".join(call["args"]),
+)
+def test_pinned_verify_outputs(capsys, call):
+    assert main(["verify", *call["args"]]) == call["exit"]
+    out, err = capsys.readouterr()
+    assert out == call["stdout"]
+    assert err == ""
 
 
 def test_search_exhaustive_strategy(capsys):

@@ -37,7 +37,7 @@ from cachepriv.schemes import (
 )
 from cachepriv.search import LinearSchemeMatrices, export_descriptor
 from cachepriv.session import run_session, simulate_session
-from cachepriv.verifier import _compile, atom_space, measure_rates, run_checks
+from cachepriv.verifier import _compile, atom_count, measure_rates, run_checks
 from oracles import reference_checks, with_tables
 
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
@@ -147,7 +147,7 @@ def agreement_params():
     for token in TOKENS:
         s = resolve_scheme(token)
         for width in (1, 2):
-            if (token, width) in PINNED or atom_space(s, width).total > 1 << 16:
+            if (token, width) in PINNED or atom_count(s, width) > 1 << 16:
                 continue
             params.append(pytest.param(token, width, id=f"{token} w{width}"))
     params.append(pytest.param("thm1:3,2,0", 2, id="thm1:3,2,0 w2"))

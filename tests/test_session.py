@@ -30,7 +30,7 @@ from cachepriv.session import (
     simulate_session,
     transcript_to_bytes,
 )
-from cachepriv.verifier import JointDistribution, atom_space, check_privacy
+from cachepriv.verifier import JointDistribution, atom_count, check_privacy
 from oracles import iter_atoms, with_tables
 
 
@@ -204,9 +204,8 @@ def test_wire_observations_reproduce_the_privacy_verdict():
     # rebuild the user-0 privacy table from parsed transcript bytes only;
     # it must reach the same verdict as the library's own counting path
     s = low_memory_private_scheme()
-    space = atom_space(s, 1)
     pairs = []
-    for store, demand, keys in iter_atoms(space):
+    for store, demand, keys in iter_atoms(s, 1):
         parsed = parse_transcript(
             transcript_to_bytes(run_session(s, store, demand, keys))
         )
@@ -220,6 +219,6 @@ def test_wire_observations_reproduce_the_privacy_verdict():
         )
         pairs.append((demand.drop(0), view))
     table = JointDistribution.from_pairs(pairs)
-    assert table.total == space.total
+    assert table.total == atom_count(s, 1)
     assert table.first_violation() is None
     assert check_privacy(s, 0).passed

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from cachepriv.verifier import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
     JointDistribution,
-    atom_space,
+    atom_count,
     check_conditional_invariance,
     check_decodability,
     check_privacy,
@@ -82,36 +83,42 @@ def test_mutual_information_matches_entropy_route():
 
 def test_atom_space_is_a_bijection():
     s = basic_private_scheme(3, 2, 0)
-    space = atom_space(s, 1)
     seen = set()
-    for store, demand, keys in iter_atoms(space):
+    for store, demand, keys in iter_atoms(s, 1):
         seen.add((store.index(), demand.entries, keys.user_keys, keys.server_random))
-    assert len(seen) == space.total == 2304
+    # the sweep counts each of the distinct atoms once
+    cases = run_checks(s, decodability=False, users=(0,))["privacy[user 0]"].cases
+    assert len(seen) == atom_count(s, 1) == cases == 2304
 
 
-def decode_corrupted(s):
+def decode_corrupted(s, when=lambda header: True):
     """s with the first decode recipe row of every user also reading the
-    user's first input symbol."""
+    user's first input symbol, under the headers that `when` accepts."""
     recipe = s.program.recipe
 
     def corrupted(user, demand, key, header):
         rows = recipe(user, demand, key, header)
-        return (rows[0] + (0,),) + rows[1:]
+        return (rows[0] + (0,),) + rows[1:] if when(header) else rows
 
     return with_tables(s, recipe=corrupted)
 
 
-def counting_placements(monkeypatch) -> list:
-    """The key realization number of every placement run_checks makes."""
-    placer = verifier._Compiled.placer
-    calls = []
+def counting_placements(monkeypatch) -> Counter:
+    """Per store index, the user caches run_checks computes for it."""
+    apply = verifier._apply
+    calls = Counter()
 
-    def counting(self, a, keys):
-        calls.append(a)
-        return placer(self, a, keys)
+    def counting(ops, index):
+        calls[index] += 1
+        return apply(ops, index)
 
-    monkeypatch.setattr(verifier._Compiled, "placer", counting)
+    monkeypatch.setattr(verifier, "_apply", counting)
     return calls
+
+
+def placements_per_store(s) -> int:
+    """One cache per user for each key realization, at width 1."""
+    return s.n_users * s.key_space_size * s.server_random_size(1)
 
 
 def test_decodability_counterexample_reporting(monkeypatch):
@@ -124,14 +131,17 @@ def test_decodability_counterexample_reporting(monkeypatch):
     assert 0 <= ce.user < 2
     assert ce.expected != ce.actual
     # the sweep stops at the first failure, which is the atom it reports
-    atoms = list(itertools.islice(atom_space(s, 1).iter_indexed(), v.cases))
-    index, _, demand, _, keys = atoms[-1]
-    assert (index, demand.entries, keys.user_keys) == (
+    atoms = list(itertools.islice(iter_atoms(s, 1), v.cases))
+    store, demand, keys = atoms[-1]
+    assert (store.index(), demand.entries, keys.user_keys, keys.server_random) == (
         ce.store_index,
         ce.demand,
         ce.user_keys,
+        ce.server_random,
     )
-    assert len(placed) == len({(index, a) for index, _, _, a, _ in atoms})
+    # each store it reached is placed once per key realization
+    stores = {store.index() for store, _, _ in atoms}
+    assert placed == {index: placements_per_store(s) for index in stores}
 
 
 def verify_call_params():
@@ -155,6 +165,14 @@ def verify_call_params():
         ),
         pytest.param(
             decode_corrupted(low_memory_private_scheme()), 1, id="decode-corrupted"
+        ),
+        # thm1's header follows the slot configuration drawn from the server
+        # randomness, so the first failure, and the cases counted up to it,
+        # depend on the server randomness running innermost
+        pytest.param(
+            decode_corrupted(resolve_scheme("thm1:3,2,0"), lambda h: h[0] == 1),
+            1,
+            id="decode-corrupted-by-server-randomness",
         ),
     ],
 )
@@ -181,11 +199,12 @@ def test_place_runs_once_per_store_and_key_realization(monkeypatch, token):
     calls = counting_placements(monkeypatch)
     run_checks(s, users=range(s.n_users), invariance=s.n_files == 2)
     stores = FileStore.space_size(s.n_files, s.subpacketization, 1)
-    assert len(calls) == stores * s.key_space_size * s.server_random_size(1)
-    assert len(calls) < atom_space(s, 1).total
+    assert calls == {index: placements_per_store(s) for index in range(stores)}
+    # fewer placements than atoms: one serves every demand of its store
+    assert stores * placements_per_store(s) < atom_count(s, 1) * s.n_users
 
 
-def test_wrong_cache_size_raises_on_the_placement_that_has_it(monkeypatch):
+def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
     s = low_memory_private_scheme()
     cache = s.program.cache
 
@@ -196,9 +215,9 @@ def test_wrong_cache_size_raises_on_the_placement_that_has_it(monkeypatch):
     placed = counting_placements(monkeypatch)
     with pytest.raises(SchemeError, match=r"cache holds 2 bits, declared M\*F = 1$"):
         check_decodability(with_tables(s, cache=late_oversized))
-    # key realizations run with user 0's key fastest, so the first that
-    # gives user 1 key 1 is number 2, keys (0, 1)
-    assert placed == [0, 1, 2]
+    # the sizes are checked as the cache tables are compiled, before the
+    # first store is placed
+    assert not placed
     # a program with one key alphabet per user is what makes one cache per
     # user, and a scheme is built only from such a program
     with pytest.raises(ValueError, match="one key alphabet per user"):
