@@ -346,9 +346,10 @@ def check_shape(n_files: int, n_users: int) -> None:
         )
 
 
-def _xor_rows(rows: Rows, values: Sequence[int]) -> tuple[int, ...]:
+def xor_rows(rows: Rows, values: Sequence[int]) -> tuple[int, ...]:
     """One value per row, the XOR of the values its columns select.  Columns
-    are never negative: the program's tables reject such rows."""
+    are never negative: the program's tables reject such rows.  Given the
+    unit vectors 1 << c for the values, it gives each row's GF(2) form."""
     out = []
     for cols in rows:
         value = 0
@@ -398,7 +399,7 @@ class SchemeInstance:
     def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
         cache = self.program.cache
         return tuple(
-            CacheContent(_xor_rows(cache(u, k), store.values), k)
+            CacheContent(xor_rows(cache(u, k), store.values), k)
             for u, k in enumerate(keys.user_keys)
         )
 
@@ -410,7 +411,7 @@ class SchemeInstance:
             keys.server_random, store.symbol_width
         )
         rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
-        return DeliveryMessage(_xor_rows(rows, (*store.values, *pads)), header)
+        return DeliveryMessage(xor_rows(rows, (*store.values, *pads)), header)
 
     def decode(
         self,
@@ -421,7 +422,7 @@ class SchemeInstance:
         cache: CacheContent,
     ) -> tuple[int, ...]:
         rows = self.program.recipe(user, demand, key, msg.header)
-        return _xor_rows(rows, cache.symbols + msg.payload)
+        return xor_rows(rows, cache.symbols + msg.payload)
 
     @property
     def key_sizes(self) -> tuple[int, ...]:

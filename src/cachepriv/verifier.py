@@ -1,10 +1,14 @@
-"""Exhaustive scheme verification by exact enumeration.
+"""Exact scheme verification: proof per configuration, then enumeration.
 
 Correctness and privacy are decided over the full joint space of file
-realizations, demands, user keys, and server randomness.  Independence is
-judged by an exact integer identity on count tables; the mutual-information
-figure attached to a verdict is a float diagnostic only and never decides
-pass or fail.
+realizations, demands, user keys, and server randomness.  Every scheme is
+a GF(2) column program, so a check can often be proven from the linear
+forms of one configuration at a time (demand, keys and the configuration
+part of the server randomness), without visiting a store; whatever that
+proof leaves open is enumerated atom by atom, and only enumeration reports
+a failure.  Independence is judged by an exact integer identity on count
+tables; the mutual-information figure attached to a verdict is a float
+diagnostic only and never decides pass or fail.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from . import gf2
 from .core import (
     DemandVector,
     FileStore,
@@ -28,6 +33,7 @@ from .core import (
     SchemeError,
     SchemeInstance,
     check_width,
+    xor_rows,
 )
 
 DEFAULT_BUDGET = 1 << 28
@@ -196,6 +202,12 @@ class JointDistribution:
 # ---------------------------------------------------------------------------
 # checks
 
+_INVARIANCE = "conditional-invariance"
+
+
+def _privacy(user: int) -> str:
+    return f"privacy[user {user}]"
+
 
 def run_checks(
     s: SchemeInstance,
@@ -205,34 +217,25 @@ def run_checks(
     users: Iterable[int] = (),
     invariance: bool = False,
 ) -> dict[str, Verdict]:
-    """Run the requested checks over one enumeration of the atom space.
+    """Run the requested checks over the atom space: prove what the GF(2)
+    forms settle, and enumerate the rest.
 
-    The sweep is three nested loops: store index, then served demand, then
-    key realization (user 0's key fastest, server randomness innermost).
-    Every row table of the scheme's column program is compiled (_compile)
-    before the first atom: per key realization each user's cache, and per
-    (demand, key realization) the delivery, its packed pads, payload bits
-    and header and, with decodability, each user's decode recipe.  The
-    declared M*F and R*F sizes are checked there, once per table entry.
-    Placement never sees the demand, so each store is placed once per key
-    realization, at the top of the store loop, and that placement serves
-    every demand of the store.  Each atom is delivered once and feeds every
-    requested check.  Verdicts are keyed "decodability", "privacy[user k]"
-    and "conditional-invariance", in that order.  Decodability stops
-    counting at its first failure, and the enumeration stops there when no
-    other check was requested.
-
-    The store index is the packed store, column c at bits [c*w, (c+1)*w);
-    a delivery's pads are packed with it and ORed above the store, pad p as
-    column n_cols + p.  A decode recipe runs on the user's cache with the
-    payload packed above it, and succeeds when it gives t symbols equal to
-    the demanded file's bits of the store index.  A user's observation is
-    the int tuple (cache value, cache bits, key, payload value, payload
-    bits, header, own demand); the invariance views pair it with the packed
-    content of the demanded file.
+    Verdicts are keyed "decodability", "privacy[user k]" and
+    "conditional-invariance", in that order, and are those that exhaustive
+    enumeration gives.  First every row table of the scheme's column
+    program is looked up and compiled, and the declared M*F and R*F sizes
+    are checked, once per table entry (_Tables).  Then _prove walks the
+    configurations (served demand, key realization and the configuration
+    part of the server randomness) and visits no store and no pad value.
+    A check it proves holds at every width; it reports the atom count as
+    its cases, and for privacy and invariance MI=0, which is what
+    enumeration computes for an independent table.  The checks it leaves
+    open go to _enumerate, the exhaustive sweep, which alone reports a
+    failure and its counterexample: a privacy test on configurations that
+    does not succeed is no proof of a leak.
     """
     check_width(width)
-    users = tuple(users)
+    users = tuple(dict.fromkeys(users))
     if (users or invariance) and s.privacy is not Privacy.PRIVATE:
         raise ParameterError(f"{s.name} is not a private scheme")
     for user in users:
@@ -245,58 +248,256 @@ def run_checks(
     if total > limit:
         raise BudgetExceeded(total, limit)
 
+    tables = _Tables(s, width, total, decodability)
+    verdicts = _prove(tables, decodability, users, invariance)
+    unsettled = (
+        decodability and "decodability" not in verdicts,
+        tuple(u for u in users if _privacy(u) not in verdicts),
+        invariance and _INVARIANCE not in verdicts,
+    )
+    if any(unsettled):
+        verdicts.update(_enumerate(tables, *unsettled))
+    labels = ["decodability"] if decodability else []
+    labels += map(_privacy, users)
+    if invariance:
+        labels.append(_INVARIANCE)
+    return {label: verdicts[label] for label in labels}
+
+
+class _Tables:
+    """A scheme's row tables for one width, looked up, size-checked and
+    compiled.
+
+    keys lists the key realizations, user 0's key fastest, and configs the
+    configuration tuples of the server randomness, part 0 fastest.  caches
+    maps (user, key) to (rows, ops, bits), in the order the key
+    realizations first reach it.  deliveries holds (demand, entries) per
+    served demand, with one entry (user keys, rows, header, payload bits,
+    ops, recipes) per key realization and configuration, configurations
+    fastest; recipes holds (user, ops, output count, rows) per user, and is
+    empty unless built for decodability.  Cache rows read the file columns, delivery rows the
+    file columns then the pads, and recipe rows the user's cache symbols
+    then the payload.
+
+    Every entry is built before any check runs, the caches first and then
+    the deliveries demand by demand, each in the order the enumeration
+    reaches it.  A row naming an input outside its table's range raises
+    IndexError; with decodability, a cache or payload of other than the
+    declared M*F or R*F bits raises SchemeError.
+    """
+
+    def __init__(
+        self, s: SchemeInstance, width: int, total: int, decodability: bool
+    ) -> None:
+        program, t = s.program, s.subpacketization
+        n_cols, file_bits = s.n_files * t, t * width
+        self.n_inputs = n_cols + sum(pads for _, pads in program.server)
+        cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
+        compiled = functools.cache(functools.partial(_compile, width=width))
+        self.s, self.width, self.total = s, width, total
+        self.keys = _odometer(s.key_sizes)
+        self.configs = _odometer([n for n, _ in program.server])
+        self.caches: dict[tuple[int, int], tuple[Rows, Ops, int]] = {}
+        for user_keys in self.keys:
+            for user, key in enumerate(user_keys):
+                if (user, key) not in self.caches:
+                    rows = program.cache(user, key)
+                    bits = len(rows) * width
+                    if decodability and bits != cache_bits:
+                        raise SchemeError(
+                            f"cache holds {bits} bits, declared M*F = {cache_bits}"
+                        )
+                    self.caches[user, key] = (rows, compiled(rows, n_cols), bits)
+        self.deliveries: list[tuple[tuple[int, ...], list[tuple]]] = []
+        for wants in s.served_demands().members:
+            s.check_demand(wants)
+            entries = []
+            for user_keys in self.keys:
+                for config in self.configs:
+                    rows, header = program.delivery(wants, user_keys, config)
+                    pay_bits = len(rows) * width
+                    recipes = []
+                    if decodability:
+                        if pay_bits != payload_bits:
+                            raise SchemeError(
+                                f"payload holds {pay_bits} bits, "
+                                f"declared R*F = {payload_bits}"
+                            )
+                        for user, key in enumerate(user_keys):
+                            recipe = program.recipe(user, wants[user], key, header)
+                            read = len(self.caches[user, key][0]) + len(rows)
+                            decode = compiled(recipe, read)
+                            recipes.append((user, decode, len(recipe), recipe))
+                    ops = compiled(rows, self.n_inputs)
+                    entries.append((user_keys, rows, header, pay_bits, ops, recipes))
+            self.deliveries.append((wants, entries))
+
+
+def _odometer(sizes: Iterable[int]) -> list[tuple[int, ...]]:
+    """Every tuple whose entry i is in range(sizes[i]), entry 0 fastest."""
+    ranges = map(range, reversed(list(sizes)))
+    return [tuple(reversed(values)) for values in itertools.product(*ranges)]
+
+
+def _view_tables() -> dict[tuple[int, int, int], Counter]:
+    """An empty invariance count table per (user k, own demand j, the other
+    user's demand)."""
+    return {(k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)}
+
+
+def _forms(tables: _Tables) -> Iterator[tuple]:
+    """Per configuration, the GF(2) form of every symbol a user sees.
+
+    A configuration is a served demand, a key realization and the
+    configuration part of the server randomness, in the order of
+    tables.deliveries.  Under it every cache, payload and decoded symbol
+    is, in each bit lane, the XOR of a fixed set of file and pad symbols:
+    its form, an int whose bit c stands for column c (file columns, then
+    pads), found by running the row tables on the unit vectors 1 << c.
+    Yields (demand, user keys, configuration, header, cache forms per user,
+    payload forms, decoded forms per user); the decoded forms are empty
+    without decodability.
+    """
+    units = [1 << c for c in range(tables.n_inputs)]
+    held = {slot: xor_rows(rows, units) for slot, (rows, _, _) in tables.caches.items()}
+    for wants, entries in tables.deliveries:
+        configs = itertools.cycle(tables.configs)
+        for (user_keys, rows, header, _, _, recipes), config in zip(entries, configs):
+            caches = tuple(held[slot] for slot in enumerate(user_keys))
+            sent = xor_rows(rows, units)
+            decoded = tuple(
+                xor_rows(recipe, cache + sent)
+                for (_, _, _, recipe), cache in zip(recipes, caches)
+            )
+            yield wants, user_keys, config, header, caches, sent, decoded
+
+
+def _prove(
+    tables: _Tables, decodability: bool, users: tuple[int, ...], invariance: bool
+) -> dict[str, Verdict]:
+    """The requested checks that the GF(2) forms (_forms) prove, each with
+    the verdict enumeration gives.
+
+    Under one configuration the file and pad symbols are uniform and
+    independent, and each symbol a user sees is a fixed form of them.
+    Hence:
+
+    - decodability holds when every user's decoded forms are exactly the t
+      unit forms of its demanded file;
+    - a user's observation is a discrete part (cache and payload lengths,
+      key, header, own demand) with symbols uniform, in every lane, on the
+      image of its stacked cache and payload forms (_image).  When the
+      configurations sharing each value of the other users' demands have
+      the same multiset of (discrete part, image), the observation is
+      independent of those demands at every width;
+    - conditional invariance is the same test for user k demanding j, with
+      file j's unit forms stacked on, between the other user's demands.
+
+    Unequal multisets prove nothing, since mixtures of uniform
+    distributions on different subspaces can coincide at the width asked
+    for, so such a check is left out of the result.
+    """
+    t = tables.s.subpacketization
+    files = [tuple(1 << (f * t + i) for i in range(t)) for f in range(tables.s.n_files)]
+    image = functools.cache(_image)
+    decodable = decodability
+    groups: dict[int, dict[tuple[int, ...], Counter]] = {u: {} for u in users}
+    views = _view_tables() if invariance else {}
+    for wants, user_keys, _, header, caches, sent, decoded in _forms(tables):
+        if decodable:
+            decodable = all(d == files[w] for d, w in zip(decoded, wants))
+        for user, observed in groups.items():
+            seen = caches[user] + sent
+            others = wants[:user] + wants[user + 1 :]
+            cell = (len(caches[user]), user_keys[user], len(sent), header, wants[user])
+            observed.setdefault(others, Counter())[cell, image(seen)] += 1
+        for user in (0, 1) if views else ():
+            seen = caches[user] + sent + files[wants[user]]
+            cell = (len(caches[user]), user_keys[user], len(sent), header)
+            views[user, wants[user], wants[1 - user]][cell, image(seen)] += 1
+    verdicts = {}
+    if decodable:
+        verdicts["decodability"] = Verdict(True, tables.total)
+    for user, observed in groups.items():
+        first, *rest = observed.values()
+        if all(counts == first for counts in rest):
+            verdicts[_privacy(user)] = Verdict(True, tables.total, None, 0.0)
+    if views and all(views[k, j, 0] == views[k, j, 1] for k in (0, 1) for j in (0, 1)):
+        verdicts[_INVARIANCE] = Verdict(True, tables.total, None, 0.0)
+    return verdicts
+
+
+def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of the GF(2) map whose output r has form forms[r], as a
+    canonical basis: the reduced echelon rows spanning its columns, where
+    column c has bit r set when forms[r] reads input c."""
+    columns: dict[int, int] = {}
+    for r, form in enumerate(forms):
+        while form:
+            low = form & -form
+            columns[low] = columns.get(low, 0) | 1 << r
+            form ^= low
+    return gf2.rref(columns.values())
+
+
+def _enumerate(
+    tables: _Tables, decodability: bool, users: tuple[int, ...], invariance: bool
+) -> dict[str, Verdict]:
+    """The requested checks by exhaustive enumeration of the atom space.
+
+    The sweep is three nested loops: store index, then served demand, then
+    key realization (user 0's key fastest, server randomness innermost).
+    Placement never sees the demand or the server randomness, so each
+    store is placed once per (user, key), at the top of the store loop,
+    and that placement serves every atom of the store.  Each atom is
+    delivered once and feeds every requested check.  Decodability stops
+    counting at its first failure, and the enumeration stops there when no
+    other check was requested.
+
+    The store index is the packed store, column c at bits [c*w, (c+1)*w);
+    a delivery's pads are packed with it and ORed above the store, pad p as
+    column n_cols + p.  A decode recipe runs on the user's cache with the
+    payload packed above it, and succeeds when it gives t symbols equal to
+    the demanded file's bits of the store index.  A user's observation is
+    the int tuple (cache value, cache bits, key, payload value, payload
+    bits, header, own demand); the invariance views pair it with the packed
+    content of the demanded file.
+    """
+    s, width = tables.s, tables.width
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
     file_mask = (1 << file_bits) - 1
-    cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
-    compiled = functools.cache(functools.partial(_compile, width=width))
-    demands = s.served_demands().members
-    realizations = [
-        (tuple(reversed(keys)), server)
-        for keys in itertools.product(*map(range, reversed(s.key_sizes)))
-        for server in range(s.server_random_size(width))
+    placer = [ops for _, ops, _ in tables.caches.values()]
+    slots = {slot: i for i, slot in enumerate(tables.caches)}
+    # per key realization: (placement number, cache bits, key) per user
+    holders = [
+        tuple((slots[u, k], tables.caches[u, k][2], k) for u, k in enumerate(keys))
+        for keys in tables.keys
     ]
-    # per key realization: (ops, cache bits, key) per user
-    placers = []
-    for user_keys, _ in realizations:
-        placer = []
-        for user, key in enumerate(user_keys):
-            rows = program.cache(user, key)
-            bits = len(rows) * width
-            if decodability and bits != cache_bits:
-                raise SchemeError(f"cache holds {bits} bits, declared M*F = {cache_bits}")
-            placer.append((compiled(rows, n_cols), bits, key))
-        placers.append(placer)
+    # per server value: (configuration number, pads packed above the store)
+    numbers = {config: i for i, config in enumerate(tables.configs)}
+    plan = []
+    for server in range(s.server_random_size(width)):
+        config, pads = program.split_server(server, width)
+        packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
+        plan.append((numbers[config], packed))
     joints = {user: Counter() for user in users}
-    views: dict[tuple[int, int, int], Counter] = {
-        (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
-    }
+    views = _view_tables()
     # per demand: (demand, entries, observers, viewers), where an entry per
-    # key realization is (realization number, ops, pads, payload bits,
-    # header, per-user recipes as (user, ops, output count)), an observer is
+    # key realization is ((user keys, server randomness), key realization
+    # number, pads, ops, payload bits, header, recipes), an observer is
     # (user, that user's joint counts, the other users' demands) and a
     # viewer is (user, own demand, the view table of that pair)
     sweep = []
-    for wants in demands:
-        s.check_demand(wants)
+    n_configs = len(tables.configs)
+    for wants, configured in tables.deliveries:
         entries = []
-        for a, ((user_keys, server), placer) in enumerate(zip(realizations, placers)):
-            configs, pads = program.split_server(server, width)
-            rows, header = program.delivery(wants, user_keys, configs)
-            pay_bits = len(rows) * width
-            recipes = []
-            if decodability:
-                if pay_bits != payload_bits:
-                    raise SchemeError(
-                        f"payload holds {pay_bits} bits, declared R*F = {payload_bits}"
-                    )
-                for user, (_, bits, key) in enumerate(placer):
-                    recipe = program.recipe(user, wants[user], key, header)
-                    n_inputs = (bits + pay_bits) // width
-                    recipes.append((user, compiled(recipe, n_inputs), len(recipe)))
-            packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
-            ops = compiled(rows, n_cols + len(pads))
-            entries.append((a, ops, packed, pay_bits, header, recipes))
+        for a, user_keys in enumerate(tables.keys):
+            for server, (c, pads) in enumerate(plan):
+                _, _, header, pay_bits, ops, recipes = configured[a * n_configs + c]
+                recipes = recipes if decodability else ()
+                realization = (user_keys, server)
+                entries.append((realization, a, pads, ops, pay_bits, header, recipes))
         observers = tuple(
             (user, joints[user], wants[:user] + wants[user + 1 :]) for user in users
         )
@@ -309,24 +510,26 @@ def run_checks(
 
     decode_cases = 0
     decode_failure: DecodeCounterexample | None = None
-    checking, stop = decodability, False
+    checking = decodability
+    stop = False
     for index in range(FileStore.space_size(s.n_files, t, width)):
+        values = [_apply(ops, index) for ops in placer]
         placed = [
-            [(_apply(ops, index), bits, key) for ops, bits, key in placer]
-            for placer in placers
+            [(values[slot], bits, key) for slot, bits, key in holder]
+            for holder in holders
         ]
         files = [
             ((index >> j * file_bits) & file_mask, file_bits) for j in range(s.n_files)
         ]
         for wants, entries, observers, viewers in sweep:
-            for a, ops, pads, pay_bits, header, recipes in entries:
+            for realization, a, pads, ops, pay_bits, header, recipes in entries:
                 caches = placed[a]
                 x, pay_val = index | pads, 0
                 for shift, mask, factor in ops:
                     pay_val ^= ((x >> shift) & mask) * factor
                 if checking:
                     decode_cases += 1
-                    for k, ops, n_out in recipes:
+                    for k, ops, n_out, _ in recipes:
                         cache_val, cache_len, _ = caches[k]
                         x, got = cache_val | pay_val << cache_len, 0
                         for shift, mask, factor in ops:
@@ -336,12 +539,13 @@ def run_checks(
                             decode_failure = DecodeCounterexample(
                                 index,
                                 wants,
-                                *realizations[a],
+                                *realization,
                                 k,
                                 _split(want, width, t),
                                 _split(got, width, n_out),
                             )
-                            checking, stop = False, not (users or invariance)
+                            checking = False
+                            stop = not (users or invariance)
                             break
                     if stop:
                         break
@@ -364,9 +568,9 @@ def run_checks(
             decode_failure is None, decode_cases, decode_failure
         )
     for user, joint in joints.items():
-        verdicts[f"privacy[user {user}]"] = JointDistribution.of(joint).verdict()
+        verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
     if invariance:
-        verdicts["conditional-invariance"] = _invariance_verdict(views, total)
+        verdicts[_INVARIANCE] = _invariance_verdict(views, tables.total)
     return verdicts
 
 

@@ -26,7 +26,11 @@ from cachepriv.core import (
     ParameterError,
     Privacy,
 )
-from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
+from cachepriv.lift import (
+    basic_private_scheme,
+    lift_private,
+    low_memory_private_scheme,
+)
 from cachepriv.schemes import (
     HIGH_MEMORY_2X4_CACHES,
     HIGH_MEMORY_2X4_DELIVERIES,
@@ -175,6 +179,20 @@ def test_random_descriptors_match_the_reference_oracle(tmp_path, seed, perturb, 
     got = sweep(s, width)
     assert got == oracle(s, width)
     # these seeds' perturbations break decoding, so both outcomes are covered
+    assert got["decodability"][0] is not perturb
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("perturb", [False, True], ids=["intact", "perturbed"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lifted_random_descriptors_match_the_reference_oracle(
+    tmp_path, seed, perturb, width
+):
+    # the lift keeps privacy whatever the descriptor's decodability, so a
+    # perturbed lift has its privacy proven and its decode failure enumerated
+    s = lift_private(descriptor_scheme(tmp_path, seed, perturb))
+    got = sweep(s, width)
+    assert got == oracle(s, width)
     assert got["decodability"][0] is not perturb
 
 

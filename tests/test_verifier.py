@@ -17,10 +17,14 @@ import cachepriv
 from cachepriv import verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
+    ColumnProgram,
+    DemandVector,
     FileStore,
+    KeyAssignment,
     ParameterError,
     Privacy,
     SchemeError,
+    SchemeInstance,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
@@ -117,8 +121,8 @@ def counting_placements(monkeypatch) -> Counter:
 
 
 def placements_per_store(s) -> int:
-    """One cache per user for each key realization, at width 1."""
-    return s.n_users * s.key_space_size * s.server_random_size(1)
+    """One cache per (user, key): a cache depends on nothing else."""
+    return sum(s.key_sizes)
 
 
 def test_decodability_counterexample_reporting(monkeypatch):
@@ -139,7 +143,7 @@ def test_decodability_counterexample_reporting(monkeypatch):
         ce.user_keys,
         ce.server_random,
     )
-    # each store it reached is placed once per key realization
+    # each store it reached is placed once per (user, key)
     stores = {store.index() for store, _, _ in atoms}
     assert placed == {index: placements_per_store(s) for index in stores}
 
@@ -154,53 +158,214 @@ def verify_call_params():
     return params
 
 
-@pytest.mark.parametrize(
-    "s, width",
-    verify_call_params()
-    + [
-        pytest.param(
-            with_plaintext_demand_header(low_memory_private_scheme()),
-            1,
-            id="plaintext-header",
-        ),
-        pytest.param(
-            decode_corrupted(low_memory_private_scheme()), 1, id="decode-corrupted"
-        ),
-        # thm1's header follows the slot configuration drawn from the server
-        # randomness, so the first failure, and the cases counted up to it,
-        # depend on the server randomness running innermost
-        pytest.param(
-            decode_corrupted(resolve_scheme("thm1:3,2,0"), lambda h: h[0] == 1),
-            1,
-            id="decode-corrupted-by-server-randomness",
-        ),
-    ],
-)
-def test_sweep_matches_the_reference_oracle(s, width):
-    private = s.privacy is Privacy.PRIVATE
-    users = range(s.n_users) if private else ()
-    invariance = private and s.n_files == 2 and s.n_users == 2
-    got = run_checks(s, width, users=users, invariance=invariance)
-    want = reference_checks(s, width, users, invariance)
-    assert {
+ORACLE_CASES = verify_call_params() + [
+    pytest.param(
+        with_plaintext_demand_header(low_memory_private_scheme()),
+        1,
+        id="plaintext-header",
+    ),
+    pytest.param(
+        decode_corrupted(low_memory_private_scheme()), 1, id="decode-corrupted"
+    ),
+    # thm1's header follows the slot configuration drawn from the server
+    # randomness, so the first failure, and the cases counted up to it,
+    # depend on the server randomness running innermost
+    pytest.param(
+        decode_corrupted(resolve_scheme("thm1:3,2,0"), lambda h: h[0] == 1),
+        1,
+        id="decode-corrupted-by-server-randomness",
+    ),
+]
+
+
+def summary(verdicts):
+    """Verdicts in reference_checks' format."""
+    return {
         label: (
             v.passed,
             v.cases,
             v.mi_bits,
             None if v.counterexample is None else str(v.counterexample),
         )
-        for label, v in got.items()
-    } == want
+        for label, v in verdicts.items()
+    }
+
+
+def all_checks(s):
+    """The users and the invariance flag of every check s admits."""
+    private = s.privacy is Privacy.PRIVATE
+    users = range(s.n_users) if private else ()
+    return users, private and s.n_files == 2 and s.n_users == 2
+
+
+@pytest.mark.parametrize("s, width", ORACLE_CASES)
+def test_sweep_matches_the_reference_oracle(s, width):
+    users, invariance = all_checks(s)
+    got = run_checks(s, width, users=users, invariance=invariance)
+    assert summary(got) == reference_checks(s, width, users, invariance)
+
+
+def enumerate_checks(s, width=1, users=(), invariance=False):
+    """The exhaustive enumerator alone, with every table run_checks builds."""
+    tables = verifier._Tables(s, width, atom_count(s, width), True)
+    return verifier._enumerate(tables, True, tuple(users), invariance)
+
+
+@pytest.mark.parametrize("s, width", ORACLE_CASES)
+def test_enumerator_matches_the_reference_oracle(s, width):
+    # the proof settles every check of the pinned calls, so run_checks
+    # alone would not exercise the enumerator, its fallback, on them
+    users, invariance = all_checks(s)
+    got = enumerate_checks(s, width, users, invariance)
+    assert summary(got) == reference_checks(s, width, users, invariance)
+
+
+def proven(s, width=1, decodability=True, users=(), invariance=False):
+    """The labels of the checks the configuration proof settles."""
+    tables = verifier._Tables(s, width, atom_count(s, width), decodability)
+    return set(verifier._prove(tables, decodability, tuple(users), invariance))
+
+
+def test_the_proof_settles_every_pinned_call_and_no_failure():
+    for param in verify_call_params():
+        s, width = param.values
+        users, invariance = all_checks(s)
+        labels = run_checks(s, width, users=users, invariance=invariance)
+        assert proven(s, width, True, users, invariance) == set(labels), param.id
+    # only enumeration reports a failure
+    for s in (
+        with_plaintext_demand_header(low_memory_private_scheme()),
+        decode_corrupted(low_memory_private_scheme()),
+    ):
+        got = run_checks(s, users=(0, 1), invariance=True)
+        assert proven(s, 1, True, (0, 1), True) == {
+            label for label, v in got.items() if v.passed
+        }
+
+
+def coincidence_scheme() -> SchemeInstance:
+    """N=K=2, t=1, one-valued keys, empty caches and one server part of 3
+    configurations with no pads, so user 0 sees only the payload.  When
+    user 1 demands file 0 the payload is uniform on {0} under
+    configuration 0 and on all of GF(2)^2 otherwise; when user 1 demands
+    file 1 it is uniform on one of the three lines.  Both mixtures give
+    the same distribution at width 1 and different ones at width 2."""
+    payloads = {
+        0: (((), ()), ((0,), (1,)), ((0,), (1,))),
+        1: (((0,), ()), ((), (0,)), ((0,), (0,))),
+    }
+    program = ColumnProgram(
+        key_sizes=(1, 1),
+        header_sizes=(),
+        server=((3, 0),),
+        cache=lambda user, key: (),
+        delivery=lambda demand, keys, configs: (payloads[demand[1]][configs[0]], ()),
+        recipe=lambda user, demand, key, header: ((0,),),
+    )
+    return SchemeInstance(
+        name="coincidence",
+        n_files=2,
+        n_users=2,
+        memory=Fraction(0),
+        rate=Fraction(2),
+        subpacketization=1,
+        program=program,
+        privacy=Privacy.PRIVATE,
+    )
+
+
+@pytest.mark.parametrize("width, passed, cases", [(1, True, 48), (2, False, 192)])
+def test_unequal_multisets_fall_back_to_enumeration(width, passed, cases):
+    s = coincidence_scheme()
+    # the multisets differ at every width, so the proof leaves user 0 open
+    assert "privacy[user 0]" not in proven(s, width, users=(0,))
+    got = run_checks(s, width, users=(0,))
+    assert summary(got) == reference_checks(s, width, (0,))
+    v = got["privacy[user 0]"]
+    assert (v.passed, v.cases) == (passed, cases)
+    assert (v.counterexample is None) is passed
+
+
+def test_a_repeated_user_is_checked_once():
+    # proven (example1) and enumerated (the control's leak) alike
+    for s in (
+        low_memory_private_scheme(),
+        with_plaintext_demand_header(low_memory_private_scheme()),
+    ):
+        once = run_checks(s, decodability=False, users=(1,))
+        assert run_checks(s, decodability=False, users=(1, 1)) == once
+        assert once["privacy[user 1]"].cases == atom_count(s, 1)
+
+
+def lanes(forms, symbols):
+    """Each form applied to the symbols: the XOR of the symbols whose
+    columns it names."""
+    out = []
+    for form in forms:
+        value = 0
+        for c, symbol in enumerate(symbols):
+            if (form >> c) & 1:
+                value ^= symbol
+        out.append(value)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize(
+    "s",
+    [
+        pytest.param(resolve_scheme(token), id=token)
+        for token in (
+            "example1",
+            "thm1:3,2,0",
+            "thm1:2,3,1",
+            "share:1/4:thm1:2,2,0:thm1:2,2,2",
+            "lowmem2x4",
+        )
+    ]
+    + [
+        pytest.param(
+            decode_corrupted(low_memory_private_scheme()), id="decode-corrupted"
+        ),
+    ],
+)
+def test_forms_predict_place_deliver_and_decode(s, width):
+    tables = verifier._Tables(s, width, atom_count(s, width), True)
+    forms = {
+        (wants, keys, config): rest
+        for wants, keys, config, *rest in verifier._forms(tables)
+    }
+    assert len(forms) == len(tables.deliveries) * len(tables.keys) * len(tables.configs)
+    rng = random.Random(f"{s.name}:{width}")
+    demands = s.served_demands().members
+    for _ in range(40):
+        store = FileStore.random(s.n_files, s.subpacketization, width, rng)
+        wants = rng.choice(demands)
+        user_keys = tuple(rng.randrange(size) for size in s.key_sizes)
+        keys = KeyAssignment(user_keys, rng.randrange(s.server_random_size(width)))
+        config, pads = s.program.split_server(keys.server_random, width)
+        header, caches, sent, decoded = forms[wants, user_keys, config]
+        symbols = store.values + tuple(pads)
+        placed = s.place(keys, store)
+        msg = s.deliver(store, DemandVector(s.n_files, wants), keys)
+        assert [c.symbols for c in placed] == [lanes(f, symbols) for f in caches]
+        assert (msg.payload, msg.header) == (lanes(sent, symbols), header)
+        for user, forms_of_user in enumerate(decoded):
+            got = s.decode(user, wants[user], user_keys[user], msg, placed[user])
+            assert got == lanes(forms_of_user, symbols)
 
 
 @pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
 def test_place_runs_once_per_store_and_key_realization(monkeypatch, token):
     s = resolve_scheme(token)
     calls = counting_placements(monkeypatch)
-    run_checks(s, users=range(s.n_users), invariance=s.n_files == 2)
+    enumerate_checks(s, users=range(s.n_users), invariance=s.n_files == 2)
     stores = FileStore.space_size(s.n_files, s.subpacketization, 1)
+    # one cache per distinct (user, key) per store: 4 for each of these,
+    # fewer than one per user per key realization
+    assert placements_per_store(s) == 4
     assert calls == {index: placements_per_store(s) for index in range(stores)}
-    # fewer placements than atoms: one serves every demand of its store
+    assert placements_per_store(s) < s.n_users * s.key_space_size
     assert stores * placements_per_store(s) < atom_count(s, 1) * s.n_users
 
 
