@@ -26,7 +26,6 @@ from .core import (
     SchemeInstance,
     UnservedDemand,
     cyclic_demand_set,
-    expand_demand,
     full_demand_set,
     identity_vector,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "corner_points_2x2",
     "cyclic_demand_set",
     "emit_region",
-    "expand_demand",
     "export_descriptor",
     "full_demand_set",
     "high_memory_2x4_scheme",

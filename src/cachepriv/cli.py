@@ -183,20 +183,16 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     target = tuple(int(x) for x in args.target.split(","))
     if len(target) != 5:
-        print("target must be files,users,t,cache_dim,tx_dim", file=sys.stderr)
-        return 2
+        raise ParameterError("target must be files,users,t,cache_dim,tx_dim")
     if args.regen and (target != DUAL_TARGET or args.seed != HIGH_MEMORY_SEARCH_SEED):
-        print(
+        raise ParameterError(
             "--regen re-derives the committed witness: it takes the default "
-            "--target and --seed only",
-            file=sys.stderr,
+            "--target and --seed only"
         )
-        return 2
     n_files, n_users, t, cache_dim, tx_dim = target
     check_search_target(n_files, n_users, t, args.budget)
     if n_users % n_files:
-        print("user count must be a multiple of the file count", file=sys.stderr)
-        return 2
+        raise ParameterError("user count must be a multiple of the file count")
     demands = cyclic_demand_set(n_files, n_users // n_files)
     # --regen compares with the committed matrices and writes no file
     with _open_out(None if args.regen else args.out) as out:

@@ -161,31 +161,6 @@ def cyclic_shift(vector: Sequence[int], times: int) -> tuple[int, ...]:
     return tuple(vector[(j - t) % n] for j in range(n))
 
 
-def mod_sub(a: Sequence[int], b: Sequence[int], modulus: int) -> tuple[int, ...]:
-    """Componentwise (a - b) mod modulus."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return tuple((x - y) % modulus for x, y in zip(a, b))
-
-
-def expand_demand(demand: DemandVector, keys: Sequence[int]) -> DemandVector:
-    """Expand K real demands into N*K virtual demands using per-user keys.
-
-    Block k of the output is the identity request pattern (0, ..., N-1)
-    rotated right by (keys[k] - demand[k]) mod N.  Virtual user k*N + keys[k]
-    then requests exactly demand[k], which is what makes the expansion usable
-    as a one-time-pad cover story for the real demand.
-    """
-    n = demand.n_files
-    if len(keys) != len(demand):
-        raise ValueError("one key per user required")
-    ident = identity_vector(n)
-    shifts = mod_sub(keys, demand.entries, n)
-    blocks = [cyclic_shift(ident, c) for c in shifts]
-    flat = tuple(itertools.chain.from_iterable(blocks))
-    return DemandVector(n, flat)
-
-
 @dataclass(frozen=True)
 class DemandSubset:
     """An explicit set of demand vectors."""

@@ -4,8 +4,10 @@ Correctness and privacy are decided over the full joint space of file
 realizations, demands, user keys, and server randomness.  Every scheme is
 a GF(2) column program, so a check can often be proven from the linear
 forms of one configuration at a time (demand, keys and the configuration
-part of the server randomness), without visiting a store; whatever that
-proof leaves open is enumerated atom by atom, and only enumeration reports
+part of the server randomness), without visiting a store.  One streamed
+walk over the configurations turns each row table into forms; the proof
+reads them, and whatever it leaves open is enumerated atom by atom, on
+shift-and-mask ops compiled from a second walk.  Only enumeration reports
 a failure.  Independence is judged by an exact integer identity on count
 tables; the mutual-information figure attached to a verdict is a float
 diagnostic only and never decides pass or fail.
@@ -17,7 +19,7 @@ import functools
 import itertools
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -222,17 +224,20 @@ def run_checks(
 
     Verdicts are keyed "decodability", "privacy[user k]" and
     "conditional-invariance", in that order, and are those that exhaustive
-    enumeration gives.  First every row table of the scheme's column
-    program is looked up and compiled, and the declared M*F and R*F sizes
-    are checked, once per table entry (_Tables).  Then _prove walks the
-    configurations (served demand, key realization and the configuration
-    part of the server randomness) and visits no store and no pad value.
-    A check it proves holds at every width; it reports the atom count as
-    its cases, and for privacy and invariance MI=0, which is what
-    enumeration computes for an independent table.  The checks it leaves
-    open go to _enumerate, the exhaustive sweep, which alone reports a
-    failure and its counterexample: a privacy test on configurations that
-    does not succeed is no proof of a leak.
+    enumeration gives.  _prove streams the configurations (served demand,
+    key realization and the configuration part of the server randomness)
+    from _configurations, which looks up each row table of the scheme's
+    column program, checks the declared M*F and R*F sizes and each table's
+    column range, and turns the rows into GF(2) forms; the proof keeps
+    only its count tables and visits no store and no pad value.  A check
+    it proves holds at every width; it reports the atom count as its
+    cases, and for privacy and invariance MI=0, which is what enumeration
+    computes for an independent table.  The checks it leaves open go to
+    _enumerate, the exhaustive sweep, which walks the configurations again
+    and alone compiles forms into ops; it alone reports a failure and its
+    counterexample: a privacy test on configurations that does not succeed
+    is no proof of a leak.  A wrongly sized or out-of-range table raises
+    during the proof's walk, before any check is settled.
     """
     check_width(width)
     users = tuple(dict.fromkeys(users))
@@ -248,15 +253,14 @@ def run_checks(
     if total > limit:
         raise BudgetExceeded(total, limit)
 
-    tables = _Tables(s, width, total, decodability)
-    verdicts = _prove(tables, decodability, users, invariance)
+    verdicts = _prove(s, width, decodability, users, invariance)
     unsettled = (
         decodability and "decodability" not in verdicts,
         tuple(u for u in users if _privacy(u) not in verdicts),
         invariance and _INVARIANCE not in verdicts,
     )
     if any(unsettled):
-        verdicts.update(_enumerate(tables, *unsettled))
+        verdicts.update(_enumerate(s, width, *unsettled))
     labels = ["decodability"] if decodability else []
     labels += map(_privacy, users)
     if invariance:
@@ -264,73 +268,72 @@ def run_checks(
     return {label: verdicts[label] for label in labels}
 
 
-class _Tables:
-    """A scheme's row tables for one width, looked up, size-checked and
-    compiled.
+def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterator:
+    """Per configuration, the GF(2) form of every symbol a user sees.
 
-    keys lists the key realizations, user 0's key fastest, and configs the
-    configuration tuples of the server randomness, part 0 fastest.  caches
-    maps (user, key) to (rows, ops, bits), in the order the key
-    realizations first reach it.  deliveries holds (demand, entries) per
-    served demand, with one entry (user keys, rows, header, payload bits,
-    ops, recipes) per key realization and configuration, configurations
-    fastest; recipes holds (user, ops, output count, rows) per user, and is
-    empty unless built for decodability.  Cache rows read the file columns, delivery rows the
-    file columns then the pads, and recipe rows the user's cache symbols
-    then the payload.
+    A configuration is a served demand, a key realization (user 0's key
+    fastest) and the configuration part of the server randomness (part 0
+    fastest), walked in that order.  Under it every cache, payload and
+    decoded symbol is, in each bit lane, the XOR of a fixed set of file and
+    pad symbols: its form, an int whose bit c stands for column c (file
+    columns, then pads), found by running the row tables on the unit
+    vectors 1 << c.  Yields (demand, user keys, configuration, header,
+    cache forms per user, payload forms, decoded forms per user); the
+    decoded forms are empty without decodability.
 
-    Every entry is built before any check runs, the caches first and then
-    the deliveries demand by demand, each in the order the enumeration
-    reaches it.  A row naming an input outside its table's range raises
-    IndexError; with decodability, a cache or payload of other than the
-    declared M*F or R*F bits raises SchemeError.
+    Each cache is looked up once per (user, key), all before the first
+    delivery; then each delivery and, for decodability, each user's recipe
+    as the walk reaches it.  Cache rows read the file columns, delivery
+    rows the file columns then the pads, and recipe rows the user's cache
+    symbols then the payload; a row naming an input outside that range
+    raises IndexError (_check_range), and with decodability a cache or
+    payload of other than the declared M*F or R*F bits raises SchemeError.
     """
-
-    def __init__(
-        self, s: SchemeInstance, width: int, total: int, decodability: bool
-    ) -> None:
-        program, t = s.program, s.subpacketization
-        n_cols, file_bits = s.n_files * t, t * width
-        self.n_inputs = n_cols + sum(pads for _, pads in program.server)
-        cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
-        compiled = functools.cache(functools.partial(_compile, width=width))
-        self.s, self.width, self.total = s, width, total
-        self.keys = _odometer(s.key_sizes)
-        self.configs = _odometer([n for n, _ in program.server])
-        self.caches: dict[tuple[int, int], tuple[Rows, Ops, int]] = {}
-        for user_keys in self.keys:
-            for user, key in enumerate(user_keys):
-                if (user, key) not in self.caches:
-                    rows = program.cache(user, key)
-                    bits = len(rows) * width
-                    if decodability and bits != cache_bits:
-                        raise SchemeError(
-                            f"cache holds {bits} bits, declared M*F = {cache_bits}"
-                        )
-                    self.caches[user, key] = (rows, compiled(rows, n_cols), bits)
-        self.deliveries: list[tuple[tuple[int, ...], list[tuple]]] = []
-        for wants in s.served_demands().members:
-            s.check_demand(wants)
-            entries = []
-            for user_keys in self.keys:
-                for config in self.configs:
-                    rows, header = program.delivery(wants, user_keys, config)
+    program, t = s.program, s.subpacketization
+    n_cols, file_bits = s.n_files * t, t * width
+    n_inputs = n_cols + sum(pads for _, pads in program.server)
+    cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
+    units = [1 << c for c in range(n_inputs)]
+    check_range = functools.cache(_check_range)
+    keys = _odometer(s.key_sizes)
+    configs = _odometer([n for n, _ in program.server])
+    held: dict[tuple[int, int], tuple[int, ...]] = {}
+    for user_keys in keys:
+        for slot in enumerate(user_keys):
+            if slot not in held:
+                rows = program.cache(*slot)
+                bits = len(rows) * width
+                if decodability and bits != cache_bits:
+                    raise SchemeError(
+                        f"cache holds {bits} bits, declared M*F = {cache_bits}"
+                    )
+                check_range(rows, n_cols)
+                held[slot] = xor_rows(rows, units)
+    for wants in s.served_demands().members:
+        s.check_demand(wants)
+        for user_keys in keys:
+            caches = tuple(held[slot] for slot in enumerate(user_keys))
+            for config in configs:
+                rows, header = program.delivery(wants, user_keys, config)
+                recipes = []
+                if decodability:
                     pay_bits = len(rows) * width
-                    recipes = []
-                    if decodability:
-                        if pay_bits != payload_bits:
-                            raise SchemeError(
-                                f"payload holds {pay_bits} bits, "
-                                f"declared R*F = {payload_bits}"
-                            )
-                        for user, key in enumerate(user_keys):
-                            recipe = program.recipe(user, wants[user], key, header)
-                            read = len(self.caches[user, key][0]) + len(rows)
-                            decode = compiled(recipe, read)
-                            recipes.append((user, decode, len(recipe), recipe))
-                    ops = compiled(rows, self.n_inputs)
-                    entries.append((user_keys, rows, header, pay_bits, ops, recipes))
-            self.deliveries.append((wants, entries))
+                    if pay_bits != payload_bits:
+                        raise SchemeError(
+                            f"payload holds {pay_bits} bits, "
+                            f"declared R*F = {payload_bits}"
+                        )
+                    for user, key in enumerate(user_keys):
+                        recipe = program.recipe(user, wants[user], key, header)
+                        check_range(recipe, len(caches[user]) + len(rows))
+                        recipes.append(recipe)
+                check_range(rows, n_inputs)
+                sent = xor_rows(rows, units)
+                decoded = tuple(
+                    xor_rows(recipe, cache + sent)
+                    for recipe, cache in zip(recipes, caches)
+                )
+                yield wants, user_keys, config, header, caches, sent, decoded
 
 
 def _odometer(sizes: Iterable[int]) -> list[tuple[int, ...]]:
@@ -339,44 +342,26 @@ def _odometer(sizes: Iterable[int]) -> list[tuple[int, ...]]:
     return [tuple(reversed(values)) for values in itertools.product(*ranges)]
 
 
+def _check_range(rows: Rows, n_inputs: int) -> None:
+    """Raise IndexError for a row naming an input outside range(n_inputs),
+    where the scheme's own place, deliver and decode fail too."""
+    for r, cols in enumerate(rows):
+        for c in cols:
+            if not 0 <= c < n_inputs:
+                raise IndexError(f"row {r} names input {c} of {n_inputs}")
+
+
 def _view_tables() -> dict[tuple[int, int, int], Counter]:
     """An empty invariance count table per (user k, own demand j, the other
     user's demand)."""
     return {(k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)}
 
 
-def _forms(tables: _Tables) -> Iterator[tuple]:
-    """Per configuration, the GF(2) form of every symbol a user sees.
-
-    A configuration is a served demand, a key realization and the
-    configuration part of the server randomness, in the order of
-    tables.deliveries.  Under it every cache, payload and decoded symbol
-    is, in each bit lane, the XOR of a fixed set of file and pad symbols:
-    its form, an int whose bit c stands for column c (file columns, then
-    pads), found by running the row tables on the unit vectors 1 << c.
-    Yields (demand, user keys, configuration, header, cache forms per user,
-    payload forms, decoded forms per user); the decoded forms are empty
-    without decodability.
-    """
-    units = [1 << c for c in range(tables.n_inputs)]
-    held = {slot: xor_rows(rows, units) for slot, (rows, _, _) in tables.caches.items()}
-    for wants, entries in tables.deliveries:
-        configs = itertools.cycle(tables.configs)
-        for (user_keys, rows, header, _, _, recipes), config in zip(entries, configs):
-            caches = tuple(held[slot] for slot in enumerate(user_keys))
-            sent = xor_rows(rows, units)
-            decoded = tuple(
-                xor_rows(recipe, cache + sent)
-                for (_, _, _, recipe), cache in zip(recipes, caches)
-            )
-            yield wants, user_keys, config, header, caches, sent, decoded
-
-
 def _prove(
-    tables: _Tables, decodability: bool, users: tuple[int, ...], invariance: bool
+    s: SchemeInstance, width: int, decodability: bool, users: tuple, invariance: bool
 ) -> dict[str, Verdict]:
-    """The requested checks that the GF(2) forms (_forms) prove, each with
-    the verdict enumeration gives.
+    """The requested checks that the GF(2) forms (_configurations) prove,
+    each with the verdict enumeration gives.
 
     Under one configuration the file and pad symbols are uniform and
     independent, and each symbol a user sees is a fixed form of them.
@@ -395,92 +380,113 @@ def _prove(
 
     Unequal multisets prove nothing, since mixtures of uniform
     distributions on different subspaces can coincide at the width asked
-    for, so such a check is left out of the result.
+    for, so such a check is left out of the result.  The walk keeps
+    nothing per configuration but these count tables.
     """
-    t = tables.s.subpacketization
-    files = [tuple(1 << (f * t + i) for i in range(t)) for f in range(tables.s.n_files)]
+    t = s.subpacketization
+    files = [tuple(1 << (f * t + i) for i in range(t)) for f in range(s.n_files)]
     image = functools.cache(_image)
     decodable = decodability
-    groups: dict[int, dict[tuple[int, ...], Counter]] = {u: {} for u in users}
+    groups = {user: defaultdict(Counter) for user in users}
     views = _view_tables() if invariance else {}
-    for wants, user_keys, _, header, caches, sent, decoded in _forms(tables):
+    walk = _configurations(s, width, decodability)
+    for wants, user_keys, _, header, caches, sent, decoded in walk:
         if decodable:
             decodable = all(d == files[w] for d, w in zip(decoded, wants))
         for user, observed in groups.items():
             seen = caches[user] + sent
             others = wants[:user] + wants[user + 1 :]
             cell = (len(caches[user]), user_keys[user], len(sent), header, wants[user])
-            observed.setdefault(others, Counter())[cell, image(seen)] += 1
+            observed[others][cell, image(seen)] += 1
         for user in (0, 1) if views else ():
             seen = caches[user] + sent + files[wants[user]]
             cell = (len(caches[user]), user_keys[user], len(sent), header)
             views[user, wants[user], wants[1 - user]][cell, image(seen)] += 1
+    total = atom_count(s, width)
     verdicts = {}
     if decodable:
-        verdicts["decodability"] = Verdict(True, tables.total)
+        verdicts["decodability"] = Verdict(True, total)
     for user, observed in groups.items():
         first, *rest = observed.values()
         if all(counts == first for counts in rest):
-            verdicts[_privacy(user)] = Verdict(True, tables.total, None, 0.0)
+            verdicts[_privacy(user)] = Verdict(True, total, None, 0.0)
     if views and all(views[k, j, 0] == views[k, j, 1] for k in (0, 1) for j in (0, 1)):
-        verdicts[_INVARIANCE] = Verdict(True, tables.total, None, 0.0)
+        verdicts[_INVARIANCE] = Verdict(True, total, None, 0.0)
     return verdicts
 
 
-def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of the GF(2) map whose output r has form forms[r], as a
-    canonical basis: the reduced echelon rows spanning its columns, where
-    column c has bit r set when forms[r] reads input c."""
+def _columns(forms: tuple[int, ...]) -> dict[int, int]:
+    """Per input column c that a form reads, the rows reading it: bit r set
+    when forms[r] reads c."""
     columns: dict[int, int] = {}
     for r, form in enumerate(forms):
         while form:
             low = form & -form
-            columns[low] = columns.get(low, 0) | 1 << r
+            c = low.bit_length() - 1
+            columns[c] = columns.get(c, 0) | 1 << r
             form ^= low
-    return gf2.rref(columns.values())
+    return columns
+
+
+def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of the GF(2) map whose output r has form forms[r], as a
+    canonical basis: the reduced echelon rows spanning its columns
+    (_columns)."""
+    return gf2.rref(_columns(forms).values())
 
 
 def _enumerate(
-    tables: _Tables, decodability: bool, users: tuple[int, ...], invariance: bool
+    s: SchemeInstance, width: int, decodability: bool, users: tuple, invariance: bool
 ) -> dict[str, Verdict]:
     """The requested checks by exhaustive enumeration of the atom space.
 
     The sweep is three nested loops: store index, then served demand, then
     key realization (user 0's key fastest, server randomness innermost).
-    Placement never sees the demand or the server randomness, so each
-    store is placed once per (user, key), at the top of the store loop,
-    and that placement serves every atom of the store.  Each atom is
+    Before the first atom it walks the configurations (_configurations)
+    and compiles each cache, payload and decoded form tuple once
+    (_compile).  Placement never sees the demand or the server randomness,
+    so each store is placed once per (user, key), at the top of the store
+    loop, and that placement serves every atom of the store.  Each atom is
     delivered once and feeds every requested check.  Decodability stops
     counting at its first failure, and the enumeration stops there when no
     other check was requested.
 
     The store index is the packed store, column c at bits [c*w, (c+1)*w);
     a delivery's pads are packed with it and ORed above the store, pad p as
-    column n_cols + p.  A decode recipe runs on the user's cache with the
-    payload packed above it, and succeeds when it gives t symbols equal to
-    the demanded file's bits of the store index.  A user's observation is
-    the int tuple (cache value, cache bits, key, payload value, payload
-    bits, header, own demand); the invariance views pair it with the packed
-    content of the demanded file.
+    column n_cols + p, and the payload and the decoded symbols are both
+    read from that packed value.  A decode succeeds when it gives t symbols
+    equal to the demanded file's bits of the store index.  A user's
+    observation is the int tuple (cache value, cache bits, key, payload
+    value, payload bits, header, own demand); the invariance views pair it
+    with the packed content of the demanded file.
     """
-    s, width = tables.s, tables.width
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
     file_mask = (1 << file_bits) - 1
-    placer = [ops for _, ops, _ in tables.caches.values()]
-    slots = {slot: i for i, slot in enumerate(tables.caches)}
+    compiled = functools.cache(functools.partial(_compile, width=width))
+    # placer lists the compiled caches, slots holds (placement number,
+    # cache bits, key) per (user, key), and configured, per demand and
+    # (user keys, configuration), (ops, payload bits, header, recipes), a
+    # recipe being (user, ops, output count)
+    placer, slots, configured = [], {}, defaultdict(dict)
+    walk = _configurations(s, width, decodability)
+    for wants, user_keys, config, header, caches, sent, decoded in walk:
+        for slot, forms in zip(enumerate(user_keys), caches):
+            if slot not in slots:
+                slots[slot] = (len(placer), len(forms) * width, slot[1])
+                placer.append(compiled(forms))
+        recipes = tuple((k, compiled(f), len(f)) for k, f in enumerate(decoded))
+        sending = (compiled(sent), len(sent) * width, header, recipes)
+        configured[wants][user_keys, config] = sending
+    keys = _odometer(s.key_sizes)
     # per key realization: (placement number, cache bits, key) per user
-    holders = [
-        tuple((slots[u, k], tables.caches[u, k][2], k) for u, k in enumerate(keys))
-        for keys in tables.keys
-    ]
-    # per server value: (configuration number, pads packed above the store)
-    numbers = {config: i for i, config in enumerate(tables.configs)}
+    holders = [tuple(slots[slot] for slot in enumerate(ks)) for ks in keys]
+    # per server value: (configuration, pads packed above the store)
     plan = []
     for server in range(s.server_random_size(width)):
         config, pads = program.split_server(server, width)
         packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
-        plan.append((numbers[config], packed))
+        plan.append((config, packed))
     joints = {user: Counter() for user in users}
     views = _view_tables()
     # per demand: (demand, entries, observers, viewers), where an entry per
@@ -489,13 +495,11 @@ def _enumerate(
     # (user, that user's joint counts, the other users' demands) and a
     # viewer is (user, own demand, the view table of that pair)
     sweep = []
-    n_configs = len(tables.configs)
-    for wants, configured in tables.deliveries:
+    for wants, tables in configured.items():
         entries = []
-        for a, user_keys in enumerate(tables.keys):
-            for server, (c, pads) in enumerate(plan):
-                _, _, header, pay_bits, ops, recipes = configured[a * n_configs + c]
-                recipes = recipes if decodability else ()
+        for a, user_keys in enumerate(keys):
+            for server, (config, pads) in enumerate(plan):
+                ops, pay_bits, header, recipes = tables[user_keys, config]
                 realization = (user_keys, server)
                 entries.append((realization, a, pads, ops, pay_bits, header, recipes))
         observers = tuple(
@@ -529,9 +533,8 @@ def _enumerate(
                     pay_val ^= ((x >> shift) & mask) * factor
                 if checking:
                     decode_cases += 1
-                    for k, ops, n_out, _ in recipes:
-                        cache_val, cache_len, _ = caches[k]
-                        x, got = cache_val | pay_val << cache_len, 0
+                    for k, ops, n_out in recipes:
+                        got = 0
                         for shift, mask, factor in ops:
                             got ^= ((x >> shift) & mask) * factor
                         want = files[wants[k]][0]
@@ -570,7 +573,7 @@ def _enumerate(
     for user, joint in joints.items():
         verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
     if invariance:
-        verdicts[_INVARIANCE] = _invariance_verdict(views, tables.total)
+        verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width))
     return verdicts
 
 
@@ -586,30 +589,22 @@ def _split(value: int, width: int, count: int) -> tuple[int, ...]:
     return tuple((value >> (i * width)) & mask for i in range(count))
 
 
-# a compiled row table: XOR over its triples of ((x >> shift) & mask) * factor
+# compiled forms: XOR over the triples of ((x >> shift) & mask) * factor
 Ops = tuple[tuple[int, int, int], ...]
 
 
-def _compile(rows: Rows, n_inputs: int, width: int) -> Ops:
-    """Row table as triples that map packed inputs to packed outputs.
+def _compile(forms: tuple[int, ...], width: int) -> Ops:
+    """GF(2) forms as triples that map packed inputs to packed outputs.
 
-    x holds n_inputs width-bit inputs, input c at bits [c*w, (c+1)*w); the
-    result holds one output per row, row r at bits [r*w, (r+1)*w), the XOR
-    of the inputs the row names.  An input feeds the rows that name it an
-    odd number of times, and factor places it in all of them at once.  A
-    run of consecutive inputs whose row sets are shifts of the first one's
-    by 1, 2, ... shares one triple, so long as the run is no longer than
-    the least gap between those rows (then the product never carries).  A
-    row naming an input outside range(n_inputs) raises IndexError, where
-    the scheme's own place, deliver and decode fail too.
+    x holds width-bit inputs, input c at bits [c*w, (c+1)*w); the result
+    holds one output per form, output r at bits [r*w, (r+1)*w), the XOR of
+    the inputs forms[r] reads.  An input feeds the outputs that read it
+    (_columns), and factor places it in all of them at once.  A run of
+    consecutive inputs whose output sets are shifts of the first one's by
+    1, 2, ... shares one triple, so long as the run is no longer than the
+    least gap between those outputs (then the product never carries).
     """
-    feeds: dict[int, int] = {}  # input -> bit r set for each row it feeds
-    for r, cols in enumerate(rows):
-        for c in cols:
-            if not 0 <= c < n_inputs:
-                raise IndexError(f"row {r} names input {c} of {n_inputs}")
-            feeds[c] = feeds.get(c, 0) ^ (1 << r)
-    runs = sorted((c, f) for c, f in feeds.items() if f)
+    runs = sorted(_columns(forms).items())
     ops = []
     i = 0
     while i < len(runs):
@@ -626,7 +621,7 @@ def _compile(rows: Rows, n_inputs: int, width: int) -> Ops:
 
 
 def _apply(ops: Ops, x: int) -> int:
-    """A compiled row table applied to the packed inputs x; run_checks
+    """Compiled forms applied to the packed inputs x; run_checks
     inlines this loop for each atom's payload and decodes."""
     value = 0
     for shift, mask, factor in ops:

@@ -8,10 +8,14 @@ verifier's sweep is redone atom by atom with no memo through the scheme's
 own place, deliver and decode, and delivery rows are
 found by testing the rank condition on every candidate span, and the
 rate envelope is found by stepping up a grid until every constraint holds.
+The virtual demand a lifted scheme serves is built block by block from
+the real demand and the keys (expand_demand), where lift looks it up in
+the cyclic demand set by its shifts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +28,8 @@ from cachepriv.core import (
     FileStore,
     KeyAssignment,
     SchemeInstance,
+    cyclic_shift,
+    identity_vector,
     pack_symbols,
 )
 from cachepriv.region import check_inequalities
@@ -292,3 +298,28 @@ def minimal_rate_on_grid(memory: Fraction, step: Fraction) -> Fraction:
     while check_inequalities(memory, r):
         r += step
     return r
+
+
+def mod_sub(a: Sequence[int], b: Sequence[int], modulus: int) -> tuple[int, ...]:
+    """Componentwise (a - b) mod modulus."""
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return tuple((x - y) % modulus for x, y in zip(a, b))
+
+
+def expand_demand(demand: DemandVector, keys: Sequence[int]) -> DemandVector:
+    """Expand K real demands into N*K virtual demands using per-user keys.
+
+    Block k of the output is the identity request pattern (0, ..., N-1)
+    rotated right by (keys[k] - demand[k]) mod N.  Virtual user k*N + keys[k]
+    then requests exactly demand[k], which is what makes the expansion usable
+    as a one-time-pad cover story for the real demand.
+    """
+    n = demand.n_files
+    if len(keys) != len(demand):
+        raise ValueError("one key per user required")
+    ident = identity_vector(n)
+    shifts = mod_sub(keys, demand.entries, n)
+    blocks = [cyclic_shift(ident, c) for c in shifts]
+    flat = tuple(itertools.chain.from_iterable(blocks))
+    return DemandVector(n, flat)

@@ -14,9 +14,7 @@ from cachepriv.core import (
     ParameterError,
     Privacy,
     cyclic_demand_set,
-    expand_demand,
     full_demand_set,
-    mod_sub,
 )
 from cachepriv.lift import (
     basic_private_scheme,
@@ -30,6 +28,7 @@ from cachepriv.verifier import (
     check_privacy,
     measure_rates,
 )
+from oracles import expand_demand, mod_sub
 
 
 def test_basic_scheme_rate_formula():

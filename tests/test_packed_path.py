@@ -25,6 +25,7 @@ from cachepriv.core import (
     KeyAssignment,
     ParameterError,
     Privacy,
+    xor_rows,
 )
 from cachepriv.lift import (
     basic_private_scheme,
@@ -328,7 +329,8 @@ def test_compile_matches_symbolwise_xor():
                 value ^= (x >> (c * width)) & mask
             want |= value << (r * width)
         got = 0
-        for shift, m, factor in _compile(rows, n_inputs, width):
+        forms = xor_rows(rows, [1 << c for c in range(n_inputs)])
+        for shift, m, factor in _compile(forms, width):
             got ^= ((x >> shift) & m) * factor
         assert got == want, (rows, width, x)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -148,6 +149,20 @@ def test_decodability_counterexample_reporting(monkeypatch):
     assert placed == {index: placements_per_store(s) for index in stores}
 
 
+def reading_the_other_slot(s):
+    """s, a thm1 scheme with empty caches and two one-symbol payload slots,
+    with each decode recipe also reading the slot the user's header does
+    not name: the other user's file, or filler pads when both users demand
+    the same file."""
+    recipe = s.program.recipe
+
+    def corrupted(user, demand, key, header):
+        (row,) = recipe(user, demand, key, header)
+        return (row + (1 - row[0],),)
+
+    return with_tables(s, recipe=corrupted)
+
+
 def verify_call_params():
     """One (scheme, width) per pinned `cachepriv verify` call."""
     params = []
@@ -175,6 +190,15 @@ ORACLE_CASES = verify_call_params() + [
         1,
         id="decode-corrupted-by-server-randomness",
     ),
+] + [
+    # under equal demands the decoded forms read pad columns, so a decode
+    # runs on the pads packed above the store
+    pytest.param(
+        reading_the_other_slot(resolve_scheme("thm1:3,2,0")),
+        width,
+        id=f"decode-reads-pads-w{width}",
+    )
+    for width in (1, 2)
 ]
 
 
@@ -206,9 +230,8 @@ def test_sweep_matches_the_reference_oracle(s, width):
 
 
 def enumerate_checks(s, width=1, users=(), invariance=False):
-    """The exhaustive enumerator alone, with every table run_checks builds."""
-    tables = verifier._Tables(s, width, atom_count(s, width), True)
-    return verifier._enumerate(tables, True, tuple(users), invariance)
+    """The exhaustive enumerator alone, decodability included."""
+    return verifier._enumerate(s, width, True, tuple(users), invariance)
 
 
 @pytest.mark.parametrize("s, width", ORACLE_CASES)
@@ -220,10 +243,34 @@ def test_enumerator_matches_the_reference_oracle(s, width):
     assert summary(got) == reference_checks(s, width, users, invariance)
 
 
+def test_a_proven_run_compiles_nothing(monkeypatch):
+    control = with_plaintext_demand_header(low_memory_private_scheme())
+    results = {}
+    with monkeypatch.context() as patch:
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled forms")
+
+        patch.setattr(verifier, "_compile", refuse)
+        for param in verify_call_params():
+            s, width = param.values
+            users, invariance = all_checks(s)
+            results[param.id] = run_checks(s, width, users=users, invariance=invariance)
+        # the control's leak is left to the enumerator, which compiles
+        with pytest.raises(AssertionError, match="compiled forms"):
+            run_checks(control, users=(0, 1), invariance=True)
+    for param in verify_call_params():
+        s, width = param.values
+        users, invariance = all_checks(s)
+        got = run_checks(s, width, users=users, invariance=invariance)
+        assert results[param.id] == got, param.id
+    got = run_checks(control, users=(0, 1), invariance=True)
+    assert summary(got) == reference_checks(control, 1, (0, 1), True)
+
+
 def proven(s, width=1, decodability=True, users=(), invariance=False):
     """The labels of the checks the configuration proof settles."""
-    tables = verifier._Tables(s, width, atom_count(s, width), decodability)
-    return set(verifier._prove(tables, decodability, tuple(users), invariance))
+    return set(verifier._prove(s, width, decodability, tuple(users), invariance))
 
 
 def test_the_proof_settles_every_pinned_call_and_no_failure():
@@ -330,12 +377,12 @@ def lanes(forms, symbols):
     ],
 )
 def test_forms_predict_place_deliver_and_decode(s, width):
-    tables = verifier._Tables(s, width, atom_count(s, width), True)
     forms = {
         (wants, keys, config): rest
-        for wants, keys, config, *rest in verifier._forms(tables)
+        for wants, keys, config, *rest in verifier._configurations(s, width, True)
     }
-    assert len(forms) == len(tables.deliveries) * len(tables.keys) * len(tables.configs)
+    configs = math.prod(n for n, _ in s.program.server)
+    assert len(forms) == len(s.served_demands().members) * s.key_space_size * configs
     rng = random.Random(f"{s.name}:{width}")
     demands = s.served_demands().members
     for _ in range(40):
@@ -380,8 +427,8 @@ def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
     placed = counting_placements(monkeypatch)
     with pytest.raises(SchemeError, match=r"cache holds 2 bits, declared M\*F = 1$"):
         check_decodability(with_tables(s, cache=late_oversized))
-    # the sizes are checked as the cache tables are compiled, before the
-    # first store is placed
+    # the sizes are checked as the configuration walk looks the cache
+    # tables up, before the first store is placed
     assert not placed
     # a program with one key alphabet per user is what makes one cache per
     # user, and a scheme is built only from such a program
