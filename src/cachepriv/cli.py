@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -261,7 +262,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if t.all_matched else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args leaves it
+    unchanged and formats help and usage text when it prints them, so every
+    main call can share it."""
     parser = argparse.ArgumentParser(
         prog="cachepriv",
         description="Demand-private coded caching: verify, measure, search, simulate.",
@@ -273,17 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=1, help="subfile bits (default 1)")
     p.add_argument("--user", type=int, default=None, help="check one user only")
     p.add_argument("--budget", type=int, default=None, help="atom budget override")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure", help="report exact (M, R, header bits)")
     p.add_argument("scheme")
     p.add_argument("--width", type=int, default=1)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("region", help="emit the 2x2 trade-off as CSV and SVG")
     p.add_argument("--step", default="1/6", help="boundary sample step (default 1/6)")
     p.add_argument("--out", default="region", help="output path prefix")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("search", help="search for a linear cyclic-demand scheme")
     p.add_argument(
@@ -300,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-derive the committed high-memory witness and compare",
     )
     p.add_argument("--out", default=None, help="write the descriptor to a file")
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("simulate", help="run one seeded session end to end")
     p.add_argument("scheme")
@@ -308,16 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=1)
     p.add_argument("--out", default=None, help="write the binary transcript")
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on each call, so a cmd_* function replaced on the
+    # module after the parser was built is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (UnknownScheme, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ __all__ = [
     "rank",
     "rref",
     "solve_combination",
+    "solve_combinations",
     "random_full_rank",
     "random_full_rank_with_basis",
     "iter_subspaces",
@@ -75,6 +76,17 @@ def solve_combination(
     Returns a 0/1 tuple aligned with rows.  Elimination is restricted to the
     low n_cols bits; marker bits above them track the combination.
     """
+    return solve_combinations(rows, (target,), n_cols)[0]
+
+
+def solve_combinations(
+    rows: Sequence[int], targets: Iterable[int], n_cols: int
+) -> list[tuple[int, ...] | None]:
+    """solve_combination for each target, eliminating rows once.
+
+    The elimination does not depend on the target, so every target is
+    reduced against the same pivot table.
+    """
     low_mask = (1 << n_cols) - 1
     piv: dict[int, int] = {}
     for i, row in enumerate(rows):
@@ -88,14 +100,18 @@ def solve_combination(
                 if piv[k] & pb:
                     piv[k] ^= aug
             piv[pb] = aug
-    t = target & low_mask
-    for pb, pr in piv.items():
-        if t & pb:
-            t ^= pr
-    if t & low_mask:
-        return None
-    marker = t >> n_cols
-    return tuple((marker >> i) & 1 for i in range(len(rows)))
+    solved: list[tuple[int, ...] | None] = []
+    for target in targets:
+        t = target & low_mask
+        for pb, pr in piv.items():
+            if t & pb:
+                t ^= pr
+        if t & low_mask:
+            solved.append(None)
+            continue
+        marker = t >> n_cols
+        solved.append(tuple((marker >> i) & 1 for i in range(len(rows))))
+    return solved
 
 
 def random_full_rank(n_rows: int, n_cols: int, rng: random.Random) -> tuple[int, ...]:

@@ -162,11 +162,9 @@ def compile_linear_scheme(
         tx_rows = m.delivery_for(demand)
         delivery_cols[demand] = tuple(map(_columns, tx_rows))
         for u in range(m.n_users):
-            stacked = m.cache_rows[u] + tx_rows
-            solved = [
-                gf2.solve_combination(stacked, target, n_cols)
-                for target in _file_targets(m, demand[u])
-            ]
+            solved = gf2.solve_combinations(
+                m.cache_rows[u] + tx_rows, _file_targets(m, demand[u]), n_cols
+            )
             recipes[(demand, u)] = (
                 ((),) * t
                 if None in solved
@@ -465,7 +463,7 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
     """Parse the descriptor format back into matrices (inverse of export)."""
     fields: dict[str, str] = {}
     caches: dict[int, tuple[int, ...]] = {}
-    deliveries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    deliveries: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def parse_int(word: str) -> int:
         try:
@@ -481,17 +479,26 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
             rows.append(int(word[::-1], 2) if word else 0)
         return tuple(rows)
 
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition(":")
+        key, colon, value = line.partition(":")
+        if not colon:
+            raise ParameterError(f"descriptor line {number} has no ':': {line!r}")
         key, value = key.strip(), value.strip()
         if key.startswith("cache "):
-            caches[parse_int(key.split()[1])] = parse_rows(value)
+            u = parse_int(key.split()[1])
+            if u in caches:
+                raise ParameterError(f"descriptor repeats the cache line for user {u}")
+            caches[u] = parse_rows(value)
         elif key.startswith("delivery "):
             demand = tuple(parse_int(x) for x in key.split(None, 1)[1].split(","))
-            deliveries.append((demand, parse_rows(value)))
+            if demand in deliveries:
+                raise ParameterError(f"descriptor repeats the delivery for {demand}")
+            deliveries[demand] = parse_rows(value)
+        elif key in fields:
+            raise ParameterError(f"descriptor repeats the {key!r} line")
         else:
             fields[key] = value
     if parse_int(fields.get("version", "0")) != DESCRIPTOR_VERSION:
@@ -504,12 +511,24 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
     for u in range(n_users):
         if u not in caches:
             raise ParameterError(f"descriptor has no cache line for user {u}")
+    outside = sorted(set(caches) - set(range(n_users)))
+    if outside:
+        raise ParameterError(
+            f"descriptor has a cache line for user {outside[0]}, "
+            f"outside 0..{n_users - 1}"
+        )
     m = LinearSchemeMatrices(
         n_files,
         n_users,
         t,
         tuple(caches[u] for u in range(n_users)),
-        tuple(deliveries),
+        tuple(deliveries.items()),
     )
     m.validate()
+    for dim in ("cache_dim", "tx_dim"):
+        if dim in fields and parse_int(fields[dim]) != getattr(m, dim):
+            raise ParameterError(
+                f"descriptor declares {dim}: {fields[dim]} but its rows give "
+                f"{getattr(m, dim)}"
+            )
     return m, fields.get("name", "descriptor")

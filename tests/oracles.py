@@ -323,3 +323,31 @@ def expand_demand(demand: DemandVector, keys: Sequence[int]) -> DemandVector:
     blocks = [cyclic_shift(ident, c) for c in shifts]
     flat = tuple(itertools.chain.from_iterable(blocks))
     return DemandVector(n, flat)
+
+
+def solve_combination_per_target(
+    rows: Sequence[int], target: int, n_cols: int
+) -> tuple[int, ...] | None:
+    """gf2.solve_combination as one elimination of rows per target: the
+    reference for the batched gf2.solve_combinations."""
+    low_mask = (1 << n_cols) - 1
+    piv: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        aug = (row & low_mask) | (1 << (n_cols + i))
+        for pb, pr in piv.items():
+            if aug & pb:
+                aug ^= pr
+        if aug & low_mask:
+            pb = 1 << ((aug & low_mask).bit_length() - 1)
+            for k in list(piv):
+                if piv[k] & pb:
+                    piv[k] ^= aug
+            piv[pb] = aug
+    t = target & low_mask
+    for pb, pr in piv.items():
+        if t & pb:
+            t ^= pr
+    if t & low_mask:
+        return None
+    marker = t >> n_cols
+    return tuple((marker >> i) & 1 for i in range(len(rows)))

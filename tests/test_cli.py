@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cachepriv.cli
 from cachepriv.cli import main, resolve_scheme
 from cachepriv.schemes import high_memory_2x4_matrices
 from cachepriv.search import export_descriptor
@@ -181,6 +185,8 @@ def test_verify_rejects_out_of_range_user_before_enumerating(capsys):
 
 
 FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
+CACHE_1 = next(line for line in FROZEN.splitlines() if line.startswith("cache 1:"))
+DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("delivery "))
 
 
 @pytest.mark.parametrize(
@@ -195,6 +201,14 @@ FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
         (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,5:"), "verify"),
         (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,-1:"), "verify"),
         (FROZEN.replace("delivery 1,0,1,0:", "delivery 1,0,1,5:"), "measure"),
+        (FROZEN.replace("cache_dim: 4\n", "cache_dim: 3\n"), "verify"),
+        (FROZEN.replace("tx_dim: 1\n", "tx_dim: 2\n"), "verify"),
+        (FROZEN + CACHE_1.replace("cache 1:", "cache 0:") + "\n", "verify"),
+        (FROZEN + CACHE_1.replace("cache 1:", "cache 4:") + "\n", "verify"),
+        (FROZEN + CACHE_1.replace("cache 1:", "cache -1:") + "\n", "measure"),
+        (FROZEN + DELIVERY + "\n", "verify"),
+        (FROZEN + "files: 2\n", "verify"),
+        (FROZEN.replace("users: 4\n", "users 4\nusers: 4\n"), "verify"),
     ],
     ids=[
         "no-users",
@@ -206,6 +220,14 @@ FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
         "demand-past-the-files",
         "negative-demand",
         "measure-demand-past-the-files",
+        "cache-dim-disagrees",
+        "tx-dim-disagrees",
+        "repeated-cache-line",
+        "cache-user-past-the-users",
+        "measure-negative-cache-user",
+        "repeated-delivery-demand",
+        "repeated-field",
+        "line-without-colon",
     ],
 )
 def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text, command):
@@ -316,3 +338,66 @@ def test_search_exhaustive_strategy(capsys):
     assert "cache 0: 01\ncache 1: 01\n" in out
     assert main(["search", "--strategy", "exhaustive", "--target", "2,4,2,2,1"]) == 1
     assert capsys.readouterr().out.startswith("no scheme found within ")
+
+
+def test_calls_in_one_process_do_not_share_options(capsys):
+    assert main(["verify", "example1", "--user", "0"]) == 0
+    assert "privacy[user 1]" not in capsys.readouterr().out
+    assert main(["verify", "example1"]) == 0
+    pinned = json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8"))[0]
+    assert pinned["args"] == ["example1"]
+    assert capsys.readouterr().out == pinned["stdout"]
+
+
+HELP_AND_USAGE_ERRORS = [
+    ["--help"],
+    ["verify", "--help"],
+    ["verify"],
+    ["verify", "example1", "--width", "two"],
+    ["search", "--strategy", "greedy"],
+]
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(monkeypatch, capsys):
+    # the first call of a fresh process is the reference; in this process
+    # the parser has served other calls before each repeat
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(cachepriv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert main(["measure", "example1"]) == 0
+    capsys.readouterr()
+    for argv in HELP_AND_USAGE_ERRORS:
+        first = subprocess.run(
+            [sys.executable, "-m", "cachepriv", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert first.returncode in (0, 2) and first.stdout + first.stderr
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (out, err, stop.value.code) == (
+                first.stdout,
+                first.stderr,
+                first.returncode,
+            ), argv
+            assert main(["verify", "thm1:2,2,1", "--user", "1"]) == 0
+            capsys.readouterr()
+
+
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(
+    monkeypatch, capsys
+):
+    assert main(["measure", "example1"]) == 0
+    calls = []
+
+    def replaced(args):
+        calls.append(args.scheme)
+        return 7
+
+    monkeypatch.setattr(cachepriv.cli, "cmd_verify", replaced)
+    assert main(["verify", "dual"]) == 7
+    assert calls == ["dual"]
+    assert capsys.readouterr().out == "M=1/3 R=4/3 header_bits=2\n"

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from cachepriv import gf2
+from oracles import solve_combination_per_target
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -103,6 +105,26 @@ def test_solve_combination_none_outside_span():
     rows = [0b0011, 0b0101]
     assert gf2.solve_combination(rows, 0b1000, 4) is None
     assert gf2.solve_combination(rows, 0b0110, 4) == (1, 1)
+
+
+def test_solve_combinations_agrees_with_one_elimination_per_target():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(400):
+        n_cols = rng.randrange(1, 9)
+        # rows and targets carry bits above n_cols, which are ignored
+        rows = [rng.getrandbits(n_cols + 2) for _ in range(rng.randrange(7))]
+        if rows and rng.randrange(2):
+            rows.insert(rng.randrange(len(rows) + 1), rows[0] ^ rows[-1])
+        targets = [rng.getrandbits(n_cols + 3) for _ in range(rng.randrange(6))]
+        got = gf2.solve_combinations(rows, targets, n_cols)
+        assert got == [solve_combination_per_target(rows, t, n_cols) for t in targets]
+        assert got == [gf2.solve_combination(rows, t, n_cols) for t in targets]
+        low = (1 << n_cols) - 1
+        seen["rank-deficient"] += gf2.rank(r & low for r in rows) < len(rows)
+        for coeffs in got:
+            seen["solved" if coeffs is not None else "unsolvable"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_random_full_rank():

@@ -383,6 +383,57 @@ def test_descriptor_round_trip():
     parsed, name = parse_descriptor(text)
     assert parsed == m
     assert name == "demo"
+    # every pinned matrix set, with tx_dim 0 and full demand sets among them
+    pinned = [m for m, _, _ in compile_pins()]
+    assert any(m.tx_dim == 0 for m in pinned)
+    for m in pinned:
+        assert parse_descriptor(export_descriptor(m, "pin")) == (m, "pin")
+
+
+def compile_pins():
+    """(matrices, served, pinned tables) per entry of compile_pins.json, whose
+    tables were captured from compile_linear_scheme when it solved one
+    target at a time."""
+    pins_file = Path(__file__).with_name("compile_pins.json")
+    assert hashlib.sha256(pins_file.read_bytes()).hexdigest() == (
+        "8b76ec32a2bd2aa172043299dc075e962faf99c8f60671245c1bbab12ed4cb45"
+    )
+    out = []
+    for p in json.loads(pins_file.read_text()):
+        m = LinearSchemeMatrices(
+            p["files"],
+            p["users"],
+            p["t"],
+            tuple(map(tuple, p["cache_rows"])),
+            tuple((tuple(d), tuple(rows)) for d, rows in p["deliveries"]),
+        )
+        served = DemandSubset(
+            p["files"], p["users"], tuple(map(tuple, p["served"])), p["name"]
+        )
+        out.append((m, served, p))
+    return out
+
+
+def test_compiled_tables_match_the_pins():
+    pins = compile_pins()
+    assert len(pins) == 40
+    unsolvable = 0
+    for m, served, p in pins:
+        program = compile_linear_scheme(m, served, p["name"]).program
+        got = {
+            "cache": [program.cache(u, 0) for u in range(m.n_users)],
+            "delivery": [
+                [d, program.delivery(d, (0,) * m.n_users, ())[0]] for d in served
+            ],
+            "recipes": [
+                [d, u, program.recipe(u, d, 0, d)]
+                for d in served
+                for u in range(m.n_users)
+            ],
+        }
+        assert json.loads(json.dumps(got)) == {k: p[k] for k in got}, p["name"]
+        unsolvable += sum(r == [[]] * m.subpacketization for _, _, r in p["recipes"])
+    assert unsolvable >= 100  # unsolvable pairs keep the empty recipe
 
 
 def test_descriptor_bit_order():
