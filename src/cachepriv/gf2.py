@@ -33,16 +33,15 @@ def reduced_basis(rows: Iterable[int]) -> dict[int, int]:
     Every row contains its own pivot bit and no other row's pivot bit.
     """
     piv: dict[int, int] = {}
-    for row in rows:
-        r = row
+    for r in rows:
         for pb, pr in piv.items():
             if r & pb:
                 r ^= pr
         if r:
             pb = 1 << (r.bit_length() - 1)
-            for k in list(piv):
-                if piv[k] & pb:
-                    piv[k] ^= r
+            for k, pr in piv.items():  # rebinds values only: the keys stay put
+                if pr & pb:
+                    piv[k] = pr ^ r
             piv[pb] = r
     return piv
 
@@ -125,8 +124,10 @@ def random_full_rank_with_basis(
     """random_full_rank's matrix and its reduced basis, one elimination a draw."""
     if n_rows > n_cols:
         raise ValueError("cannot have more independent rows than columns")
+    draw = rng.getrandbits
+    widths = (n_cols,) * n_rows
     while True:
-        rows = tuple(rng.getrandbits(n_cols) for _ in range(n_rows))
+        rows = tuple(map(draw, widths))  # n_rows draws, in row order
         basis = reduced_basis(rows)
         if len(basis) == n_rows:
             return rows, basis

@@ -212,8 +212,11 @@ def _restart_rng(seed: int, index: int) -> random.Random:
 
 
 # (n_cols, dim) -> ([(rows, element mask)] of the dim-dimensional subspaces in
-# gf2.iter_subspaces order, that generator), filled as far as a scan reached
-_SUBSPACES: dict[tuple[int, int], tuple[list, Iterator[tuple[int, ...]]]] = {}
+# gf2.iter_subspaces order, {element x: bitset with bit i set when entry i
+# holds x}, that generator), filled as far as a scan reached
+_SUBSPACES: dict[
+    tuple[int, int], tuple[list, dict[int, int], Iterator[tuple[int, ...]]]
+] = {}
 
 
 def _coset(offset: int, rows: Iterable[int]) -> list[int]:
@@ -225,23 +228,23 @@ def _coset(offset: int, rows: Iterable[int]) -> list[int]:
 
 
 def _element_mask(elements: Iterable[int]) -> int:
-    return sum(1 << v for v in elements)  # bit v set for each element v
+    return sum(map((1).__lshift__, elements))  # bit v set for each element v
 
 
 def _residuals(basis: dict[int, int], f: int, t: int) -> set[int]:
-    """Distinct nonzero residuals of file f's unit targets modulo the basis."""
-    return {gf2.reduce_vector(1 << (f * t + j), basis) for j in range(t)} - {0}
+    """Distinct nonzero residuals of file f's unit targets modulo the basis.
 
-
-def _subspace_masks(n_cols: int, dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    if (n_cols, dim) not in _SUBSPACES:
-        _SUBSPACES[(n_cols, dim)] = ([], gf2.iter_subspaces(n_cols, dim))
-    table, source = _SUBSPACES[(n_cols, dim)]
-    yield from table
-    for rows in source:
-        entry = (rows, _element_mask(_coset(0, rows)))
-        table.append(entry)
-        yield entry
+    A reduced basis row with pivot e_c holds no other pivot bit, so it is
+    e_c plus e_c's residual; a unit row off the pivots is its own residual.
+    """
+    get = basis.get
+    found = set()
+    e = 1 << (f * t)
+    for _ in range(t):
+        found.add(get(e, 0) ^ e)
+        e <<= 1
+    found.discard(0)
+    return found
 
 
 def _user_feasible(
@@ -257,6 +260,42 @@ def _user_feasible(
     return True
 
 
+def _first_meeting_span(
+    cosets: list[tuple[int, list[int]]], n_cols: int, dim: int
+) -> tuple[int, ...] | None:
+    """The first dim-dimensional span in gf2.iter_subspaces order that meets
+    every coset, given as (element mask, elements), or None.
+
+    The spans meeting a coset are the OR of its elements' bitsets, so the
+    table answers by AND and lowest set bit; only when no span in it meets
+    them all is the scan pulled further, up to the first span that does.
+    """
+    if (n_cols, dim) not in _SUBSPACES:
+        _SUBSPACES[(n_cols, dim)] = ([], {}, gf2.iter_subspaces(n_cols, dim))
+    table, bits, source = _SUBSPACES[(n_cols, dim)]
+    meets_all = (1 << len(table)) - 1
+    for _, elements in cosets:
+        if not meets_all:
+            break
+        meets = 0
+        for x in elements:
+            meets |= bits.get(x, 0)
+        meets_all &= meets
+    if meets_all:
+        return table[(meets_all & -meets_all).bit_length() - 1][0]
+    masks = [m for m, _ in cosets]
+    for rows in source:
+        bit = 1 << len(table)
+        elements = _coset(0, rows)
+        for x in elements:
+            bits[x] = bits.get(x, 0) | bit
+        mask = _element_mask(elements)
+        table.append((rows, mask))
+        if all(mask & m for m in masks):
+            return rows
+    return None
+
+
 def _try_placements(
     bases: Sequence[dict[int, int]],
     demands: DemandSubset,
@@ -265,45 +304,43 @@ def _try_placements(
     """Delivery rows for every demand from each user's reduced cache basis,
     or None.  Target x is in span(C_u + W) exactly when the delivery span W
     meets the coset x + span(C_u), so each (user, file) needs the cosets of
-    its nonzero residuals, built once: element sets for tx_dim 1 (intersected,
-    least row wins), else element masks (first W in iter_subspaces order).
+    its nonzero residuals, built once as element masks (bit v set for each
+    element v) beside their elements.  One row: the masks are intersected
+    and the least row wins.  More rows (or none): the first W in
+    iter_subspaces order that meets every coset.
     """
-    cosets: dict[tuple[int, int], list] = {}
-    kind = set if tx_dim == 1 else _element_mask
+    cosets: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
-    def needs(u: int, f: int) -> list:
+    def needs(u: int, f: int) -> list[tuple[int, list[int]]]:
         found = cosets.get((u, f))
         if found is None:
-            found = cosets[(u, f)] = [
-                kind(_coset(r, bases[u].values())) for r in _residuals(bases[u], f, t)
-            ]
+            found = cosets[(u, f)] = []
+            for r in _residuals(bases[u], f, t):
+                elements = _coset(r, bases[u].values())
+                found.append((_element_mask(elements), elements))
         return found
 
     deliveries = []
     for demand in demands:
         if tx_dim == 1:
-            # each user pins the row to one coset of its cache span
-            candidates: set[int] | None = None
+            # each user pins the row to one coset of its cache span; no coset
+            # holds 0 (residuals are nonzero), so start from every nonzero
+            # row, and if nobody needs the broadcast send the least, row 1
+            candidates = ~1
             for u, f in enumerate(demand):
                 need = needs(u, f)
                 if len(need) > 1:
                     return None
                 if need:
-                    candidates = need[0] if candidates is None else candidates & need[0]
+                    candidates &= need[0][0]
                     if not candidates:
                         return None
-            # no coset holds 0 (residuals are nonzero); if nobody needs the
-            # broadcast, send a fixed nonzero row
-            rows = (1,) if candidates is None else (min(candidates),)
+            rows = ((candidates & -candidates).bit_length() - 1,)
         else:
-            masks = [m for u, f in enumerate(demand) for m in needs(u, f)]
-            for rows, elements in _subspace_masks(n_cols, tx_dim):
-                for m in masks:
-                    if not elements & m:
-                        break
-                else:
-                    break
-            else:
+            rows = _first_meeting_span(
+                [c for u, f in enumerate(demand) for c in needs(u, f)], n_cols, tx_dim
+            )
+            if rows is None:
                 return None
         deliveries.append((demand, rows))
     return deliveries
@@ -430,6 +467,9 @@ def search_linear_scheme(
 
 
 DESCRIPTOR_VERSION = 1
+DESCRIPTOR_FIELDS = (
+    "version", "name", "files", "users", "subpacketization", "cache_dim", "tx_dim"
+)
 
 
 def export_descriptor(m: LinearSchemeMatrices, name: str) -> str:
@@ -488,7 +528,12 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
             raise ParameterError(f"descriptor line {number} has no ':': {line!r}")
         key, value = key.strip(), value.strip()
         if key.startswith("cache "):
-            u = parse_int(key.split()[1])
+            words = key.split()
+            if len(words) != 2:
+                raise ParameterError(
+                    f"descriptor line {number} has {key!r}, not 'cache U'"
+                )
+            u = parse_int(words[1])
             if u in caches:
                 raise ParameterError(f"descriptor repeats the cache line for user {u}")
             caches[u] = parse_rows(value)
@@ -497,6 +542,8 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
             if demand in deliveries:
                 raise ParameterError(f"descriptor repeats the delivery for {demand}")
             deliveries[demand] = parse_rows(value)
+        elif key not in DESCRIPTOR_FIELDS:
+            raise ParameterError(f"descriptor line {number} has unknown field {key!r}")
         elif key in fields:
             raise ParameterError(f"descriptor repeats the {key!r} line")
         else:

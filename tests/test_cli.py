@@ -209,6 +209,8 @@ DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("deliver
         (FROZEN + DELIVERY + "\n", "verify"),
         (FROZEN + "files: 2\n", "verify"),
         (FROZEN.replace("users: 4\n", "users 4\nusers: 4\n"), "verify"),
+        (FROZEN.replace("cache 1:", "cache 1 3:"), "verify"),
+        (FROZEN.replace("tx_dim: 1\n", "tx_dimm: 9\n"), "verify"),
     ],
     ids=[
         "no-users",
@@ -228,6 +230,8 @@ DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("deliver
         "repeated-delivery-demand",
         "repeated-field",
         "line-without-colon",
+        "cache-key-with-extra-words",
+        "unknown-field",
     ],
 )
 def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text, command):

@@ -37,6 +37,18 @@ def test_reduced_basis_is_reduced():
                     assert not other & pb
 
 
+def test_reduced_basis_keys_are_pivots_in_the_order_rows_raise_the_rank():
+    rng = random.Random(5)
+    for _ in range(200):
+        rows = [rng.getrandbits(8) for _ in range(rng.randrange(1, 9))]
+        pivots = []
+        for i, row in enumerate(rows):
+            residual = gf2.reduce_vector(row, gf2.reduced_basis(rows[:i]))
+            if residual:
+                pivots.append(1 << (residual.bit_length() - 1))
+        assert list(gf2.reduced_basis(rows)) == pivots
+
+
 def test_reduce_vector_is_canonical():
     # same coset -> same residual, regardless of basis build order
     rng = random.Random(3)
@@ -140,6 +152,16 @@ def test_random_full_rank():
         rows, basis = gf2.random_full_rank_with_basis(3, 5, a)
         assert rows == gf2.random_full_rank(3, 5, b)
         assert basis == gf2.reduced_basis(rows)
+    assert a.random() == b.random()
+    # each draw is n_rows getrandbits(n_cols) calls in row order, redrawn
+    # until the rows are independent
+    a, b = random.Random(29), random.Random(29)
+    for n_rows, n_cols in [(4, 6), (1, 6), (3, 4), (5, 5)] * 10:
+        while True:
+            rows = tuple(b.getrandbits(n_cols) for _ in range(n_rows))
+            if gf2.rank(rows) == n_rows:
+                break
+        assert gf2.random_full_rank_with_basis(n_rows, n_cols, a)[0] == rows
     assert a.random() == b.random()
 
 
