@@ -14,12 +14,9 @@ and maps the optimal memory/rate trade-off for the two-file, two-user case.
 from __future__ import annotations
 
 from .core import (
-    CacheContent,
-    DeliveryMessage,
     DemandSubset,
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     SchemeError,
@@ -72,12 +69,9 @@ from .verifier import (
 
 __all__ = [
     "BudgetExceeded",
-    "CacheContent",
-    "DeliveryMessage",
     "DemandSubset",
     "DemandVector",
     "FileStore",
-    "KeyAssignment",
     "LinearSchemeMatrices",
     "ParameterError",
     "Privacy",

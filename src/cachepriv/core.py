@@ -213,30 +213,6 @@ def cyclic_demand_set(n_files: int, n_blocks: int) -> DemandSubset:
 # scheme plumbing
 
 
-@dataclass(frozen=True, slots=True)
-class KeyAssignment:
-    """One realization of the shared user keys and the server's randomness."""
-
-    user_keys: tuple[int, ...]
-    server_random: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class CacheContent:
-    """One user's cache: coded symbols plus the stored key value."""
-
-    symbols: tuple[int, ...]
-    key: int
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryMessage:
-    """The broadcast: a symbol payload and a small finite-alphabet header."""
-
-    payload: tuple[int, ...]
-    header: tuple[int, ...]
-
-
 class Privacy(Enum):
     PRIVATE = "private"
     NON_PRIVATE = "non-private"
@@ -255,12 +231,13 @@ Rows = tuple[tuple[int, ...], ...]
 
 def _nonnegative(lookup: Callable[..., tuple], with_header: bool) -> Callable:
     """lookup, raising IndexError for a row that names a negative column;
-    memoised, each table entry is checked once."""
+    behind the program's memo each table entry is checked once, and a
+    caller of the unmemoised lookup pays the check on every call."""
 
     def checked(*args):
         result = lookup(*args)
         for r, cols in enumerate(result[0] if with_header else result):
-            if any(c < 0 for c in cols):
+            if cols and min(cols) < 0:
                 raise IndexError(f"row {r} names a negative column: {cols}")
         return result
 
@@ -282,7 +259,8 @@ class ColumnProgram:
     above them modulo configurations is the part's configuration.
 
     A row naming a negative column raises IndexError when its table entry
-    is first looked up.
+    is first looked up.  A table's __wrapped__ is the same checked lookup
+    without the memo, for a caller that reads each entry once.
     """
 
     key_sizes: tuple[int, ...]
@@ -339,11 +317,14 @@ class SchemeInstance:
     """An executable caching scheme: a column program with declared exact
     parameters.  place, deliver and decode run the program on symbol values:
 
-    place(keys, store)           -> one CacheContent per user
-    deliver(store, demand, keys) -> DeliveryMessage
-    decode(user, demand, key, message, cache) -> the demanded file's symbols
+    place(user_keys, store)                           -> cache per user
+    deliver(store, demand, user_keys, server_random)  -> (payload, header)
+    decode(user, demand, key, header, cache, payload) -> the file's symbols
 
-    deliver raises ParameterError unless the demand has one entry per user.
+    user_keys holds one key per user.  Caches, payloads and decoded files
+    are tuples of symbol values, headers tuples of small ints.  deliver
+    takes the demand as any int sequence and raises ParameterError unless
+    it has one entry per user, each in range(n_files).
     They are plain methods, so an instance attribute may shadow them (a
     tracer's wrapper, say).  The verifier evaluates the program itself and
     never calls them.
@@ -371,33 +352,38 @@ class SchemeInstance:
         if self.privacy is Privacy.NON_PRIVATE and self.served is None:
             raise ValueError("non-private schemes must declare a served demand set")
 
-    def place(self, keys: KeyAssignment, store: FileStore) -> tuple[CacheContent, ...]:
+    def place(
+        self, user_keys: Sequence[int], store: FileStore
+    ) -> tuple[tuple[int, ...], ...]:
         cache = self.program.cache
         return tuple(
-            CacheContent(xor_rows(cache(u, k), store.values), k)
-            for u, k in enumerate(keys.user_keys)
+            xor_rows(cache(u, k), store.values) for u, k in enumerate(user_keys)
         )
 
     def deliver(
-        self, store: FileStore, demand: DemandVector, keys: KeyAssignment
-    ) -> DeliveryMessage:
+        self,
+        store: FileStore,
+        demand: Sequence[int],
+        user_keys: tuple[int, ...],
+        server_random: int,
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        demand = tuple(demand)
         self.check_demand(demand)
-        configs, pads = self.program.split_server(
-            keys.server_random, store.symbol_width
-        )
-        rows, header = self.program.delivery(demand.entries, keys.user_keys, configs)
-        return DeliveryMessage(xor_rows(rows, (*store.values, *pads)), header)
+        configs, pads = self.program.split_server(server_random, store.symbol_width)
+        rows, header = self.program.delivery(demand, user_keys, configs)
+        return xor_rows(rows, (*store.values, *pads)), header
 
     def decode(
         self,
         user: int,
         demand: int,
         key: int,
-        msg: DeliveryMessage,
-        cache: CacheContent,
+        header: tuple[int, ...],
+        cache: tuple[int, ...],
+        payload: tuple[int, ...],
     ) -> tuple[int, ...]:
-        rows = self.program.recipe(user, demand, key, msg.header)
-        return xor_rows(rows, cache.symbols + msg.payload)
+        rows = self.program.recipe(user, demand, key, header)
+        return xor_rows(rows, cache + payload)
 
     @property
     def key_sizes(self) -> tuple[int, ...]:

@@ -558,6 +558,8 @@ def parse_descriptor(text: str) -> tuple[LinearSchemeMatrices, str]:
     for u in range(n_users):
         if u not in caches:
             raise ParameterError(f"descriptor has no cache line for user {u}")
+    if not deliveries:
+        raise ParameterError("descriptor has no delivery line")
     outside = sorted(set(caches) - set(range(n_users)))
     if outside:
         raise ParameterError(

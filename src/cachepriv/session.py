@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     SchemeInstance,
     UnservedDemand,
@@ -197,8 +197,9 @@ def parse_transcript(buf: bytes, scheme_name: str = "") -> SessionTranscript:
 def run_session(
     s: SchemeInstance,
     store: FileStore,
-    demand: DemandVector,
-    keys: KeyAssignment,
+    demand: Sequence[int],
+    user_keys: tuple[int, ...],
+    server_random: int,
 ) -> SessionTranscript:
     """One full round on explicit inputs; decode mismatches are recorded in
     the reports, never raised, so a buggy scheme still yields a transcript.
@@ -206,29 +207,31 @@ def run_session(
     Raises ParameterError when the demand vector does not have one entry
     per user, and UnservedDemand when the scheme does not serve it.
     """
+    demand = tuple(demand)
     if len(demand) != s.n_users:
         raise ParameterError(
             f"demand vector length {len(demand)} does not match the "
             f"{s.n_users} users of {s.name}"
         )
-    if s.served is not None and tuple(demand) not in s.served:
-        raise UnservedDemand(f"{s.name} does not serve demand {tuple(demand)}")
-    caches = s.place(keys, store)
-    msg = s.deliver(store, demand, keys)
+    if s.served is not None and demand not in s.served:
+        raise UnservedDemand(f"{s.name} does not serve demand {demand}")
+    caches = s.place(user_keys, store)
+    payload, header = s.deliver(store, demand, user_keys, server_random)
     w = store.symbol_width
     placements = []
     for user, cache in enumerate(caches):
-        value, bits = pack_symbols(cache.symbols, w)
-        placements.append(PlacementFrame(user, cache.key, bits, value))
-    hvalue, hbits = pack_header(msg.header, s.header_sizes)
-    pvalue, pbits = pack_symbols(msg.payload, w)
+        value, bits = pack_symbols(cache, w)
+        placements.append(PlacementFrame(user, user_keys[user], bits, value))
+    hvalue, hbits = pack_header(header, s.header_sizes)
+    pvalue, pbits = pack_symbols(payload, w)
     delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
     reports = []
     for user in range(s.n_users):
-        decoded = s.decode(user, demand[user], keys.user_keys[user], msg, caches[user])
+        want = demand[user]
+        decoded = s.decode(user, want, user_keys[user], header, caches[user], payload)
         value, bits = pack_symbols(decoded, w)
-        matched = decoded == store.file(demand[user])
-        reports.append(DecodeReport(user, demand[user], matched, bits, value))
+        matched = decoded == store.file(want)
+        reports.append(DecodeReport(user, want, matched, bits, value))
     return SessionTranscript(s.name, tuple(placements), delivery, tuple(reports))
 
 
@@ -260,4 +263,4 @@ def simulate_session(
     store = FileStore.random(s.n_files, s.subpacketization, width, rng)
     user_keys = tuple(rng.randrange(size) for size in s.key_sizes)
     server = rng.randrange(s.server_random_size(width))
-    return run_session(s, store, demand, KeyAssignment(user_keys, server))
+    return run_session(s, store, demand, user_keys, server)

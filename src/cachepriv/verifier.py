@@ -26,9 +26,7 @@ from typing import Iterable, Iterator
 
 from . import gf2
 from .core import (
-    DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     Rows,
@@ -283,7 +281,9 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
 
     Each cache is looked up once per (user, key), all before the first
     delivery; then each delivery and, for decodability, each user's recipe
-    as the walk reaches it.  Cache rows read the file columns, delivery
+    as the walk reaches it.  The walk reads each delivery entry once, so it
+    looks them up past the program's memo, which would only grow by one
+    entry per configuration.  Cache rows read the file columns, delivery
     rows the file columns then the pads, and recipe rows the user's cache
     symbols then the payload; a row naming an input outside that range
     raises IndexError (_check_range), and with decodability a cache or
@@ -295,6 +295,7 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
     units = [1 << c for c in range(n_inputs)]
     check_range = functools.cache(_check_range)
+    delivery = program.delivery.__wrapped__
     keys = _odometer(s.key_sizes)
     configs = _odometer([n for n, _ in program.server])
     held: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -314,7 +315,7 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
         for user_keys in keys:
             caches = tuple(held[slot] for slot in enumerate(user_keys))
             for config in configs:
-                rows, header = program.delivery(wants, user_keys, config)
+                rows, header = delivery(wants, user_keys, config)
                 recipes = []
                 if decodability:
                     pay_bits = len(rows) * width
@@ -700,10 +701,10 @@ def measure_rates(
     check_width(width)
     t = s.subpacketization
     store = FileStore.zero(s.n_files, t, width)
-    keys = KeyAssignment((0,) * s.n_users, 0)
-    sizes = {len(c.symbols) for c in s.place(keys, store)}
+    user_keys = (0,) * s.n_users
+    sizes = {len(cache) for cache in s.place(user_keys, store)}
     if len(sizes) != 1:
         raise SchemeError(f"users have unequal cache sizes: {sorted(sizes)}")
-    demand = DemandVector(s.n_files, s.served_demands().members[0])
-    msg = s.deliver(store, demand, keys)
-    return Fraction(sizes.pop(), t), Fraction(len(msg.payload), t), s.header_bits
+    demand = s.served_demands().members[0]
+    payload, _ = s.deliver(store, demand, user_keys, 0)
+    return Fraction(sizes.pop(), t), Fraction(len(payload), t), s.header_bits

@@ -26,7 +26,6 @@ from cachepriv import gf2
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     SchemeInstance,
     cyclic_shift,
     identity_vector,
@@ -54,10 +53,11 @@ def atom_total(s: SchemeInstance, width: int = 1) -> int:
 
 def iter_atoms(
     s: SchemeInstance, width: int = 1
-) -> Iterator[tuple[FileStore, DemandVector, KeyAssignment]]:
+) -> Iterator[tuple[FileStore, DemandVector, tuple[int, ...], int]]:
     """Every atom once, in the verifier's order, each decoded from its flat
     index: server randomness fastest, then user keys (key 0 fastest), then
-    demand, then store.  A store is built once for the atoms that share it."""
+    demand, then store.  Yields (store, demand, user keys, server
+    randomness); a store is built once for the atoms that share it."""
     demands = s.served_demands().members
     servers = s.server_random_size(width)
     loaded = -1
@@ -74,7 +74,7 @@ def iter_atoms(
                 s.n_files, s.subpacketization, width, store_index
             )
         demand = DemandVector(s.n_files, demands[d])
-        yield store, demand, KeyAssignment(tuple(user_keys), server)
+        yield store, demand, tuple(user_keys), server
 
 
 def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
@@ -83,17 +83,17 @@ def view_determines_file(s: SchemeInstance, width: int = 1) -> bool:
     demanded file's content.  If it does, some decoder exists; if it does
     not, no decoder can work."""
     seen: dict[tuple, tuple[int, ...]] = {}
-    for store, demand, keys in iter_atoms(s, width):
-        caches = s.place(keys, store)
-        msg = s.deliver(store, demand, keys)
+    for store, demand, user_keys, server in iter_atoms(s, width):
+        caches = s.place(user_keys, store)
+        payload, header = s.deliver(store, demand, user_keys, server)
         for u in range(s.n_users):
             view = (
                 u,
                 demand[u],
-                keys.user_keys[u],
-                pack_symbols(caches[u].symbols, width),
-                pack_symbols(msg.payload, width),
-                msg.header,
+                user_keys[u],
+                pack_symbols(caches[u], width),
+                pack_symbols(payload, width),
+                header,
             )
             want = store.file(demand[u])
             if seen.setdefault(view, want) != want:
@@ -171,21 +171,21 @@ def reference_checks(
     views: dict[tuple[int, int, int], Counter] = {
         (k, j, v): Counter() for k in (0, 1) for j in (0, 1) for v in (0, 1)
     }
-    for store, demand, keys in iter_atoms(s, width):
-        caches = s.place(keys, store)
-        msg = s.deliver(store, demand, keys)
+    for store, demand, user_keys, server in iter_atoms(s, width):
+        caches = s.place(user_keys, store)
+        payload, header = s.deliver(store, demand, user_keys, server)
         if decode_text is None:
             decode_cases += 1
             for k in range(s.n_users):
-                got = s.decode(k, demand[k], keys.user_keys[k], msg, caches[k])
+                got = s.decode(k, demand[k], user_keys[k], header, caches[k], payload)
                 want = store.file(demand[k])
                 if got != want:
                     decode_text = str(
                         DecodeCounterexample(
                             store.index(),
                             demand.entries,
-                            keys.user_keys,
-                            keys.server_random,
+                            user_keys,
+                            server,
                             k,
                             want,
                             got,
@@ -195,15 +195,14 @@ def reference_checks(
             if decode_text is not None and not (users or invariance):
                 break
         for u in users:
-            cache = caches[u]
-            view = (cache.symbols, cache.key, msg.payload, msg.header, demand[u])
+            view = (caches[u], user_keys[u], payload, header, demand[u])
             joint[u][(demand.drop(u), view)] += 1
         if invariance:
-            pay = pack_symbols(msg.payload, width)
+            pay = pack_symbols(payload, width)
             for k in (0, 1):
                 j = demand[k]
-                view = pack_symbols(caches[k].symbols, width) + (caches[k].key,)
-                view += pay + (msg.header, j)
+                view = pack_symbols(caches[k], width) + (user_keys[k],)
+                view += pay + (header, j)
                 file = pack_symbols(store.file(j), width)
                 views[(k, j, demand[1 - k])][(view, file)] += 1
 

@@ -15,7 +15,6 @@ from cachepriv import cli, gf2
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     cyclic_demand_set,
 )
 from cachepriv.lift import (
@@ -82,9 +81,8 @@ def test_a3_demand_oblivious_broadcast():
     started = time.perf_counter()
     s = basic_private_scheme(2, 3, 1)
     store = FileStore.random(2, s.subpacketization, 1, random.Random(2))
-    keys = KeyAssignment((0, 0, 0), 0)
     messages = {
-        (s.deliver(store, DemandVector(2, d), keys).payload, ())
+        (s.deliver(store, DemandVector(2, d), (0, 0, 0), 0)[0], ())
         for d in itertools.product(range(2), repeat=3)
     }
     ok = len(messages) == 1

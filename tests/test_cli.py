@@ -187,6 +187,11 @@ def test_verify_rejects_out_of_range_user_before_enumerating(capsys):
 FROZEN = export_descriptor(high_memory_2x4_matrices(), "frozen")
 CACHE_1 = next(line for line in FROZEN.splitlines() if line.startswith("cache 1:"))
 DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("delivery "))
+NO_DELIVERY = "".join(
+    line
+    for line in FROZEN.splitlines(keepends=True)
+    if not line.startswith(("delivery ", "tx_dim:"))
+)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +216,9 @@ DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("deliver
         (FROZEN.replace("users: 4\n", "users 4\nusers: 4\n"), "verify"),
         (FROZEN.replace("cache 1:", "cache 1 3:"), "verify"),
         (FROZEN.replace("tx_dim: 1\n", "tx_dimm: 9\n"), "verify"),
+        (NO_DELIVERY, "verify"),
+        (NO_DELIVERY, "measure"),
+        (NO_DELIVERY, "simulate --demands 0,1,0,1"),
     ],
     ids=[
         "no-users",
@@ -232,12 +240,16 @@ DELIVERY = next(line for line in FROZEN.splitlines() if line.startswith("deliver
         "line-without-colon",
         "cache-key-with-extra-words",
         "unknown-field",
+        "no-delivery-line",
+        "measure-no-delivery-line",
+        "simulate-no-delivery-line",
     ],
 )
 def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text, command):
     path = tmp_path / "bad.desc"
     path.write_text(text)
-    assert main([command, str(path)]) == 2
+    name, *options = command.split()
+    assert main([name, str(path), *options]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -10,7 +10,6 @@ import pytest
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     cyclic_demand_set,
@@ -53,13 +52,12 @@ def test_basic_scheme_broadcast_is_demand_oblivious_when_files_few():
     s = basic_private_scheme(2, 3, 1)
     rng = random.Random(41)
     store = FileStore.random(2, s.subpacketization, 1, rng)
-    keys = KeyAssignment((0, 0, 0), 0)
     messages = [
-        s.deliver(store, DemandVector(2, d), keys)
+        s.deliver(store, DemandVector(2, d), (0, 0, 0), 0)
         for d in itertools.product(range(2), repeat=3)
     ]
-    assert len({m.payload for m in messages}) == 1
-    assert all(m.header == () for m in messages)
+    assert len({payload for payload, _ in messages}) == 1
+    assert all(header == () for _, header in messages)
     assert s.header_bits == 0
 
 
@@ -70,12 +68,11 @@ def test_basic_scheme_slot_structure_when_files_many():
     k = 2
     for keys_v in itertools.product(range(k), repeat=k):
         for sr in range(s.server_random_size(1)):
-            keys = KeyAssignment(keys_v, sr)
-            same = s.deliver(store, DemandVector(3, (1, 1)), keys)
-            slots_same = [(same.header[u] - keys_v[u]) % k for u in range(k)]
+            _, same = s.deliver(store, DemandVector(3, (1, 1)), keys_v, sr)
+            slots_same = [(same[u] - keys_v[u]) % k for u in range(k)]
             assert slots_same[0] == slots_same[1]
-            diff = s.deliver(store, DemandVector(3, (1, 2)), keys)
-            slots_diff = [(diff.header[u] - keys_v[u]) % k for u in range(k)]
+            _, diff = s.deliver(store, DemandVector(3, (1, 2)), keys_v, sr)
+            slots_diff = [(diff[u] - keys_v[u]) % k for u in range(k)]
             assert slots_diff[0] != slots_diff[1]
 
 
@@ -119,17 +116,17 @@ def test_lifted_broadcast_reuses_virtual_delivery():
     np_scheme = low_memory_2x4_scheme()
     lifted = lift_private(np_scheme, "example1")
     rng = random.Random(6)
-    trivial = KeyAssignment((0,) * 4, 0)
+    trivial = (0,) * 4
     for _ in range(25):
         store = FileStore.random(2, 3, 1, rng)
         demand = DemandVector(2, (rng.randrange(2), rng.randrange(2)))
-        keys = KeyAssignment((rng.randrange(2), rng.randrange(2)), 0)
-        msg = lifted.deliver(store, demand, keys)
-        shifts = mod_sub(keys.user_keys, demand.entries, 2)
-        assert msg.header == shifts
-        virtual = expand_demand(demand, keys.user_keys)
-        inner = np_scheme.deliver(store, virtual, trivial)
-        assert msg.payload == inner.payload
+        user_keys = (rng.randrange(2), rng.randrange(2))
+        payload, header = lifted.deliver(store, demand, user_keys, 0)
+        shifts = mod_sub(user_keys, demand.entries, 2)
+        assert header == shifts
+        virtual = expand_demand(demand, user_keys)
+        inner, _ = np_scheme.deliver(store, virtual, trivial, 0)
+        assert payload == inner
 
 
 def test_lifted_cache_is_selected_virtual_cache():
@@ -137,13 +134,11 @@ def test_lifted_cache_is_selected_virtual_cache():
     lifted = lift_private(np_scheme)
     assert lifted.name == "lifted:lowmem2x4"
     store = FileStore.random(2, 3, 1, random.Random(9))
-    trivial = KeyAssignment((0,) * 4, 0)
-    virtual = np_scheme.place(trivial, store)
+    virtual = np_scheme.place((0,) * 4, store)
     for keys_v in itertools.product(range(2), repeat=2):
-        caches = lifted.place(KeyAssignment(keys_v, 0), store)
+        caches = lifted.place(keys_v, store)
         for u in range(2):
-            assert caches[u].symbols == virtual[u * 2 + keys_v[u]].symbols
-            assert caches[u].key == keys_v[u]
+            assert caches[u] == virtual[u * 2 + keys_v[u]]
 
 
 def test_lifted_corner_schemes_measure_at_their_corners():

@@ -22,7 +22,6 @@ from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     xor_rows,
@@ -275,7 +274,7 @@ def test_rows_past_their_inputs_raise_on_both_paths():
         with pytest.raises(IndexError):
             sweep(b)
         with pytest.raises(IndexError):
-            run_session(b, store, demand, KeyAssignment((0,) * s.n_users, 0))
+            run_session(b, store, demand, (0,) * s.n_users, 0)
 
 
 @pytest.mark.parametrize("table", ["cache", "delivery", "recipe"])
@@ -298,7 +297,7 @@ def test_negative_columns_raise_on_both_paths(make, table):
     store = FileStore.zero(s.n_files, s.subpacketization, 1)
     demand = DemandVector(s.n_files, s.served_demands().members[0])
     with pytest.raises(IndexError, match="negative column"):
-        run_session(broken, store, demand, KeyAssignment((0,) * s.n_users, 0))
+        run_session(broken, store, demand, (0,) * s.n_users, 0)
     with pytest.raises(IndexError, match="negative column"):
         run_checks(broken)
 

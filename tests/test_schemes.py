@@ -8,7 +8,6 @@ from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     cyclic_demand_set,
@@ -210,13 +209,12 @@ def test_every_scheme_kind_rejects_a_demand_of_the_wrong_length(tmp_path):
     schemes.append(with_plaintext_demand_header(low_memory_private_scheme()))
     for s in schemes:
         store = FileStore.zero(s.n_files, s.subpacketization, 1)
-        keys = KeyAssignment((0,) * s.n_users, 0)
         for length in (s.n_users - 1, s.n_users + 1):
             demand = DemandVector(s.n_files, (0,) * length)
             with pytest.raises(
                 ParameterError, match=rf" {s.n_users} users.* {length} entries"
             ):
-                s.deliver(store, demand, keys)
+                s.deliver(store, demand, (0,) * s.n_users, 0)
 
 
 def test_share_nested_as_the_first_part_decodes():

@@ -13,7 +13,6 @@ from cachepriv.core import (
     DemandSubset,
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     UnservedDemand,
     cyclic_demand_set,
@@ -100,7 +99,7 @@ def test_compiled_symbols_match_the_bitwise_oracle():
                 tuple((d, gf2.random_full_rank(tx_dim, 6, rng)) for d in CYCLIC),
             )
         )
-    keys = KeyAssignment((0,) * 4, 0)
+    keys = (0,) * 4
     rng = random.Random(17)
     for i, m in enumerate(candidates):
         s = compile_linear_scheme(m, CYCLIC, f"cand{i}")
@@ -109,18 +108,17 @@ def test_compiled_symbols_match_the_bitwise_oracle():
                 store = FileStore.random(2, 3, width, rng)
                 caches = s.place(keys, store)
                 for u, cache in enumerate(caches):
-                    assert cache.symbols == apply_rows(m.cache_rows[u], store)
+                    assert cache == apply_rows(m.cache_rows[u], store)
                 for demand, rows in m.deliveries:
-                    msg = s.deliver(store, DemandVector(2, demand), keys)
-                    assert msg.payload == apply_rows(rows, store)
+                    payload, _ = s.deliver(store, DemandVector(2, demand), keys, 0)
+                    assert payload == apply_rows(rows, store)
 
 
 def test_compiled_scheme_rejects_unserved_demands():
     s = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "lowmem")
     store = FileStore.zero(2, 3, 1)
-    keys = KeyAssignment((0,) * 4, 0)
     with pytest.raises(UnservedDemand):
-        s.deliver(store, DemandVector(2, (0, 0, 0, 0)), keys)
+        s.deliver(store, DemandVector(2, (0, 0, 0, 0)), (0,) * 4, 0)
 
 
 def test_search_is_deterministic_in_the_seed():

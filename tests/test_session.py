@@ -9,7 +9,6 @@ from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     UnservedDemand,
 )
@@ -174,18 +173,18 @@ def test_simulate_rejects_unserved_demands():
 def test_run_session_checks_the_demand():
     s = resolve_scheme("thm1:3,2,0")
     store = FileStore.random(3, 1, 1, random.Random(0))
-    keys = KeyAssignment((0, 0), 0)
     with pytest.raises(ParameterError, match="length 3 does not match the 2 users"):
-        run_session(s, store, DemandVector(3, (0, 1, 2)), keys)
+        run_session(s, store, DemandVector(3, (0, 1, 2)), (0, 0), 0)
     with pytest.raises(ParameterError, match="length 1 does not match"):
-        run_session(s, store, DemandVector(3, (0,)), keys)
+        run_session(s, store, DemandVector(3, (0,)), (0, 0), 0)
     lowmem = low_memory_2x4_scheme()
     with pytest.raises(UnservedDemand, match="does not serve demand"):
         run_session(
             lowmem,
             FileStore.zero(2, 3, 1),
             DemandVector(2, (0, 0, 0, 0)),
-            KeyAssignment((0,) * 4, 0),
+            (0,) * 4,
+            0,
         )
 
 
@@ -195,7 +194,7 @@ def test_run_session_records_mismatches():
     # every user decodes one symbol short of its file
     bad = with_tables(s, recipe=lambda *args: recipe(*args)[:-1])
     store = FileStore.random(2, 3, 1, random.Random(3))
-    t = run_session(bad, store, DemandVector(2, (1, 0)), KeyAssignment((0, 1), 0))
+    t = run_session(bad, store, DemandVector(2, (1, 0)), (0, 1), 0)
     assert not t.all_matched
     assert [r.matched for r in t.reports] == [False, False]
 
@@ -205,9 +204,9 @@ def test_wire_observations_reproduce_the_privacy_verdict():
     # it must reach the same verdict as the library's own counting path
     s = low_memory_private_scheme()
     pairs = []
-    for store, demand, keys in iter_atoms(s, 1):
+    for store, demand, user_keys, server in iter_atoms(s, 1):
         parsed = parse_transcript(
-            transcript_to_bytes(run_session(s, store, demand, keys))
+            transcript_to_bytes(run_session(s, store, demand, user_keys, server))
         )
         me = parsed.placements[0]
         view = (

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from cachepriv.cli import resolve_scheme
-from cachepriv.core import DemandVector, FileStore, KeyAssignment
+from cachepriv.core import DemandVector, FileStore
 from cachepriv.schemes import with_plaintext_demand_header
 from cachepriv.session import simulate_session, transcript_to_bytes
 
@@ -62,12 +62,12 @@ def decode_outputs(s, demand: DemandVector, seed: int, width: int) -> list:
     rng = random.Random(seed)
     store = FileStore.random(s.n_files, s.subpacketization, width, rng)
     user_keys = tuple(rng.randrange(size) for size in s.key_sizes)
-    keys = KeyAssignment(user_keys, rng.randrange(s.server_random_size(width)))
-    caches = s.place(keys, store)
-    msg = s.deliver(store, demand, keys)
+    server = rng.randrange(s.server_random_size(width))
+    caches = s.place(user_keys, store)
+    payload, header = s.deliver(store, demand, user_keys, server)
     outputs = []
     for u in range(s.n_users):
-        decoded = s.decode(u, demand[u], user_keys[u], msg, caches[u])
+        decoded = s.decode(u, demand[u], user_keys[u], header, caches[u], payload)
         outputs.append([[width, value] for value in decoded])
     return outputs
 

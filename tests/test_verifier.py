@@ -21,7 +21,6 @@ from cachepriv.core import (
     ColumnProgram,
     DemandVector,
     FileStore,
-    KeyAssignment,
     ParameterError,
     Privacy,
     SchemeError,
@@ -33,6 +32,7 @@ from cachepriv.schemes import (
     uncoded_baseline,
     with_plaintext_demand_header,
 )
+from cachepriv.session import simulate_session
 from cachepriv.verifier import (
     BUDGET_ENV_VAR,
     BudgetExceeded,
@@ -89,8 +89,8 @@ def test_mutual_information_matches_entropy_route():
 def test_atom_space_is_a_bijection():
     s = basic_private_scheme(3, 2, 0)
     seen = set()
-    for store, demand, keys in iter_atoms(s, 1):
-        seen.add((store.index(), demand.entries, keys.user_keys, keys.server_random))
+    for store, demand, user_keys, server in iter_atoms(s, 1):
+        seen.add((store.index(), demand.entries, user_keys, server))
     # the sweep counts each of the distinct atoms once
     cases = run_checks(s, decodability=False, users=(0,))["privacy[user 0]"].cases
     assert len(seen) == atom_count(s, 1) == cases == 2304
@@ -137,15 +137,15 @@ def test_decodability_counterexample_reporting(monkeypatch):
     assert ce.expected != ce.actual
     # the sweep stops at the first failure, which is the atom it reports
     atoms = list(itertools.islice(iter_atoms(s, 1), v.cases))
-    store, demand, keys = atoms[-1]
-    assert (store.index(), demand.entries, keys.user_keys, keys.server_random) == (
+    store, demand, user_keys, server = atoms[-1]
+    assert (store.index(), demand.entries, user_keys, server) == (
         ce.store_index,
         ce.demand,
         ce.user_keys,
         ce.server_random,
     )
     # each store it reached is placed once per (user, key)
-    stores = {store.index() for store, _, _ in atoms}
+    stores = {store.index() for store, *_ in atoms}
     assert placed == {index: placements_per_store(s) for index in stores}
 
 
@@ -389,17 +389,38 @@ def test_forms_predict_place_deliver_and_decode(s, width):
         store = FileStore.random(s.n_files, s.subpacketization, width, rng)
         wants = rng.choice(demands)
         user_keys = tuple(rng.randrange(size) for size in s.key_sizes)
-        keys = KeyAssignment(user_keys, rng.randrange(s.server_random_size(width)))
-        config, pads = s.program.split_server(keys.server_random, width)
+        server = rng.randrange(s.server_random_size(width))
+        config, pads = s.program.split_server(server, width)
         header, caches, sent, decoded = forms[wants, user_keys, config]
         symbols = store.values + tuple(pads)
-        placed = s.place(keys, store)
-        msg = s.deliver(store, DemandVector(s.n_files, wants), keys)
-        assert [c.symbols for c in placed] == [lanes(f, symbols) for f in caches]
-        assert (msg.payload, msg.header) == (lanes(sent, symbols), header)
+        placed = s.place(user_keys, store)
+        payload, sent_header = s.deliver(
+            store, DemandVector(s.n_files, wants), user_keys, server
+        )
+        assert list(placed) == [lanes(f, symbols) for f in caches]
+        assert (payload, sent_header) == (lanes(sent, symbols), header)
         for user, forms_of_user in enumerate(decoded):
-            got = s.decode(user, wants[user], user_keys[user], msg, placed[user])
+            got = s.decode(
+                user, wants[user], user_keys[user], sent_header, placed[user], payload
+            )
             assert got == lanes(forms_of_user, symbols)
+
+
+def test_the_proof_walk_leaves_the_delivery_memo_empty():
+    # the walk reads each of the 576 delivery entries once, so it looks them
+    # up past the memo; a simulated round still goes through the memo
+    s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
+    configs = math.prod(n for n, _ in s.program.server)
+    assert s.n_served() * s.key_space_size * configs == 576
+    verdicts = run_checks(s, users=range(s.n_users))
+    assert {label: (v.passed, v.cases, v.mi_bits) for label, v in verdicts.items()} == {
+        "decodability": (True, 147456, None),
+        "privacy[user 0]": (True, 147456, 0.0),
+        "privacy[user 1]": (True, 147456, 0.0),
+    }
+    assert s.program.delivery.cache_info().currsize == 0
+    simulate_session(s, DemandVector(3, (2, 0)), seed=1)
+    assert s.program.delivery.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
