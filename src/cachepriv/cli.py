@@ -80,9 +80,14 @@ def _parse_nkm(params: str) -> tuple[int, int, Fraction]:
     return int(parts[0]), int(parts[1]), _fraction(parts[2])
 
 
+# descriptor texts whose parse one process keeps, keyed by the whole text,
+# so a file edited between calls is parsed again; errors are not kept
+_parse_descriptor_text = functools.lru_cache(maxsize=64)(parse_descriptor)
+
+
 def _load_descriptor(path: str) -> SchemeInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        matrices, name = parse_descriptor(fh.read())
+        matrices, name = _parse_descriptor_text(fh.read())
     members = tuple(d for d, _ in matrices.deliveries)
     cyc = cyclic_demand_set(matrices.n_files, matrices.n_users // matrices.n_files)
     if set(members) == set(cyc.members):

@@ -260,7 +260,10 @@ class ColumnProgram:
 
     A row naming a negative column raises IndexError when its table entry
     is first looked up.  A table's __wrapped__ is the same checked lookup
-    without the memo, for a caller that reads each entry once.
+    without the memo, for a caller that reads each entry once.  A table
+    that is already a program's memoised lookup for the same slot, as
+    dataclasses.replace passes on every table it does not replace, is kept
+    as it is, so the two programs share that memo.
     """
 
     key_sizes: tuple[int, ...]
@@ -272,8 +275,12 @@ class ColumnProgram:
 
     def __post_init__(self) -> None:
         for table in ("cache", "delivery", "recipe"):
-            lookup = _nonnegative(getattr(self, table), table == "delivery")
-            object.__setattr__(self, table, functools.cache(lookup))
+            lookup = getattr(self, table)
+            if getattr(lookup, "_column_table", None) == table:
+                continue
+            memo = functools.cache(_nonnegative(lookup, table == "delivery"))
+            memo._column_table = table
+            object.__setattr__(self, table, memo)
 
     def server_size(self, width: int) -> int:
         return math.prod(configs << (pads * width) for configs, pads in self.server)

@@ -9,6 +9,7 @@ in the rowspan of user u's cache rows stacked with demand d's delivery rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -136,18 +137,19 @@ def _columns(row: int) -> tuple[int, ...]:
     return tuple(i for i in range(row.bit_length()) if (row >> i) & 1)
 
 
-def compile_linear_scheme(
-    m: LinearSchemeMatrices, served: DemandSubset, name: str
-) -> SchemeInstance:
-    """Executable scheme from matrices, with column programs fixed up front.
+# matrix sets whose solved tables one process keeps; a verify call compiles
+# one or two, and a process that cycles through more only solves again
+_COMPILED_SETS = 64
 
-    Every cache row, delivery row and decode recipe is turned into the tuple
-    of column indices it XORs, once, so running the scheme only XORs symbol
-    values.  The broadcast header carries the full demand vector, which is
-    the usual convention for schemes with no privacy requirement.  If some
-    (demand, user) pair is not solvable its recipe selects no columns and the
-    decoder emits zero symbols for it, so a broken matrix set stays runnable
-    and is caught by the exhaustive decodability check.
+
+@functools.lru_cache(maxsize=_COMPILED_SETS)
+def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
+    """(cache columns per user, delivery columns per served demand, recipe
+    per (demand, user)), memoised by the value of (m, served).
+
+    Nothing outside compile_linear_scheme's closures holds the dicts, and
+    they only read them.  An exception is raised again on every call, since
+    lru_cache keeps results only.
     """
     m.validate()
     if served.n_files != m.n_files or served.n_users != m.n_users:
@@ -170,6 +172,27 @@ def compile_linear_scheme(
                 if None in solved
                 else tuple(tuple(i for i, c in enumerate(cs) if c) for cs in solved)
             )
+    return cache_cols, delivery_cols, recipes
+
+
+def compile_linear_scheme(
+    m: LinearSchemeMatrices, served: DemandSubset, name: str
+) -> SchemeInstance:
+    """Executable scheme from matrices, with column programs fixed up front.
+
+    Every cache row, delivery row and decode recipe is turned into the tuple
+    of column indices it XORs, once, so running the scheme only XORs symbol
+    values.  The broadcast header carries the full demand vector, which is
+    the usual convention for schemes with no privacy requirement.  If some
+    (demand, user) pair is not solvable its recipe selects no columns and the
+    decoder emits zero symbols for it, so a broken matrix set stays runnable
+    and is caught by the exhaustive decodability check.
+
+    The solved tables are memoised per process by the value of (m, served)
+    (_solved_tables); each call still returns a new instance with its own
+    column program and memos, whose errors name this call's scheme.
+    """
+    cache_cols, delivery_cols, recipes = _solved_tables(m, served)
 
     def delivery(demand, keys, configs):
         if demand not in delivery_cols:
@@ -196,7 +219,7 @@ def compile_linear_scheme(
         n_users=m.n_users,
         memory=m.memory,
         rate=m.rate,
-        subpacketization=t,
+        subpacketization=m.subpacketization,
         privacy=Privacy.NON_PRIVATE,
         served=served,
     )

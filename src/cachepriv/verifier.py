@@ -660,7 +660,11 @@ def _invariance_verdict(
 def check_decodability(
     s: SchemeInstance, width: int = 1, budget: int | None = None
 ) -> Verdict:
-    """Every user recovers its demanded file exactly, over every atom."""
+    """Every user recovers its demanded file exactly, over every atom.
+
+    Each call is its own run_checks run and walks the configurations again;
+    to ask several checks of one scheme, ask them of one run_checks call.
+    """
     return run_checks(s, width, budget)["decodability"]
 
 
@@ -669,6 +673,9 @@ def check_privacy(
 ) -> Verdict:
     """Exact statistical independence of the other users' demands from
     everything user `user` observes (cache, key, broadcast, own demand).
+
+    Each call is its own run_checks run and walks the configurations again;
+    to ask several checks of one scheme, ask them of one run_checks call.
     """
     return run_checks(s, width, budget, decodability=False, users=(user,))[
         f"privacy[user {user}]"
@@ -683,6 +690,9 @@ def check_conditional_invariance(
     conditioned on user k demanding file j, the joint distribution of
     (broadcast, user k's cache, file j's content) is the same whether the
     other user demands file 0 or file 1.
+
+    Each call is its own run_checks run and walks the configurations again;
+    to ask several checks of one scheme, ask them of one run_checks call.
     """
     return run_checks(s, width, budget, decodability=False, invariance=True)[
         "conditional-invariance"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cachepriv.cli
+from cachepriv import search
 from cachepriv.cli import main, resolve_scheme
 from cachepriv.schemes import high_memory_2x4_matrices
 from cachepriv.search import export_descriptor
@@ -249,11 +250,33 @@ def test_verify_malformed_descriptor_is_a_usage_error(tmp_path, capsys, text, co
     path = tmp_path / "bad.desc"
     path.write_text(text)
     name, *options = command.split()
-    assert main([name, str(path), *options]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    errors = []
+    for _ in range(2):  # a parse that raised is not kept: the repeat raises too
+        assert main([name, str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+
+
+def test_an_edited_descriptor_is_verified_as_edited(tmp_path, capsys):
+    # the file is read on every call and parsed again when its text changed;
+    # the perturbed delivery row keeps the file's length
+    path = tmp_path / "witness.desc"
+    path.write_text(FROZEN)
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "decodability: PASS (256 cases)" in out
+    assert out.endswith("overall: PASS\n")
+    perturbed = DELIVERY.replace(": 0", ": 1", 1)
+    assert perturbed != DELIVERY and len(perturbed) == len(DELIVERY)
+    path.write_text(FROZEN.replace(DELIVERY, perturbed))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "decodability: FAIL (" in out
+    assert out.endswith("overall: FAIL\n")
 
 
 WIDTH = "symbol width must be at least 1, got "
@@ -346,6 +369,23 @@ def test_pinned_verify_outputs(capsys, call):
     out, err = capsys.readouterr()
     assert out == call["stdout"]
     assert err == ""
+
+
+def test_pinned_verify_calls_repeat_byte_for_byte(capsys):
+    # the first pass compiles and parses into empty memos, the second reads them
+    search._solved_tables.cache_clear()
+    cachepriv.cli._parse_descriptor_text.cache_clear()
+    calls = json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8"))
+    passes = []
+    for _ in range(2):
+        got = []
+        for call in calls:
+            code = main(["verify", *call["args"]])
+            out, err = capsys.readouterr()
+            got.append((code, out, err))
+        passes.append(got)
+    assert search._solved_tables.cache_info().hits > 0
+    assert passes[0] == passes[1] == [(c["exit"], c["stdout"], "") for c in calls]
 
 
 def test_search_exhaustive_strategy(capsys):

@@ -191,6 +191,35 @@ def test_plaintext_header_control_leaks():
         with_plaintext_demand_header(low_memory_2x4_scheme())
 
 
+def test_a_replaced_program_shares_the_memo_of_every_table_it_keeps():
+    # the control replaces the delivery and recipe tables and keeps the
+    # cache table, which stays the source program's one memoised lookup
+    s = low_memory_private_scheme()
+    ctrl = with_plaintext_demand_header(s)
+    assert ctrl.program.cache is s.program.cache
+    ctrl.program.cache(0, 1)
+    assert s.program.cache.cache_info().currsize == 1
+    assert s.program.cache.__wrapped__(0, 1) == ctrl.program.cache(0, 1)
+    assert s.program.cache.cache_info().currsize == 1
+    for replaced in ("delivery", "recipe"):
+        assert getattr(ctrl.program, replaced) is not getattr(s.program, replaced)
+    # a replaced table is checked and memoised like any other:
+    # table -> (arguments of a first lookup, a lookup naming column -1)
+    negative = {
+        "cache": ((0, 0), lambda user, key: ((0,), (-1,))),
+        "delivery": (((0, 1), (0, 0), (0,)), lambda *args: (((-1,),), ())),
+        "recipe": ((0, 0, 0, (0,)), lambda *args: ((-1, 0),)),
+    }
+    for table, (args, lookup) in negative.items():
+        broken = with_tables(s, **{table: lookup})
+        for kept in set(negative) - {table}:
+            assert getattr(broken.program, kept) is getattr(s.program, kept)
+        replaced = getattr(broken.program, table)
+        with pytest.raises(IndexError, match="names a negative column"):
+            replaced(*args)
+        assert replaced.cache_info().misses == 1
+
+
 def test_every_scheme_kind_rejects_a_demand_of_the_wrong_length(tmp_path):
     descriptor = tmp_path / "lowmem.txt"
     descriptor.write_text(export_descriptor(low_memory_2x4_matrices(), "lowmem"))

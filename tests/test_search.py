@@ -506,25 +506,116 @@ def compile_pins():
 
 
 def test_compiled_tables_match_the_pins():
+    # the first pass solves every set (the memo starts empty), the second
+    # reads every set from the memo
     pins = compile_pins()
     assert len(pins) == 40
-    unsolvable = 0
-    for m, served, p in pins:
-        program = compile_linear_scheme(m, served, p["name"]).program
-        got = {
-            "cache": [program.cache(u, 0) for u in range(m.n_users)],
-            "delivery": [
-                [d, program.delivery(d, (0,) * m.n_users, ())[0]] for d in served
-            ],
-            "recipes": [
-                [d, u, program.recipe(u, d, 0, d)]
-                for d in served
-                for u in range(m.n_users)
-            ],
-        }
-        assert json.loads(json.dumps(got)) == {k: p[k] for k in got}, p["name"]
-        unsolvable += sum(r == [[]] * m.subpacketization for _, _, r in p["recipes"])
-    assert unsolvable >= 100  # unsolvable pairs keep the empty recipe
+    search._solved_tables.cache_clear()
+    for solved, memo_hits in ((40, 0), (40, 40)):
+        unsolvable = 0
+        for m, served, p in pins:
+            program = compile_linear_scheme(m, served, p["name"]).program
+            got = {
+                "cache": [program.cache(u, 0) for u in range(m.n_users)],
+                "delivery": [
+                    [d, program.delivery(d, (0,) * m.n_users, ())[0]]
+                    for d in served
+                ],
+                "recipes": [
+                    [d, u, program.recipe(u, d, 0, d)]
+                    for d in served
+                    for u in range(m.n_users)
+                ],
+            }
+            assert json.loads(json.dumps(got)) == {k: p[k] for k in got}, p["name"]
+            unsolvable += sum(
+                r == [[]] * m.subpacketization for _, _, r in p["recipes"]
+            )
+        assert unsolvable >= 100  # unsolvable pairs keep the empty recipe
+        info = search._solved_tables.cache_info()
+        assert (info.misses, info.hits) == (solved, memo_hits)
+
+
+def test_equal_matrices_compile_to_separate_instances():
+    a = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "lowmem")
+    b = compile_linear_scheme(
+        low_memory_2x4_matrices(), cyclic_demand_set(2, 2), "lowmem"
+    )
+    assert a is not b and a.program is not b.program
+    for table in ("cache", "delivery", "recipe"):
+        assert getattr(a.program, table) is not getattr(b.program, table)
+    assert [a.program.cache(u, 0) for u in range(4)] == [
+        b.program.cache(u, 0) for u in range(4)
+    ]
+    for d in CYCLIC:
+        keys = (0,) * 4
+        assert a.program.delivery(d, keys, ()) == b.program.delivery(d, keys, ())
+        for u in range(4):
+            assert a.program.recipe(u, d, 0, d) == b.program.recipe(u, d, 0, d)
+    # rebinding a method on one instance, as a tracer does, leaves the other alone
+    calls = []
+
+    def place(*args, fn=a.place):
+        calls.append(args)
+        return fn(*args)
+
+    object.__setattr__(a, "place", place)
+    store = FileStore.zero(2, 3, 1)
+    assert b.place((0,) * 4, store) == a.place((0,) * 4, store)
+    assert len(calls) == 1 and "place" not in vars(b)
+
+
+def test_unserved_demand_errors_name_the_scheme_compiled():
+    store = FileStore.zero(2, 3, 1)
+    for name in ("first", "second"):
+        s = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, name)
+        with pytest.raises(UnservedDemand, match=f"^{name} does not serve demand"):
+            s.deliver(store, (0, 0, 0, 0), (0,) * 4, 0)
+        with pytest.raises(UnservedDemand, match=f"^{name} has no recipe for demand"):
+            s.decode(0, 0, 0, (0, 0, 0, 0), (0,), (0,) * 4)
+
+
+def test_compile_errors_are_raised_on_every_call():
+    m = low_memory_2x4_matrices()
+    deficient = LinearSchemeMatrices(
+        2, 4, 3, ((0b000001, 0b000001),) * 4, m.deliveries
+    )
+    wrong_shape = cyclic_demand_set(2, 1)
+    search._solved_tables.cache_clear()
+    compile_linear_scheme(m, CYCLIC, "clean")
+    for _ in range(2):
+        with pytest.raises(
+            ParameterError, match="^cache matrix of user 0 is rank deficient$"
+        ):
+            compile_linear_scheme(deficient, CYCLIC, "deficient")
+        with pytest.raises(
+            ParameterError,
+            match="^served demand set shape does not match the matrices$",
+        ):
+            compile_linear_scheme(m, wrong_shape, "wrong-shape")
+    assert search._solved_tables.cache_info().currsize == 1
+
+
+def test_the_compile_memo_is_bounded():
+    search._solved_tables.cache_clear()
+    bound = search._solved_tables.cache_info().maxsize
+    assert bound is not None
+    rng = random.Random("memo-bound")
+    sets = set()
+    while len(sets) < bound + 5:
+        sets.add(
+            LinearSchemeMatrices(
+                2,
+                4,
+                3,
+                tuple(gf2.random_full_rank(2, 6, rng) for _ in range(4)),
+                tuple((d, gf2.random_full_rank(2, 6, rng)) for d in CYCLIC),
+            )
+        )
+    for m in sets:
+        compile_linear_scheme(m, CYCLIC, "random")
+    info = search._solved_tables.cache_info()
+    assert (info.misses, info.currsize) == (bound + 5, bound)
 
 
 def test_descriptor_bit_order():

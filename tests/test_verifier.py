@@ -423,6 +423,36 @@ def test_the_proof_walk_leaves_the_delivery_memo_empty():
     assert s.program.delivery.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: resolve_scheme("example1"),
+        lambda: resolve_scheme("dual"),
+        lambda: with_plaintext_demand_header(low_memory_private_scheme()),
+        lambda: decode_corrupted(low_memory_private_scheme()),
+    ],
+    ids=["example1", "dual", "control", "decode-corrupted"],
+)
+def test_the_public_checks_give_the_verdicts_of_one_run(make):
+    # each public check is its own run; asked one at a time they must say
+    # what one run asking every check says
+    s = make()
+    users = range(s.n_users)
+    together = run_checks(s, users=users, invariance=True)
+    alone = {"decodability": check_decodability(s)}
+    for k in users:
+        alone[f"privacy[user {k}]"] = check_privacy(s, k)
+    alone["conditional-invariance"] = check_conditional_invariance(s)
+
+    def fields(verdicts):
+        return {
+            label: (v.passed, v.cases, str(v.counterexample), v.mi_bits)
+            for label, v in verdicts.items()
+        }
+
+    assert fields(alone) == fields(together)
+
+
 @pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
 def test_place_runs_once_per_store_and_key_realization(monkeypatch, token):
     s = resolve_scheme(token)
