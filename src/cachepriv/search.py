@@ -271,12 +271,20 @@ def _residuals(basis: dict[int, int], f: int, t: int) -> set[int]:
 
 
 def _user_feasible(
-    basis: dict[int, int], files_needed: set[int], t: int, tx_dim: int
+    basis: dict[int, int],
+    files_needed: set[int],
+    t: int,
+    tx_dim: int,
+    found: dict[int, set[int]] | None = None,
 ) -> bool:
     """Necessary condition: the delivery can add at most tx_dim dimensions, so
-    each needed file may stick out of the cache span (basis) by at most that."""
+    each needed file may stick out of the cache span (basis) by at most that.
+    Each file's residuals are recorded in found, when given, as they are
+    computed, so that delivery completion (_try_placements) reads them."""
     for f in files_needed:
         residuals = _residuals(basis, f, t)
+        if found is not None:
+            found[f] = residuals
         # distinct nonzero vectors have rank >= min(count, 2)
         if len(residuals) > tx_dim and (tx_dim < 2 or gf2.rank(residuals) > tx_dim):
             return False
@@ -323,6 +331,7 @@ def _try_placements(
     bases: Sequence[dict[int, int]],
     demands: DemandSubset,
     t: int, n_cols: int, tx_dim: int,
+    residuals: Sequence[dict[int, set[int]]] | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
     """Delivery rows for every demand from each user's reduced cache basis,
     or None.  Target x is in span(C_u + W) exactly when the delivery span W
@@ -330,7 +339,10 @@ def _try_placements(
     its nonzero residuals, built once as element masks (bit v set for each
     element v) beside their elements.  One row: the masks are intersected
     and the least row wins.  More rows (or none): the first W in
-    iter_subspaces order that meets every coset.
+    iter_subspaces order that meets every coset.  residuals, when given,
+    holds per user the residuals per file that the rank filter recorded
+    (_user_feasible) for every file the user demands; otherwise they are
+    computed here.
     """
     cosets: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
@@ -338,7 +350,8 @@ def _try_placements(
         found = cosets.get((u, f))
         if found is None:
             found = cosets[(u, f)] = []
-            for r in _residuals(bases[u], f, t):
+            known = _residuals(bases[u], f, t) if residuals is None else residuals[u][f]
+            for r in known:
                 elements = _coset(r, bases[u].values())
                 found.append((_element_mask(elements), elements))
         return found
@@ -440,39 +453,47 @@ def search_linear_scheme(
         return None
     files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
 
-    def trials() -> Iterator[Sequence[dict[int, int]]]:
+    def trials() -> Iterator[tuple[Sequence[dict[int, int]], Sequence[dict]]]:
+        """(cache bases, the residuals the rank filter recorded) per trial."""
         if strategy == "restart":
             # cap per-user rejection so an infeasible target cannot spin forever
             draw_cap = 4096
             for idx in range(budget):
                 rng = _restart_rng(seed, idx)
-                bases = []
+                bases, residuals = [], []
                 for u in range(n_users):
+                    # a draw that passes the filter overwrites every entry
+                    # a rejected draw left
+                    found: dict[int, set[int]] = {}
                     for _ in range(draw_cap):
                         _, basis = gf2.random_full_rank_with_basis(
                             cache_dim, n_cols, rng
                         )
-                        if _user_feasible(basis, files_needed[u], t, tx_dim):
+                        if _user_feasible(basis, files_needed[u], t, tx_dim, found):
                             bases.append(basis)
+                            residuals.append(found)
                             break
                     else:
                         break
                 if len(bases) == n_users:
-                    yield bases
+                    yield bases, residuals
         else:
             per_user = []
             for u in range(n_users):
-                spans = map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim))
-                options = [
-                    b for b in spans if _user_feasible(b, files_needed[u], t, tx_dim)
-                ]
+                options = []
+                for b in map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim)):
+                    found = {}
+                    if _user_feasible(b, files_needed[u], t, tx_dim, found):
+                        options.append((b, found))
                 if not options:
                     return
                 per_user.append(options)
-            yield from itertools.islice(itertools.product(*per_user), budget)
+            for chosen in itertools.islice(itertools.product(*per_user), budget):
+                bases, residuals = zip(*chosen)
+                yield bases, residuals
 
-    for bases in trials():
-        deliveries = _try_placements(bases, demands, t, n_cols, tx_dim)
+    for bases, residuals in trials():
+        deliveries = _try_placements(bases, demands, t, n_cols, tx_dim, residuals)
         if deliveries is not None:
             # each placement is its basis rows by descending pivot (gf2.rref)
             placements = tuple(tuple(sorted(b.values(), reverse=True)) for b in bases)

@@ -157,11 +157,12 @@ class JointDistribution:
     def of(cls, joint: Counter) -> "JointDistribution":
         """The distribution with these joint counts.  Its margins list their
         values in order of first appearance in joint."""
-        dist = cls(sum(joint.values()), joint)
+        left: dict = {}
+        right: dict = {}
         for (l, r), c in joint.items():
-            dist.left[l] += c
-            dist.right[r] += c
-        return dist
+            left[l] = left.get(l, 0) + c
+            right[r] = right.get(r, 0) + c
+        return cls(sum(joint.values()), joint, Counter(left), Counter(right))
 
     def first_violation(self) -> tuple[object, object, int] | None:
         """First (left, right, count) cell breaking the exact product identity.
@@ -441,16 +442,21 @@ def _enumerate(
 ) -> dict[str, Verdict]:
     """The requested checks by exhaustive enumeration of the atom space.
 
-    The sweep is three nested loops: store index, then served demand, then
-    key realization (user 0's key fastest, server randomness innermost).
-    Before the first atom it walks the configurations (_configurations)
-    and compiles each cache, payload and decoded form tuple once
-    (_compile).  Placement never sees the demand or the server randomness,
-    so each store is placed once per (user, key), at the top of the store
-    loop, and that placement serves every atom of the store.  Each atom is
-    delivered once and feeds every requested check.  Decodability stops
-    counting at its first failure, and the enumeration stops there when no
-    other check was requested.
+    The atoms are visited in three nested loops: store index, then served
+    demand, then key realization (user 0's key fastest, server randomness
+    innermost).  Before the first atom it walks the configurations
+    (_configurations) and compiles each cache, payload and decoded form
+    tuple once (_compile).  Python does the work per store and C the work
+    per atom.  Placement never sees the demand or the server randomness,
+    so each store is placed once per (user, key), and each distinct
+    (payload ops, pads) pair is applied once per store.  Every count table
+    is then fed once per store, by one Counter.update over a zip of
+    columns fixed before the first store (per atom: placement number,
+    cache bits, key, payload number, payload bits, header, own demand), so
+    each table counts the same keys in atom order as a per-atom loop
+    would.  Decodability decodes atom by atom (_decode_store) and stops
+    counting at its first failure, and the enumeration stops there when
+    no other check was requested.
 
     The store index is the packed store, column c at bits [c*w, (c+1)*w);
     a delivery's pads are packed with it and ORed above the store, pad p as
@@ -480,91 +486,86 @@ def _enumerate(
         sending = (compiled(sent), len(sent) * width, header, recipes)
         configured[wants][user_keys, config] = sending
     keys = _odometer(s.key_sizes)
-    # per key realization: (placement number, cache bits, key) per user
-    holders = [tuple(slots[slot] for slot in enumerate(ks)) for ks in keys]
     # per server value: (configuration, pads packed above the store)
     plan = []
     for server in range(s.server_random_size(width)):
         config, pads = program.split_server(server, width)
         packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
         plan.append((config, packed))
+    # the atoms of one store and demand, as (user keys, server randomness)
+    realizations = [(ks, server) for ks in keys for server in range(len(plan))]
+    # payloads numbers each distinct (payload ops, pads); per atom of a
+    # store, pay_numbers, pay_bits and headers hold its payload number,
+    # payload bits and header, and per demand, decodes holds (demand,
+    # ((user keys, server randomness), pads, recipes) per atom)
+    payloads: dict[tuple[Ops, int], int] = {}
+    pay_numbers, pay_bits, headers, decodes = [], [], [], []
+    for wants, tables in configured.items():
+        atoms = []
+        for user_keys, server in realizations:
+            config, pads = plan[server]
+            ops, bits, header, recipes = tables[user_keys, config]
+            pay_numbers.append(payloads.setdefault((ops, pads), len(payloads)))
+            pay_bits.append(bits)
+            headers.append(header)
+            atoms.append(((user_keys, server), pads, recipes))
+        decodes.append((wants, atoms))
+    demands = list(configured)
+    n_demands, per_demand = len(demands), len(realizations)
     joints = {user: Counter() for user in users}
     views = _view_tables()
-    # per demand: (demand, entries, observers, viewers), where an entry per
-    # key realization is ((user keys, server randomness), key realization
-    # number, pads, ops, payload bits, header, recipes), an observer is
-    # (user, that user's joint counts, the other users' demands) and a
-    # viewer is (user, own demand, the view table of that pair)
-    sweep = []
-    for wants, tables in configured.items():
-        entries = []
-        for a, user_keys in enumerate(keys):
-            for server, (config, pads) in enumerate(plan):
-                ops, pay_bits, header, recipes = tables[user_keys, config]
-                realization = (user_keys, server)
-                entries.append((realization, a, pads, ops, pay_bits, header, recipes))
-        observers = tuple(
-            (user, joints[user], wants[:user] + wants[user + 1 :]) for user in users
-        )
-        viewers = ()
+    # per user whose view a table counts: its placement number per atom of
+    # one demand; per atom of a store its cache bits, key, own demand and
+    # the other users' demands; its joint counts (None for invariance
+    # alone); and per demand (view table, first atom, end)
+    observed = []
+    for k in dict.fromkeys(users + ((0, 1) if invariance else ())):
+        place, bits, key = zip(*(slots[k, ks[k]] for ks, _ in realizations))
+        own = [wants[k] for wants in demands for _ in realizations]
+        others = [
+            o for wants in demands for o in [wants[:k] + wants[k + 1 :]] * per_demand
+        ]
+        viewing = []
         if invariance:
-            viewers = tuple(
-                (k, wants[k], views[(k, wants[k], wants[1 - k])]) for k in (0, 1)
-            )
-        sweep.append((wants, entries, observers, viewers))
+            viewing = [
+                (views[k, wants[k], wants[1 - k]], first, first + per_demand)
+                for first, wants in zip(range(0, len(own), per_demand), demands)
+            ]
+        observed.append(
+            (place, bits * n_demands, key * n_demands, own, others, joints.get(k), viewing)
+        )
 
     decode_cases = 0
     decode_failure: DecodeCounterexample | None = None
-    checking = decodability
-    stop = False
     for index in range(FileStore.space_size(s.n_files, t, width)):
         values = [_apply(ops, index) for ops in placer]
-        placed = [
-            [(values[slot], bits, key) for slot, bits, key in holder]
-            for holder in holders
-        ]
         files = [
             ((index >> j * file_bits) & file_mask, file_bits) for j in range(s.n_files)
         ]
-        for wants, entries, observers, viewers in sweep:
-            for realization, a, pads, ops, pay_bits, header, recipes in entries:
-                caches = placed[a]
-                x, pay_val = index | pads, 0
-                for shift, mask, factor in ops:
-                    pay_val ^= ((x >> shift) & mask) * factor
-                if checking:
-                    decode_cases += 1
-                    for k, ops, n_out in recipes:
-                        got = 0
-                        for shift, mask, factor in ops:
-                            got ^= ((x >> shift) & mask) * factor
-                        want = files[wants[k]][0]
-                        if n_out != t or got != want:
-                            decode_failure = DecodeCounterexample(
-                                index,
-                                wants,
-                                *realization,
-                                k,
-                                _split(want, width, t),
-                                _split(got, width, n_out),
-                            )
-                            checking = False
-                            stop = not (users or invariance)
-                            break
-                    if stop:
-                        break
-                for user, joint, others in observers:
-                    cache_val, cache_len, key = caches[user]
-                    obs = (cache_val, cache_len, key, pay_val, pay_bits, header, wants[user])
-                    joint[(others, obs)] += 1
-                for k, j, view in viewers:
-                    cache_val, cache_len, key = caches[k]
-                    obs = (cache_val, cache_len, key, pay_val, pay_bits, header, j)
-                    view[(obs, files[j])] += 1
-            if stop:
+        if decodability and decode_failure is None:
+            cases, decode_failure = _decode_store(index, decodes, files, t, width)
+            decode_cases += cases
+            if decode_failure is not None and not observed:
                 break
-        if stop:
-            break
+        if not observed:
+            continue
+        sent = []
+        for ops, pads in payloads:
+            x, value = index | pads, 0
+            for shift, mask, factor in ops:
+                value ^= ((x >> shift) & mask) * factor
+            sent.append(value)
+        paid = list(map(sent.__getitem__, pay_numbers))
+        for place, bits, key, own, others, joint, viewing in observed:
+            cached = list(map(values.__getitem__, place)) * n_demands
+            seen = zip(cached, bits, key, paid, pay_bits, headers, own)
+            if viewing:
+                seen = list(seen)
+                viewed = list(zip(seen, map(files.__getitem__, own)))
+                for view, first, end in viewing:
+                    view.update(viewed[first:end])
+            if joint is not None:
+                joint.update(zip(others, seen))
 
     verdicts: dict[str, Verdict] = {}
     if decodability:
@@ -576,6 +577,34 @@ def _enumerate(
     if invariance:
         verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width))
     return verdicts
+
+
+def _decode_store(
+    index: int, decodes: list, files: list[tuple[int, int]], t: int, width: int
+) -> tuple[int, DecodeCounterexample | None]:
+    """Decode the atoms of store index in atom order, per demand (demand,
+    ((user keys, server randomness), pads, recipes) per atom), until the
+    first failure: (atoms decoded, that failure or None)."""
+    cases = 0
+    for wants, atoms in decodes:
+        for realization, pads, recipes in atoms:
+            cases += 1
+            x = index | pads
+            for k, ops, n_out in recipes:
+                got = 0
+                for shift, mask, factor in ops:
+                    got ^= ((x >> shift) & mask) * factor
+                want = files[wants[k]][0]
+                if n_out != t or got != want:
+                    return cases, DecodeCounterexample(
+                        index,
+                        wants,
+                        *realization,
+                        k,
+                        _split(want, width, t),
+                        _split(got, width, n_out),
+                    )
+    return cases, None
 
 
 def _exact(value: Fraction) -> Fraction | int:
@@ -622,8 +651,9 @@ def _compile(forms: tuple[int, ...], width: int) -> Ops:
 
 
 def _apply(ops: Ops, x: int) -> int:
-    """Compiled forms applied to the packed inputs x; run_checks
-    inlines this loop for each atom's payload and decodes."""
+    """Compiled forms applied to the packed inputs x.  _enumerate calls it
+    for placements only and inlines the loop for each store's payloads and
+    each atom's decodes."""
     value = 0
     for shift, mask, factor in ops:
         value ^= ((x >> shift) & mask) * factor
@@ -640,8 +670,7 @@ def _invariance_verdict(
             joint = Counter(
                 {(v, obs): c for v, t in ((0, t0), (1, t1)) for obs, c in t.items()}
             )
-            n0, n1 = sum(t0.values()), sum(t1.values())
-            dist = JointDistribution(n0 + n1, joint, Counter({0: n0, 1: n1}), t0 + t1)
+            dist = JointDistribution.of(joint)
             worst_mi = max(worst_mi, dist.mutual_information_bits())
             if t0 != t1:
                 # first cell in insertion order, t0 then t1, whose counts differ

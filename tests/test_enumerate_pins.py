@@ -1,0 +1,89 @@
+"""Pinned verdicts of the exhaustive enumerator.
+
+enumerate_pins.json holds, for each case below, what verifier._enumerate
+returns with decodability and every other check the scheme admits: per
+label, (passed, cases, str(counterexample), repr(mi_bits)).  The cases are
+schemes with checks the configuration proof leaves open: the
+plaintext-header controls (privacy and invariance leak), a corrupted
+decode recipe, a scheme whose privacy holds at width 1 only (here at
+width 2), and two descriptors in the bench's style, with one delivery row
+perturbed (decodability fails).  The descriptor texts are stored in the
+pin file.  The pins were captured before the enumerator counted per
+store, from its atom-by-atom loop.
+
+    PYTHONPATH=src python tests/test_enumerate_pins.py > enumerate_pins.json
+
+prints the pins for the current code, with the committed descriptors.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from cachepriv import verifier
+from cachepriv.cli import resolve_scheme
+from cachepriv.lift import low_memory_private_scheme
+from cachepriv.schemes import with_plaintext_demand_header
+from test_verifier import all_checks, coincidence_scheme, decode_corrupted
+
+PINS = Path(__file__).with_name("enumerate_pins.json")
+PINS_SHA256 = "d7f56f2e62d45782644fd53da542d5eb709d96beea61a2f39c71708dda85a8e8"
+
+CONTROLS = (
+    "example1",
+    "dual",
+    "thm1:3,2,0",
+    "thm1:2,2,1",
+    "share:1/4:thm1:2,2,0:thm1:2,2,2",
+)
+
+
+def schemes(descriptors: dict[str, str], tmp: Path) -> list[tuple[str, object, int]]:
+    """(case id, scheme, width) per pinned case; descriptor texts are
+    written under tmp and resolved as `cachepriv verify` resolves a path."""
+    cases = []
+    for token in CONTROLS:
+        for width in (1, 2):
+            s = with_plaintext_demand_header(resolve_scheme(token))
+            cases.append((f"control:{token}@{width}", s, width))
+    corrupted = decode_corrupted(low_memory_private_scheme())
+    cases.append(("decode-corrupted@1", corrupted, 1))
+    cases.append(("coincidence@2", coincidence_scheme(), 2))
+    for name, text in descriptors.items():
+        path = tmp / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        cases.append((f"{name}@1", resolve_scheme(str(path)), 1))
+    return cases
+
+
+def enumerated(s, width: int) -> dict[str, list]:
+    users, invariance = all_checks(s)
+    verdicts = verifier._enumerate(s, width, True, tuple(users), invariance)
+    return {
+        label: [v.passed, v.cases, str(v.counterexample), repr(v.mi_bits)]
+        for label, v in verdicts.items()
+    }
+
+
+def test_enumerated_verdicts_match_the_pins(tmp_path):
+    data = PINS.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINS_SHA256
+    pins = json.loads(data)
+    cases = schemes(pins["descriptors"], tmp_path)
+    assert [case for case, *_ in cases] == list(pins["verdicts"])
+    for case, s, width in cases:
+        assert enumerated(s, width) == pins["verdicts"][case], case
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    descriptors = json.loads(PINS.read_text())["descriptors"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = schemes(descriptors, Path(tmp))
+        verdicts = {case: enumerated(s, width) for case, s, width in cases}
+    json.dump({"descriptors": descriptors, "verdicts": verdicts}, sys.stdout, indent=1)
+    sys.stdout.write("\n")

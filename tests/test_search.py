@@ -437,6 +437,45 @@ def test_residuals_read_off_the_basis_match_reduce_vector():
             )
 
 
+@pytest.mark.parametrize(
+    "target, demands, strategy, seed, budget, caches",
+    [
+        # the pinned low-memory witness, after two trials that fail completion
+        ((2, 4, 3, 1, 4), CYCLIC, "restart", 18, 16, ((22,), (44,), (11,), (49,))),
+        ((2, 2, 1, 1, 1), cyclic_demand_set(2, 1), "exhaustive", 0, 10, ((2,), (2,))),
+    ],
+    ids=["restart", "exhaustive"],
+)
+def test_completion_reads_the_residuals_of_the_rank_filter(
+    monkeypatch, target, demands, strategy, seed, budget, caches
+):
+    # the filter computes each needed file's residuals from the basis it
+    # accepts; completing a trial reads them instead of computing them again
+    computed = {"filter": 0, "completion": 0}
+    stage = ["filter"]
+    residuals, try_placements = search._residuals, search._try_placements
+
+    def counting_residuals(*args):
+        computed[stage[0]] += 1
+        return residuals(*args)
+
+    def completing(*args):
+        stage[0] = "completion"
+        try:
+            return try_placements(*args)
+        finally:
+            stage[0] = "filter"
+
+    monkeypatch.setattr(search, "_residuals", counting_residuals)
+    monkeypatch.setattr(search, "_try_placements", completing)
+    found = search_linear_scheme(
+        *target, demands, strategy=strategy, seed=seed, budget=budget
+    )
+    assert found is not None and found.cache_rows == caches
+    assert computed["filter"] > 0
+    assert computed["completion"] == 0
+
+
 def test_subspace_table_is_filled_only_as_far_as_scans_reach(monkeypatch):
     pulled = []
     original = gf2.iter_subspaces
