@@ -6,11 +6,11 @@ a GF(2) column program, so a check can often be proven from the linear
 forms of one configuration at a time (demand, keys and the configuration
 part of the server randomness), without visiting a store.  One streamed
 walk over the configurations turns each row table into forms; the proof
-reads them, and whatever it leaves open is enumerated atom by atom, on
-shift-and-mask ops compiled from a second walk.  Only enumeration reports
-a failure.  Independence is judged by an exact integer identity on count
-tables; the mutual-information figure attached to a verdict is a float
-diagnostic only and never decides pass or fail.
+reads them and decides decodability, and any other check it leaves open is
+enumerated atom by atom, on shift-and-mask ops compiled from a second walk.
+Only enumeration reports a leak.  Independence is judged by an exact
+integer identity on count tables; the mutual-information figure attached
+to a verdict is a float diagnostic only and never decides pass or fail.
 """
 
 from __future__ import annotations
@@ -44,9 +44,11 @@ class BudgetExceeded(SchemeError):
     """The requested enumeration is larger than the atom budget."""
 
     def __init__(self, required: int, budget: int) -> None:
+        # from 2^64 a bound: the decimal can run to kilobytes, past str()'s limit
+        bound = f"more than 2^{(required - 1).bit_length() - 1}"
         super().__init__(
-            f"enumeration needs {required} atoms, budget is {budget} "
-            f"(override with {BUDGET_ENV_VAR})"
+            f"enumeration needs {required if required < 1 << 64 else bound} atoms, "
+            f"budget is {budget} (override with {BUDGET_ENV_VAR})"
         )
         self.required = required
         self.budget = budget
@@ -231,12 +233,14 @@ def run_checks(
     only its count tables and visits no store and no pad value.  A check
     it proves holds at every width; it reports the atom count as its
     cases, and for privacy and invariance MI=0, which is what enumeration
-    computes for an independent table.  The checks it leaves open go to
-    _enumerate, the exhaustive sweep, which walks the configurations again
-    and alone compiles forms into ops; it alone reports a failure and its
-    counterexample: a privacy test on configurations that does not succeed
-    is no proof of a leak.  A wrongly sized or out-of-range table raises
-    during the proof's walk, before any check is settled.
+    computes for an independent table.  It decides decodability either
+    way, a failure with the cases and counterexample of enumeration.  The
+    other checks it leaves open go to _enumerate, the exhaustive sweep,
+    which walks the configurations again and alone compiles forms into
+    ops; it alone reports a leak and its counterexample: a privacy test on
+    configurations that does not succeed is no proof of a leak.  A wrongly
+    sized or out-of-range table raises during the proof's walk, before any
+    check is settled.
     """
     check_width(width)
     users = tuple(dict.fromkeys(users))
@@ -253,13 +257,10 @@ def run_checks(
         raise BudgetExceeded(total, limit)
 
     verdicts = _prove(s, width, decodability, users, invariance)
-    unsettled = (
-        decodability and "decodability" not in verdicts,
-        tuple(u for u in users if _privacy(u) not in verdicts),
-        invariance and _INVARIANCE not in verdicts,
-    )
-    if any(unsettled):
-        verdicts.update(_enumerate(s, width, *unsettled))
+    open_users = tuple(u for u in users if _privacy(u) not in verdicts)
+    open_invariance = invariance and _INVARIANCE not in verdicts
+    if open_users or open_invariance:
+        verdicts.update(_enumerate(s, width, open_users, open_invariance))
     labels = ["decodability"] if decodability else []
     labels += map(_privacy, users)
     if invariance:
@@ -370,7 +371,7 @@ def _prove(
     Hence:
 
     - decodability holds when every user's decoded forms are exactly the t
-      unit forms of its demanded file;
+      unit forms of its demanded file, and otherwise fails (_decode_verdict);
     - a user's observation is a discrete part (cache and payload lengths,
       key, header, own demand) with symbols uniform, in every lane, on the
       image of its stacked cache and payload forms (_image).  When the
@@ -383,18 +384,23 @@ def _prove(
     Unequal multisets prove nothing, since mixtures of uniform
     distributions on different subspaces can coincide at the width asked
     for, so such a check is left out of the result.  The walk keeps
-    nothing per configuration but these count tables.
+    nothing per configuration but these count tables and, for a
+    configuration where decoding fails, the failing users' decoded forms.
     """
     t = s.subpacketization
     files = [tuple(1 << (f * t + i) for i in range(t)) for f in range(s.n_files)]
     image = functools.cache(_image)
-    decodable = decodability
+    # per (demand, user keys, configuration) where decoding fails, the
+    # (user, decoded forms) of each user whose forms are not its file's
+    failing = {}
     groups = {user: defaultdict(Counter) for user in users}
     views = _view_tables() if invariance else {}
     walk = _configurations(s, width, decodability)
-    for wants, user_keys, _, header, caches, sent, decoded in walk:
-        if decodable:
-            decodable = all(d == files[w] for d, w in zip(decoded, wants))
+    for wants, user_keys, config, header, caches, sent, decoded in walk:
+        if decodability and not all(d == files[w] for d, w in zip(decoded, wants)):
+            failing[wants, user_keys, config] = [
+                (k, d) for k, d in enumerate(decoded) if d != files[wants[k]]
+            ]
         for user, observed in groups.items():
             seen = caches[user] + sent
             others = wants[:user] + wants[user + 1 :]
@@ -406,8 +412,8 @@ def _prove(
             views[user, wants[user], wants[1 - user]][cell, image(seen)] += 1
     total = atom_count(s, width)
     verdicts = {}
-    if decodable:
-        verdicts["decodability"] = Verdict(True, total)
+    if decodability:
+        verdicts["decodability"] = _decode_verdict(s, width, failing)
     for user, observed in groups.items():
         first, *rest = observed.values()
         if all(counts == first for counts in rest):
@@ -415,6 +421,50 @@ def _prove(
     if views and all(views[k, j, 0] == views[k, j, 1] for k in (0, 1) for j in (0, 1)):
         verdicts[_INVARIANCE] = Verdict(True, total, None, 0.0)
     return verdicts
+
+
+def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
+    """The decodability verdict enumeration gives, from _prove's failing
+    table: a PASS when it is empty.
+
+    A failing user's decoded forms differ from its file's unit forms by a
+    nonzero XOR of uniform symbols.  The first failing store is #0 when a
+    recipe yields other than t symbols or a difference reads a pad column
+    (some pad value makes it nonzero), else #(1 << c*w) for the lowest file
+    column c a difference reads: every lower store is zero from column c
+    on, where every difference vanishes, and on that store one reading c
+    is nonzero whatever the pads.  Its atoms are visited in enumeration
+    order (served demand, key realization, server randomness), decoding
+    only the recorded forms, up to the first wrong one.
+    """
+    total = atom_count(s, width)
+    if not failing:
+        return Verdict(True, total)
+    t, n_cols = s.subpacketization, s.n_files * s.subpacketization
+    files = [range(f * t, (f + 1) * t) for f in range(s.n_files)]
+    index = 1 << (n_cols * width)
+    for (wants, _, _), entries in failing.items():
+        for k, forms in entries:
+            diff = 0
+            for form, c in zip(forms, files[wants[k]]):
+                diff |= form ^ (1 << c)
+            low = 0 if len(forms) != t or diff >> n_cols else diff & -diff
+            index = min(index, low**width)  # 1 << c*w for the lowest column c
+    symbols = _split(index, width, n_cols)
+    demands, keys = s.served_demands().members, _odometer(s.key_sizes)
+    atoms = itertools.product(demands, keys, range(s.server_random_size(width)))
+    for position, (wants, user_keys, server) in enumerate(atoms, 1):
+        config, pads = s.program.split_server(server, width)
+        seen = symbols + tuple(pads)
+        for k, forms in failing.get((wants, user_keys, config), ()):
+            reads = [[c for c in range(len(seen)) if form >> c & 1] for form in forms]
+            got = xor_rows(reads, seen)
+            want = tuple(symbols[c] for c in files[wants[k]])
+            if got != want:
+                ce = DecodeCounterexample(index, wants, user_keys, server, k, want, got)
+                cases = index * (total >> (n_cols * width)) + position
+                return Verdict(False, cases, ce)
+    raise AssertionError("the first failing store decodes")
 
 
 def _columns(forms: tuple[int, ...]) -> dict[int, int]:
@@ -438,9 +488,10 @@ def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _enumerate(
-    s: SchemeInstance, width: int, decodability: bool, users: tuple, invariance: bool
+    s: SchemeInstance, width: int, users: tuple, invariance: bool
 ) -> dict[str, Verdict]:
-    """The requested checks by exhaustive enumeration of the atom space.
+    """The requested privacy and invariance checks by exhaustive
+    enumeration of the atom space.
 
     The atoms are visited in three nested loops: store index, then served
     demand, then key realization (user 0's key fastest, server randomness
@@ -454,18 +505,14 @@ def _enumerate(
     columns fixed before the first store (per atom: placement number,
     cache bits, key, payload number, payload bits, header, own demand), so
     each table counts the same keys in atom order as a per-atom loop
-    would.  Decodability decodes atom by atom (_decode_store) and stops
-    counting at its first failure, and the enumeration stops there when
-    no other check was requested.
+    would.  Decodability is not enumerated: _prove decides it.
 
     The store index is the packed store, column c at bits [c*w, (c+1)*w);
     a delivery's pads are packed with it and ORed above the store, pad p as
-    column n_cols + p, and the payload and the decoded symbols are both
-    read from that packed value.  A decode succeeds when it gives t symbols
-    equal to the demanded file's bits of the store index.  A user's
-    observation is the int tuple (cache value, cache bits, key, payload
-    value, payload bits, header, own demand); the invariance views pair it
-    with the packed content of the demanded file.
+    column n_cols + p, and the payload is read from that packed value.  A
+    user's observation is the int tuple (cache value, cache bits, key,
+    payload value, payload bits, header, own demand); the invariance views
+    pair it with the packed content of the demanded file.
     """
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
@@ -473,17 +520,15 @@ def _enumerate(
     compiled = functools.cache(functools.partial(_compile, width=width))
     # placer lists the compiled caches, slots holds (placement number,
     # cache bits, key) per (user, key), and configured, per demand and
-    # (user keys, configuration), (ops, payload bits, header, recipes), a
-    # recipe being (user, ops, output count)
+    # (user keys, configuration), (ops, payload bits, header)
     placer, slots, configured = [], {}, defaultdict(dict)
-    walk = _configurations(s, width, decodability)
-    for wants, user_keys, config, header, caches, sent, decoded in walk:
+    walk = _configurations(s, width, False)
+    for wants, user_keys, config, header, caches, sent, _ in walk:
         for slot, forms in zip(enumerate(user_keys), caches):
             if slot not in slots:
                 slots[slot] = (len(placer), len(forms) * width, slot[1])
                 placer.append(compiled(forms))
-        recipes = tuple((k, compiled(f), len(f)) for k, f in enumerate(decoded))
-        sending = (compiled(sent), len(sent) * width, header, recipes)
+        sending = (compiled(sent), len(sent) * width, header)
         configured[wants][user_keys, config] = sending
     keys = _odometer(s.key_sizes)
     # per server value: (configuration, pads packed above the store)
@@ -496,20 +541,16 @@ def _enumerate(
     realizations = [(ks, server) for ks in keys for server in range(len(plan))]
     # payloads numbers each distinct (payload ops, pads); per atom of a
     # store, pay_numbers, pay_bits and headers hold its payload number,
-    # payload bits and header, and per demand, decodes holds (demand,
-    # ((user keys, server randomness), pads, recipes) per atom)
+    # payload bits and header
     payloads: dict[tuple[Ops, int], int] = {}
-    pay_numbers, pay_bits, headers, decodes = [], [], [], []
-    for wants, tables in configured.items():
-        atoms = []
+    pay_numbers, pay_bits, headers = [], [], []
+    for tables in configured.values():
         for user_keys, server in realizations:
             config, pads = plan[server]
-            ops, bits, header, recipes = tables[user_keys, config]
+            ops, bits, header = tables[user_keys, config]
             pay_numbers.append(payloads.setdefault((ops, pads), len(payloads)))
             pay_bits.append(bits)
             headers.append(header)
-            atoms.append(((user_keys, server), pads, recipes))
-        decodes.append((wants, atoms))
     demands = list(configured)
     n_demands, per_demand = len(demands), len(realizations)
     joints = {user: Counter() for user in users}
@@ -535,20 +576,11 @@ def _enumerate(
             (place, bits * n_demands, key * n_demands, own, others, joints.get(k), viewing)
         )
 
-    decode_cases = 0
-    decode_failure: DecodeCounterexample | None = None
     for index in range(FileStore.space_size(s.n_files, t, width)):
         values = [_apply(ops, index) for ops in placer]
         files = [
             ((index >> j * file_bits) & file_mask, file_bits) for j in range(s.n_files)
         ]
-        if decodability and decode_failure is None:
-            cases, decode_failure = _decode_store(index, decodes, files, t, width)
-            decode_cases += cases
-            if decode_failure is not None and not observed:
-                break
-        if not observed:
-            continue
         sent = []
         for ops, pads in payloads:
             x, value = index | pads, 0
@@ -568,43 +600,11 @@ def _enumerate(
                 joint.update(zip(others, seen))
 
     verdicts: dict[str, Verdict] = {}
-    if decodability:
-        verdicts["decodability"] = Verdict(
-            decode_failure is None, decode_cases, decode_failure
-        )
     for user, joint in joints.items():
         verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
     if invariance:
         verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width))
     return verdicts
-
-
-def _decode_store(
-    index: int, decodes: list, files: list[tuple[int, int]], t: int, width: int
-) -> tuple[int, DecodeCounterexample | None]:
-    """Decode the atoms of store index in atom order, per demand (demand,
-    ((user keys, server randomness), pads, recipes) per atom), until the
-    first failure: (atoms decoded, that failure or None)."""
-    cases = 0
-    for wants, atoms in decodes:
-        for realization, pads, recipes in atoms:
-            cases += 1
-            x = index | pads
-            for k, ops, n_out in recipes:
-                got = 0
-                for shift, mask, factor in ops:
-                    got ^= ((x >> shift) & mask) * factor
-                want = files[wants[k]][0]
-                if n_out != t or got != want:
-                    return cases, DecodeCounterexample(
-                        index,
-                        wants,
-                        *realization,
-                        k,
-                        _split(want, width, t),
-                        _split(got, width, n_out),
-                    )
-    return cases, None
 
 
 def _exact(value: Fraction) -> Fraction | int:
@@ -652,8 +652,7 @@ def _compile(forms: tuple[int, ...], width: int) -> Ops:
 
 def _apply(ops: Ops, x: int) -> int:
     """Compiled forms applied to the packed inputs x.  _enumerate calls it
-    for placements only and inlines the loop for each store's payloads and
-    each atom's decodes."""
+    for placements only and inlines the loop for each store's payloads."""
     value = 0
     for shift, mask, factor in ops:
         value ^= ((x >> shift) & mask) * factor

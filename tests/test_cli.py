@@ -55,6 +55,16 @@ def test_verify_budget_flag(capsys):
     assert "1024 atoms" in err
 
 
+def test_a_huge_atom_count_is_refused_by_the_budget(monkeypatch, capsys):
+    # 2^20002 atoms: a decimal past str()'s digit limit, printed as a bound
+    monkeypatch.delenv("CACHEPRIV_BUDGET", raising=False)
+    assert main(["verify", "thm1:2,2,0", "--width", "10000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: enumeration needs more than 2^20001 atoms, budget is 268435456 "
+        "(override with CACHEPRIV_BUDGET)\n"
+    )
+
+
 def test_unknown_scheme_exits_2(capsys):
     assert main(["measure", "nosuch"]) == 2
     assert "unknown scheme" in capsys.readouterr().err

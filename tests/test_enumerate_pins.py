@@ -1,15 +1,16 @@
-"""Pinned verdicts of the exhaustive enumerator.
+"""Pinned verdicts of the exhaustive enumerator and the decodability proof.
 
-enumerate_pins.json holds, for each case below, what verifier._enumerate
-returns with decodability and every other check the scheme admits: per
+enumerate_pins.json holds, for each case below, the decodability verdict
+of run_checks, which the configuration proof settles, and what
+verifier._enumerate returns with every other check the scheme admits: per
 label, (passed, cases, str(counterexample), repr(mi_bits)).  The cases are
-schemes with checks the configuration proof leaves open: the
-plaintext-header controls (privacy and invariance leak), a corrupted
-decode recipe, a scheme whose privacy holds at width 1 only (here at
-width 2), and two descriptors in the bench's style, with one delivery row
-perturbed (decodability fails).  The descriptor texts are stored in the
-pin file.  The pins were captured before the enumerator counted per
-store, from its atom-by-atom loop.
+schemes with checks the proof leaves open or fails: the plaintext-header
+controls (privacy and invariance leak), a corrupted decode recipe, a
+scheme whose privacy holds at width 1 only (here at width 2), and two
+descriptors in the bench's style, with one delivery row perturbed
+(decodability fails).  The descriptor texts are stored in the pin file.
+The pins were captured before the enumerator counted per store, from its
+atom-by-atom loop, which then decided decodability too.
 
     PYTHONPATH=src python tests/test_enumerate_pins.py > enumerate_pins.json
 
@@ -23,11 +24,15 @@ import json
 import sys
 from pathlib import Path
 
-from cachepriv import verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.lift import low_memory_private_scheme
 from cachepriv.schemes import with_plaintext_demand_header
-from test_verifier import all_checks, coincidence_scheme, decode_corrupted
+from test_verifier import (
+    all_checks,
+    coincidence_scheme,
+    decode_corrupted,
+    enumerate_checks,
+)
 
 PINS = Path(__file__).with_name("enumerate_pins.json")
 PINS_SHA256 = "d7f56f2e62d45782644fd53da542d5eb709d96beea61a2f39c71708dda85a8e8"
@@ -60,8 +65,7 @@ def schemes(descriptors: dict[str, str], tmp: Path) -> list[tuple[str, object, i
 
 
 def enumerated(s, width: int) -> dict[str, list]:
-    users, invariance = all_checks(s)
-    verdicts = verifier._enumerate(s, width, True, tuple(users), invariance)
+    verdicts = enumerate_checks(s, width, *all_checks(s))
     return {
         label: [v.passed, v.cases, str(v.counterexample), repr(v.mi_bits)]
         for label, v in verdicts.items()

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cachepriv
-from cachepriv import verifier
+from cachepriv import gf2, verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     ColumnProgram,
@@ -25,13 +25,17 @@ from cachepriv.core import (
     Privacy,
     SchemeError,
     SchemeInstance,
+    cyclic_demand_set,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
+    high_memory_2x4_matrices,
+    low_memory_2x4_matrices,
     memory_share,
     uncoded_baseline,
     with_plaintext_demand_header,
 )
+from cachepriv.search import compile_linear_scheme
 from cachepriv.session import simulate_session
 from cachepriv.verifier import (
     BUDGET_ENV_VAR,
@@ -96,16 +100,44 @@ def test_atom_space_is_a_bijection():
     assert len(seen) == atom_count(s, 1) == cases == 2304
 
 
+def recipe_changed(s, change):
+    """s with each decode recipe's rows replaced by change(rows, user,
+    demand, key, header)."""
+    recipe = s.program.recipe
+    return with_tables(s, recipe=lambda *args: change(recipe(*args), *args))
+
+
+def perturbed_2x4(rng: random.Random) -> SchemeInstance:
+    """The pinned low- or high-memory 2x4 matrices with a random vector
+    XORed into one delivery row, the rows kept independent, as the bench
+    perturbs its descriptors; decoding usually fails."""
+    m = rng.choice([low_memory_2x4_matrices(), high_memory_2x4_matrices()])
+    deliveries = list(m.deliveries)
+    k = rng.randrange(len(deliveries))
+    demand, rows = deliveries[k]
+    changed = list(rows)
+    while gf2.rank(changed) < len(rows) or changed == list(rows):
+        changed = list(rows)
+        changed[rng.randrange(len(rows))] ^= rng.randrange(1, 1 << 6)
+    deliveries[k] = (demand, tuple(changed))
+    m = replace(m, deliveries=tuple(deliveries))
+    return compile_linear_scheme(m, cyclic_demand_set(2, 2), "perturbed")
+
+
+def with_first_input(rows):
+    """The first recipe row also reading the user's first input symbol."""
+    return (rows[0] + (0,),) + rows[1:]
+
+
 def decode_corrupted(s, when=lambda header: True):
     """s with the first decode recipe row of every user also reading the
     user's first input symbol, under the headers that `when` accepts."""
-    recipe = s.program.recipe
-
-    def corrupted(user, demand, key, header):
-        rows = recipe(user, demand, key, header)
-        return (rows[0] + (0,),) + rows[1:] if when(header) else rows
-
-    return with_tables(s, recipe=corrupted)
+    return recipe_changed(
+        s,
+        lambda rows, user, demand, key, header: (
+            with_first_input(rows) if when(header) else rows
+        ),
+    )
 
 
 def counting_placements(monkeypatch) -> Counter:
@@ -135,7 +167,8 @@ def test_decodability_counterexample_reporting(monkeypatch):
     assert ce is not None and "decoded" in str(ce)
     assert 0 <= ce.user < 2
     assert ce.expected != ce.actual
-    # the sweep stops at the first failure, which is the atom it reports
+    # the cases count the atoms up to the first failure, which is the atom
+    # reported
     atoms = list(itertools.islice(iter_atoms(s, 1), v.cases))
     store, demand, user_keys, server = atoms[-1]
     assert (store.index(), demand.entries, user_keys, server) == (
@@ -144,9 +177,13 @@ def test_decodability_counterexample_reporting(monkeypatch):
         ce.user_keys,
         ce.server_random,
     )
-    # each store it reached is placed once per (user, key)
-    stores = {store.index() for store, *_ in atoms}
-    assert placed == {index: placements_per_store(s) for index in stores}
+    # the proof finds that atom from the forms and places no store
+    assert not placed
+    # an enumerated check places each store once per (user, key)
+    control = with_plaintext_demand_header(low_memory_private_scheme())
+    assert not check_privacy(control, 0).passed
+    stores = FileStore.space_size(control.n_files, control.subpacketization, 1)
+    assert placed == {index: placements_per_store(control) for index in range(stores)}
 
 
 def reading_the_other_slot(s):
@@ -229,15 +266,77 @@ def test_sweep_matches_the_reference_oracle(s, width):
     assert summary(got) == reference_checks(s, width, users, invariance)
 
 
+FIRST_FAILURE_CASES = [
+    pytest.param(
+        perturbed_2x4(random.Random(seed)), width, id=f"perturbed-{seed}-w{width}"
+    )
+    for seed in range(6)
+    for width in (1, 2)
+] + [
+    pytest.param(
+        recipe_changed(
+            resolve_scheme("dual"),
+            lambda rows, user, demand, key, header: (
+                rows[:-1] if (user, demand) == (1, 1) else rows
+            ),
+        ),
+        1,
+        id="short-recipe",
+    ),
+    # server values run a part's pads, then its configuration, then the
+    # next part's: the first failure is at server randomness 40 or 16
+    pytest.param(
+        memory_share(
+            resolve_scheme("thm1:3,2,0"),
+            decode_corrupted(resolve_scheme("thm1:3,2,0"), lambda h: h[0] == 1),
+            "1/2",
+        ),
+        1,
+        id="second-part-by-configuration",
+    ),
+    pytest.param(
+        memory_share(
+            resolve_scheme("thm1:3,2,0"),
+            reading_the_other_slot(resolve_scheme("thm1:3,2,0")),
+            "1/2",
+        ),
+        1,
+        id="second-part-reads-pads",
+    ),
+    # the first failing store is #256 (4,097 cases)
+    pytest.param(decode_corrupted(resolve_scheme("dual")), 2, id="store-256-w2"),
+    pytest.param(
+        recipe_changed(
+            resolve_scheme("example1"),
+            lambda rows, user, demand, key, header: (
+                with_first_input(rows) if (user, key) == (1, 1) else rows
+            ),
+        ),
+        1,
+        id="later-key-realization",
+    ),
+]
+
+
+@pytest.mark.parametrize("s, width", FIRST_FAILURE_CASES)
+def test_the_proof_finds_the_first_failing_atom(s, width):
+    assert summary(run_checks(s, width)) == reference_checks(s, width)
+
+
 def enumerate_checks(s, width=1, users=(), invariance=False):
-    """The exhaustive enumerator alone, decodability included."""
-    return verifier._enumerate(s, width, True, tuple(users), invariance)
+    """Decodability from run_checks, which the proof always settles, and
+    every other check from the exhaustive enumerator alone."""
+    verdicts = run_checks(s, width)
+    if users or invariance:
+        verdicts.update(verifier._enumerate(s, width, tuple(users), invariance))
+    return verdicts
 
 
 @pytest.mark.parametrize("s, width", ORACLE_CASES)
 def test_enumerator_matches_the_reference_oracle(s, width):
-    # the proof settles every check of the pinned calls, so run_checks
-    # alone would not exercise the enumerator, its fallback, on them
+    # the proof settles every privacy and invariance check of the pinned
+    # calls, so run_checks alone would not exercise the enumerator, its
+    # fallback, on them
     users, invariance = all_checks(s)
     got = enumerate_checks(s, width, users, invariance)
     assert summary(got) == reference_checks(s, width, users, invariance)
@@ -273,20 +372,22 @@ def proven(s, width=1, decodability=True, users=(), invariance=False):
     return set(verifier._prove(s, width, decodability, tuple(users), invariance))
 
 
-def test_the_proof_settles_every_pinned_call_and_no_failure():
+def test_the_proof_settles_every_pinned_call_and_no_leak():
     for param in verify_call_params():
         s, width = param.values
         users, invariance = all_checks(s)
         labels = run_checks(s, width, users=users, invariance=invariance)
         assert proven(s, width, True, users, invariance) == set(labels), param.id
-    # only enumeration reports a failure
+    # the proof settles decodability, failed or not, and only enumeration
+    # reports a privacy or invariance failure
     for s in (
         with_plaintext_demand_header(low_memory_private_scheme()),
         decode_corrupted(low_memory_private_scheme()),
+        decode_corrupted(with_plaintext_demand_header(low_memory_private_scheme())),
     ):
         got = run_checks(s, users=(0, 1), invariance=True)
         assert proven(s, 1, True, (0, 1), True) == {
-            label for label, v in got.items() if v.passed
+            label for label, v in got.items() if v.passed or label == "decodability"
         }
 
 
@@ -563,7 +664,7 @@ def test_privacy_verdicts_on_known_schemes():
 )
 def test_one_sweep_matches_separate_checks(s):
     # decodability's case count must still stop at its first failure when
-    # the privacy and invariance checks share the sweep
+    # the privacy and invariance checks share the run
     users = range(s.n_users)
     invariance = s.n_files == 2 and s.n_users == 2
     together = run_checks(s, users=users, invariance=invariance)
@@ -595,6 +696,21 @@ def test_budget_enforcement():
     assert err.value.required == 1024
     assert err.value.budget == 1023
     assert check_decodability(s, budget=1024).passed
+
+
+def test_budget_refusal_prints_counts_past_2_64_as_a_bound():
+    for required, needs in [
+        (2**64 - 1, "18446744073709551615"),
+        (2**64, "more than 2^63"),
+        (2**64 + 1, "more than 2^64"),
+        (3 << 5000, "more than 2^5001"),
+    ]:
+        err = BudgetExceeded(required, 10)
+        assert str(err) == (
+            f"enumeration needs {needs} atoms, budget is 10 "
+            f"(override with {BUDGET_ENV_VAR})"
+        )
+        assert err.required == required
 
 
 def test_budget_environment_variable(monkeypatch):
