@@ -21,7 +21,6 @@ __all__ = [
     "solve_combination",
     "solve_combinations",
     "random_full_rank",
-    "random_full_rank_with_basis",
     "iter_subspaces",
     "span_elements",
 ]
@@ -115,22 +114,12 @@ def solve_combinations(
 
 def random_full_rank(n_rows: int, n_cols: int, rng: random.Random) -> tuple[int, ...]:
     """Uniform full-row-rank n_rows x n_cols matrix via rejection sampling."""
-    return random_full_rank_with_basis(n_rows, n_cols, rng)[0]
-
-
-def random_full_rank_with_basis(
-    n_rows: int, n_cols: int, rng: random.Random
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """random_full_rank's matrix and its reduced basis, one elimination a draw."""
     if n_rows > n_cols:
         raise ValueError("cannot have more independent rows than columns")
-    draw = rng.getrandbits
-    widths = (n_cols,) * n_rows
     while True:
-        rows = tuple(map(draw, widths))  # n_rows draws, in row order
-        basis = reduced_basis(rows)
-        if len(basis) == n_rows:
-            return rows, basis
+        rows = tuple(map(rng.getrandbits, (n_cols,) * n_rows))  # in row order
+        if rank(rows) == n_rows:
+            return rows
 
 
 def iter_subspaces(n_cols: int, dim: int) -> Iterator[tuple[int, ...]]:

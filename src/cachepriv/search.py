@@ -229,11 +229,6 @@ def compile_linear_scheme(
 # search
 
 
-def _restart_rng(seed: int, index: int) -> random.Random:
-    # string seeding is stable across runs and platforms
-    return random.Random(f"{seed}:{index}")
-
-
 # (n_cols, dim) -> ([(rows, element mask)] of the dim-dimensional subspaces in
 # gf2.iter_subspaces order, {element x: bitset with bit i set when entry i
 # holds x}, that generator), filled as far as a scan reached
@@ -270,23 +265,26 @@ def _residuals(basis: dict[int, int], f: int, t: int) -> set[int]:
     return found
 
 
-def _user_feasible(
-    basis: dict[int, int],
-    files_needed: set[int],
-    t: int,
-    tx_dim: int,
-    found: dict[int, set[int]] | None = None,
-) -> bool:
-    """Necessary condition: the delivery can add at most tx_dim dimensions, so
-    each needed file may stick out of the cache span (basis) by at most that.
-    Each file's residuals are recorded in found, when given, as they are
-    computed, so that delivery completion (_try_placements) reads them."""
-    for f in files_needed:
-        residuals = _residuals(basis, f, t)
-        if found is not None:
-            found[f] = residuals
-        # distinct nonzero vectors have rank >= min(count, 2)
-        if len(residuals) > tx_dim and (tx_dim < 2 or gf2.rank(residuals) > tx_dim):
+def _user_feasible(table: list[int], files: Iterable[int], t: int, tx_dim: int) -> bool:
+    """Necessary condition: the delivery adds at most tx_dim dimensions, so the
+    cache span C must meet each needed file's span F_f in t - tx_dim or more.
+    table is C's echelon form by highest pivot (table[h]: the row with top bit
+    h - 1, or 0), so dim(C & F_f) is its pivot count inside F_f, less each such
+    row that, F_f's columns cleared, is independent of the rows below them."""
+    need = t - tx_dim
+    if need <= 0:
+        return True
+    for f in files:
+        lo = f * t
+        inside = table[lo + 1 : lo + t + 1]
+        meet = t - inside.count(0)
+        below = table[: lo + 1]
+        for r in map(((1 << lo) - 1).__and__, inside) if meet >= need else ():
+            while p := below[r.bit_length()]:
+                r ^= p
+            meet -= r > 0  # independent: one dimension less
+            below[r.bit_length()] = r
+        if meet < need:
             return False
     return True
 
@@ -340,10 +338,7 @@ def _try_placements(
     element v) beside their elements.  One row: the masks are intersected
     and the least row wins.  More rows (or none): the first W in
     iter_subspaces order that meets every coset.  residuals, when given,
-    holds per user the residuals per file that the rank filter recorded
-    (_user_feasible) for every file the user demands; otherwise they are
-    computed here.
-    """
+    holds each user's residuals per needed file; else they are computed here."""
     cosets: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
     def needs(u: int, f: int) -> list[tuple[int, list[int]]]:
@@ -451,46 +446,62 @@ def search_linear_scheme(
 
     if rank_filter_never_passes(demands, t, cache_dim, tx_dim):
         return None
-    files_needed = [{demand[u] for demand in demands} for u in range(n_users)]
+    files_needed = [sorted({d[u] for d in demands}) for u in range(n_users)]
 
     def trials() -> Iterator[tuple[Sequence[dict[int, int]], Sequence[dict]]]:
-        """(cache bases, the residuals the rank filter recorded) per trial."""
+        """(cache bases, each needed file's residuals) per trial."""
         if strategy == "restart":
-            # cap per-user rejection so an infeasible target cannot spin forever
-            draw_cap = 4096
+            widths = (n_cols,) * cache_dim
+            free = n_cols + 1 - cache_dim  # zero entries of a full-rank table
             for idx in range(budget):
-                rng = _restart_rng(seed, idx)
+                # string seeding is stable across runs and platforms
+                draw = random.Random(f"{seed}:{idx}").getrandbits
                 bases, residuals = [], []
-                for u in range(n_users):
-                    # a draw that passes the filter overwrites every entry
-                    # a rejected draw left
-                    found: dict[int, set[int]] = {}
-                    for _ in range(draw_cap):
-                        _, basis = gf2.random_full_rank_with_basis(
-                            cache_dim, n_cols, rng
-                        )
-                        if _user_feasible(basis, files_needed[u], t, tx_dim, found):
-                            bases.append(basis)
-                            residuals.append(found)
+                for files in files_needed:
+                    # 4096 full-rank draws per user at most: an infeasible target ends
+                    for _ in range(4096):
+                        # cache_dim rows in draw order, drawn until independent
+                        table = []
+                        while table.count(0) != free:
+                            table = [0] * (n_cols + 1)
+                            for r in map(draw, widths):
+                                while p := table[r.bit_length()]:
+                                    r ^= p
+                                table[r.bit_length()] = r
+                        if _user_feasible(table, files, t, tx_dim):
                             break
                     else:
                         break
+                    # back-substitution on the echelon rows, lowest pivot first
+                    basis = {}
+                    for r in filter(None, table):
+                        for pb, pr in basis.items():
+                            if r & pb:
+                                r ^= pr
+                        basis[1 << (r.bit_length() - 1)] = r
+                    bases.append(basis)
+                    residuals.append({})
+                    for f in files:
+                        residuals[-1][f] = _residuals(basis, f, t)
                 if len(bases) == n_users:
                     yield bases, residuals
         else:
             per_user = []
-            for u in range(n_users):
+            for files in files_needed:
                 options = []
-                for b in map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim)):
-                    found = {}
-                    if _user_feasible(b, files_needed[u], t, tx_dim, found):
-                        options.append((b, found))
+                for rows in gf2.iter_subspaces(n_cols, cache_dim):
+                    table = [0] * (n_cols + 1)
+                    for r in rows:  # reduced already: its pivots are its top bits
+                        table[r.bit_length()] = r
+                    if _user_feasible(table, files, t, tx_dim):
+                        basis = gf2.reduced_basis(rows)
+                        found = {f: _residuals(basis, f, t) for f in files}
+                        options.append((basis, found))
                 if not options:
                     return
                 per_user.append(options)
             for chosen in itertools.islice(itertools.product(*per_user), budget):
-                bases, residuals = zip(*chosen)
-                yield bases, residuals
+                yield tuple(zip(*chosen))  # bases, residuals
 
     for bases, residuals in trials():
         deliveries = _try_placements(bases, demands, t, n_cols, tx_dim, residuals)

@@ -6,7 +6,8 @@ information available to a user, mutual information is recomputed from
 entropies, linear rows are applied one output bit at a time, the
 verifier's sweep is redone atom by atom with no memo through the scheme's
 own place, deliver and decode, and delivery rows are
-found by testing the rank condition on every candidate span, and the
+found by testing the rank condition on every candidate span, the rank
+filter's intersection dimensions are counted from span elements, and the
 rate envelope is found by stepping up a grid until every constraint holds.
 The virtual demand a lifted scheme serves is built block by block from
 the real demand and the keys (expand_demand), where lift looks it up in
@@ -288,6 +289,20 @@ def reference_complete_demand(
         ):
             return rows
     return None
+
+
+def file_meet_dims(rows: Sequence[int], n_files: int, t: int) -> list[int]:
+    """dim(span(rows) & F_f) per file f, for independent rows: log2 of the
+    number of span elements whose bits all lie in file f's columns (f*t to
+    f*t + t - 1), with the span listed by XOR-ing rows in, no elimination."""
+    span = [0]
+    for r in rows:
+        span += [x ^ r for x in span]
+    dims = []
+    for f in range(n_files):
+        outside = ((1 << (n_files * t)) - 1) ^ (((1 << t) - 1) << (f * t))
+        dims.append(sum(not x & outside for x in span).bit_length() - 1)
+    return dims
 
 
 def minimal_rate_on_grid(memory: Fraction, step: Fraction) -> Fraction:

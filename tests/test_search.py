@@ -4,7 +4,10 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +36,12 @@ from cachepriv.search import (
     verify_linear,
 )
 from cachepriv.verifier import check_decodability
-from oracles import apply_rows, reference_complete_demand, view_determines_file
+from oracles import (
+    apply_rows,
+    file_meet_dims,
+    reference_complete_demand,
+    view_determines_file,
+)
 
 CYCLIC = cyclic_demand_set(2, 2)
 
@@ -216,14 +224,31 @@ class FirstDraw(Exception):
     """Raised by the patched draw functions: the search reached a trial."""
 
 
+class CountingRandom(random.Random):
+    """random.Random that records the width of each getrandbits call."""
+
+    def __init__(self, seed, draws):
+        super().__init__(seed)
+        self.draws = draws
+
+    def getrandbits(self, k):
+        self.draws.append(k)
+        return super().getrandbits(k)
+
+
 def reaches_a_trial(monkeypatch, target, strategy="restart", budget=1) -> bool:
-    """Whether the search draws a cache (restart) or scans the placements
+    """Whether the search draws a cache row (restart) or scans the placements
     (exhaustive) for this target, rather than refusing it up front."""
+
+    class NoDraws(random.Random):
+        def getrandbits(self, k):
+            raise FirstDraw
 
     def draw(*args, **kwargs):
         raise FirstDraw
 
-    monkeypatch.setattr(gf2, "random_full_rank_with_basis", draw)
+    # the restart strategy draws from a random.Random made per trial
+    monkeypatch.setattr(search, "random", SimpleNamespace(Random=NoDraws))
     monkeypatch.setattr(gf2, "iter_subspaces", draw)
     n_files, n_users = target[:2]
     demands = cyclic_demand_set(n_files, n_users // n_files)
@@ -236,17 +261,24 @@ def reaches_a_trial(monkeypatch, target, strategy="restart", budget=1) -> bool:
     return False
 
 
+def echelon_table(rows, n_cols) -> list[int]:
+    """The rank filter's input for rows with distinct highest bits, such as a
+    gf2.iter_subspaces basis: entry h holds the row whose highest bit is bit
+    h - 1, or 0."""
+    table = [0] * (n_cols + 1)
+    for r in rows:
+        assert not table[r.bit_length()]
+        table[r.bit_length()] = r
+    return table
+
+
 def test_search_refuses_a_target_the_rank_filter_never_passes(monkeypatch):
     # t=4 and one delivery row: each of the two files needs a 3-dim piece in
     # a 5-dim cache, which made 16,384 rejected draws at budget 4
     draws = []
-    original = gf2.random_full_rank_with_basis
-
-    def counting(*args):
-        draws.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(gf2, "random_full_rank_with_basis", counting)
+    monkeypatch.setattr(
+        search, "random", SimpleNamespace(Random=lambda s: CountingRandom(s, draws))
+    )
     assert search_linear_scheme(2, 4, 4, 5, 1, CYCLIC, budget=4) is None
     assert draws == []
     monkeypatch.undo()
@@ -267,11 +299,96 @@ def test_search_refuses_only_targets_exhaustive_search_cannot_meet(monkeypatch):
                 assert found is None
                 # the exhaustive scan would find no placement that passes the
                 # filter: every virtual user needs both files
-                spans = map(gf2.reduced_basis, gf2.iter_subspaces(n_cols, cache_dim))
                 assert not any(
-                    search._user_feasible(b, {0, 1}, t, tx_dim) for b in spans
+                    search._user_feasible(echelon_table(b, n_cols), [0, 1], t, tx_dim)
+                    for b in gf2.iter_subspaces(n_cols, cache_dim)
                 ), target
     assert refused > 0
+
+
+def test_the_rank_filter_counts_each_files_intersection_exactly():
+    # every cache span C at 2 files (t = 1, 2, 3) and 3 files (t = 1, 2, where
+    # file 1 sits between the others), every delivery dimension and every
+    # set of needed files: the filter passes exactly when dim(C & F_f) >=
+    # t - tx_dim for each needed file f, with the dimensions counted from the
+    # span's elements; each basis is given as its reduced echelon form and
+    # as an echelon form with every lower row added to each row
+    outcomes = set()
+    for n_files, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        n_cols = n_files * t
+        subsets = [
+            [f for f in range(n_files) if mask >> f & 1]
+            for mask in range(1 << n_files)
+        ]
+        for cache_dim in range(n_cols + 1):
+            for rows in gf2.iter_subspaces(n_cols, cache_dim):
+                dims = file_meet_dims(rows, n_files, t)
+                # rows come by descending pivot, so each keeps its pivot
+                mixed = [reduce(xor, rows[i:]) for i in range(len(rows))]
+                tables = (echelon_table(rows, n_cols), echelon_table(mixed, n_cols))
+                for tx_dim in range(n_cols + 1):
+                    for files in subsets:
+                        want = all(dims[f] >= t - tx_dim for f in files)
+                        outcomes.add(want)
+                        for table in tables:
+                            got = search._user_feasible(table, files, t, tx_dim)
+                            assert got == want, (n_files, t, rows, tx_dim, files)
+    assert outcomes == {True, False}
+
+
+def test_the_draw_cap_counts_full_rank_draws(monkeypatch):
+    # one cache row over 2 columns: a quarter of the draws are the zero row,
+    # which is drawn again and reaches no filter call; with every draw
+    # rejected, the first user takes exactly 4,096 filter calls and the trial
+    # ends there
+    calls, draws = [], []
+
+    def rejecting(table, files, t, tx_dim):
+        assert table.count(0) == 2  # one nonzero row, in a table of 3 entries
+        calls.append(table)
+        return False
+
+    monkeypatch.setattr(search, "_user_feasible", rejecting)
+    monkeypatch.setattr(
+        search, "random", SimpleNamespace(Random=lambda s: CountingRandom(s, draws))
+    )
+    demands = cyclic_demand_set(2, 1)
+    assert search_linear_scheme(2, 2, 1, 1, 1, demands, budget=1) is None
+    assert len(calls) == 4096
+    assert set(draws) == {2}
+    assert len(draws) > len(calls) + 900  # about 1,365 zero rows drawn again
+
+
+# filter calls and passes per search call at the commit before the filter
+# counted pivots: the three search-seeds benchmark targets at their
+# benchmark budgets, search seeds 0-4
+FILTER_COUNTS = {
+    ((2, 4, 3, 4, 1), 32): [
+        (1535, 128), (1706, 128), (1054, 68), (1513, 128), (1875, 128)
+    ],
+    ((2, 4, 3, 1, 4), 16): [(64, 64)] * 5,
+    ((2, 4, 3, 3, 2), 16): [(168, 64), (152, 64), (167, 64), (152, 64), (174, 64)],
+}
+
+
+def test_the_rank_filter_is_called_and_passes_as_before(monkeypatch):
+    counts = [0, 0]
+    feasible = search._user_feasible
+
+    def counting(*args):
+        passed = feasible(*args)
+        counts[0] += 1
+        counts[1] += passed
+        return passed
+
+    monkeypatch.setattr(search, "_user_feasible", counting)
+    for (target, budget), want in FILTER_COUNTS.items():
+        got = []
+        for seed in range(5):
+            counts[:] = [0, 0]
+            search_linear_scheme(*target, CYCLIC, seed=seed, budget=budget)
+            got.append(tuple(counts))
+        assert got == want, target
 
 
 # (target, strategy, seed, budget) -> matrices or None.  search_pins.json was
@@ -449,11 +566,14 @@ def test_residuals_read_off_the_basis_match_reduce_vector():
 def test_completion_reads_the_residuals_of_the_rank_filter(
     monkeypatch, target, demands, strategy, seed, budget, caches
 ):
-    # the filter computes each needed file's residuals from the basis it
-    # accepts; completing a trial reads them instead of computing them again
+    # each needed file's residuals are computed once for each cache that
+    # passes the filter, and none for a rejected one; completing a trial
+    # reads them instead of computing them again
     computed = {"filter": 0, "completion": 0}
     stage = ["filter"]
+    accepted_files = [0]
     residuals, try_placements = search._residuals, search._try_placements
+    feasible = search._user_feasible
 
     def counting_residuals(*args):
         computed[stage[0]] += 1
@@ -466,13 +586,19 @@ def test_completion_reads_the_residuals_of_the_rank_filter(
         finally:
             stage[0] = "filter"
 
+    def filtering(table, files, t, tx_dim):
+        passed = feasible(table, files, t, tx_dim)
+        accepted_files[0] += passed * len(files)
+        return passed
+
     monkeypatch.setattr(search, "_residuals", counting_residuals)
     monkeypatch.setattr(search, "_try_placements", completing)
+    monkeypatch.setattr(search, "_user_feasible", filtering)
     found = search_linear_scheme(
         *target, demands, strategy=strategy, seed=seed, budget=budget
     )
     assert found is not None and found.cache_rows == caches
-    assert computed["filter"] > 0
+    assert computed["filter"] == accepted_files[0] > 0
     assert computed["completion"] == 0
 
 
