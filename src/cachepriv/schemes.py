@@ -129,16 +129,28 @@ def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows
 
 def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgram:
     """Identical caches holding the first tc symbols of every file, with the
-    remaining symbols of every file broadcast, file by file."""
+    remaining symbols of every file broadcast, file by file.  The rows are
+    built on their first lookup, so a scheme refused before one (by the
+    atom budget, say) builds none."""
     tu = t - tc
-    cached = tuple((i * t + j,) for i in range(n_files) for j in range(tc))
-    sent = tuple((i * t + tc + j,) for i in range(n_files) for j in range(tu))
+
+    built: dict[tuple[int, int], Rows] = {}
+
+    def rows(start: int, count: int) -> Rows:
+        """The count columns of every file from its column start on."""
+        if (start, count) not in built:
+            cols = range(start, start + count)
+            built[start, count] = tuple(
+                (i * t + c,) for i in range(n_files) for c in cols
+            )
+        return built[start, count]
+
     return ColumnProgram(
         key_sizes=(1,) * n_users,
         header_sizes=(),
         server=(),
-        cache=lambda user, key: cached,
-        delivery=lambda demand, keys, configs: (sent, ()),
+        cache=lambda user, key: rows(0, tc),
+        delivery=lambda demand, keys, configs: (rows(tc, tu), ()),
         recipe=lambda user, demand, key, header: split_recipe(
             n_files, tc, tu, demand, demand
         ),

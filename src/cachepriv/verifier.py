@@ -7,7 +7,7 @@ forms of one configuration at a time (demand, keys and the configuration
 part of the server randomness), without visiting a store.  One streamed
 walk over the configurations turns each row table into forms; the proof
 reads them and decides decodability, and any other check it leaves open is
-enumerated atom by atom, on shift-and-mask ops compiled from a second walk.
+enumerated from a second walk, a block of stores at a time by linearity.
 Only enumeration reports a leak.  Independence is judged by an exact
 integer identity on count tables; the mutual-information figure attached
 to a verdict is a float diagnostic only and never decides pass or fail.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -236,8 +237,8 @@ def run_checks(
     computes for an independent table.  It decides decodability either
     way, a failure with the cases and counterexample of enumeration.  The
     other checks it leaves open go to _enumerate, the exhaustive sweep,
-    which walks the configurations again and alone compiles forms into
-    ops; it alone reports a leak and its counterexample: a privacy test on
+    which walks the configurations again and alone evaluates forms on
+    stores; it alone reports a leak and its counterexample: a privacy test on
     configurations that does not succeed is no proof of a leak.  A wrongly
     sized or out-of-range table raises during the proof's walk, before any
     check is settled.
@@ -487,124 +488,182 @@ def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
     return gf2.rref(_columns(forms).values())
 
 
+# a block of consecutive stores holds at most max(one store's atoms, this)
+_BLOCK_ATOMS = 4096
+
+
 def _enumerate(
     s: SchemeInstance, width: int, users: tuple, invariance: bool
 ) -> dict[str, Verdict]:
     """The requested privacy and invariance checks by exhaustive
-    enumeration of the atom space.
+    enumeration, in atom order: store index, served demand, key realization
+    (user 0's key fastest, server randomness innermost).
 
-    The atoms are visited in three nested loops: store index, then served
-    demand, then key realization (user 0's key fastest, server randomness
-    innermost).  Before the first atom it walks the configurations
-    (_configurations) and compiles each cache, payload and decoded form
-    tuple once (_compile).  Python does the work per store and C the work
-    per atom.  Placement never sees the demand or the server randomness,
-    so each store is placed once per (user, key), and each distinct
-    (payload ops, pads) pair is applied once per store.  Every count table
-    is then fed once per store, by one Counter.update over a zip of
-    columns fixed before the first store (per atom: placement number,
-    cache bits, key, payload number, payload bits, header, own demand), so
-    each table counts the same keys in atom order as a per-atom loop
-    would.  Decodability is not enumerated: _prove decides it.
-
-    The store index is the packed store, column c at bits [c*w, (c+1)*w);
-    a delivery's pads are packed with it and ORed above the store, pad p as
-    column n_cols + p, and the payload is read from that packed value.  A
-    user's observation is the int tuple (cache value, cache bits, key,
-    payload value, payload bits, header, own demand); the invariance views
-    pair it with the packed content of the demanded file.
+    The store index is the packed store, column c at bits [c*w, (c+1)*w),
+    with a delivery's pads packed above it as columns n_cols on.  A user's
+    observation is (cache value, cache bits, key, payload value, payload
+    bits, header, own demand); an invariance view adds the demanded file's
+    packed content.  Each value is GF(2)-linear in the packed store and
+    pads, so over a block of consecutive stores (at most max(one store's
+    atoms, _BLOCK_ATOMS) atoms) it is a table on the low store bits XORed
+    with its value on the block's base and the pads (_evaluate).  Each
+    count table is fed once per block, by one Counter.update over a zip of
+    columns, with a per-atom loop's keys in its order; invariance one (user
+    k, own demand j) pair at a time.
     """
-    program, t = s.program, s.subpacketization
-    n_cols, file_bits = s.n_files * t, t * width
-    file_mask = (1 << file_bits) - 1
-    compiled = functools.cache(functools.partial(_compile, width=width))
-    # placer lists the compiled caches, slots holds (placement number,
-    # cache bits, key) per (user, key), and configured, per demand and
-    # (user keys, configuration), (ops, payload bits, header)
-    placer, slots, configured = [], {}, defaultdict(dict)
+    t = s.subpacketization
+    store_bits, file_bits = s.n_files * t * width, t * width
+    # forms numbers each distinct form tuple, and slots holds (forms number,
+    # cache bits, key) per (user, key)
+    forms: dict[tuple[int, ...], int] = {}
+    slots, configured = {}, defaultdict(dict)
     walk = _configurations(s, width, False)
     for wants, user_keys, config, header, caches, sent, _ in walk:
-        for slot, forms in zip(enumerate(user_keys), caches):
+        for slot, cache in zip(enumerate(user_keys), caches):
             if slot not in slots:
-                slots[slot] = (len(placer), len(forms) * width, slot[1])
-                placer.append(compiled(forms))
-        sending = (compiled(sent), len(sent) * width, header)
-        configured[wants][user_keys, config] = sending
-    keys = _odometer(s.key_sizes)
-    # per server value: (configuration, pads packed above the store)
+                number = forms.setdefault(cache, len(forms))
+                slots[slot] = (number, len(cache) * width, slot[1])
+        number = forms.setdefault(sent, len(forms))
+        configured[wants][user_keys, config] = (number, len(sent) * width, header)
+    # a value an atom reads is pads * span + forms number: an int, which the
+    # garbage collector does not track
+    span = len(forms) + s.n_files  # above every forms number, the files' too
+    # the atoms of one store and demand: (user keys, configuration, pads *
+    # span), the pads packed above the store
     plan = []
     for server in range(s.server_random_size(width)):
-        config, pads = program.split_server(server, width)
-        packed = sum(v << ((n_cols + i) * width) for i, v in enumerate(pads))
-        plan.append((config, packed))
-    # the atoms of one store and demand, as (user keys, server randomness)
-    realizations = [(ks, server) for ks in keys for server in range(len(plan))]
-    # payloads numbers each distinct (payload ops, pads); per atom of a
-    # store, pay_numbers, pay_bits and headers hold its payload number,
-    # payload bits and header
-    payloads: dict[tuple[Ops, int], int] = {}
-    pay_numbers, pay_bits, headers = [], [], []
-    for tables in configured.values():
-        for user_keys, server in realizations:
-            config, pads = plan[server]
-            ops, bits, header = tables[user_keys, config]
-            pay_numbers.append(payloads.setdefault((ops, pads), len(payloads)))
-            pay_bits.append(bits)
-            headers.append(header)
-    demands = list(configured)
-    n_demands, per_demand = len(demands), len(realizations)
-    joints = {user: Counter() for user in users}
-    views = _view_tables()
-    # per user whose view a table counts: its placement number per atom of
-    # one demand; per atom of a store its cache bits, key, own demand and
-    # the other users' demands; its joint counts (None for invariance
-    # alone); and per demand (view table, first atom, end)
-    observed = []
+        config, pads = s.program.split_server(server, width)
+        packed = sum(v << (store_bits + i * width) for i, v in enumerate(pads))
+        plan.append((config, packed * span))
+    realizations = [(ks, *p) for ks in _odometer(s.key_sizes) for p in plan]
+    demands, per_demand = list(configured), len(realizations)
+    per_store = len(demands) * per_demand
+    # per atom of a store: payload value, payload bits, header
+    paying = [
+        table[ks, config]
+        for table in map(configured.__getitem__, demands)
+        for ks, config, _ in realizations
+    ]
+    numbers, pay_bits, headers = zip(*paying)
+    pads = [p for _, _, p in realizations] * len(demands)
+    paid = tuple(map(operator.add, pads, numbers))
+    # per user counted, per atom of a store: the observation's columns, then
+    # the other users' demands, one tuple per demand (it compares faster)
+    columns = {}
     for k in dict.fromkeys(users + ((0, 1) if invariance else ())):
-        place, bits, key = zip(*(slots[k, ks[k]] for ks, _ in realizations))
-        own = [wants[k] for wants in demands for _ in realizations]
-        others = [
-            o for wants in demands for o in [wants[:k] + wants[k + 1 :]] * per_demand
-        ]
-        viewing = []
-        if invariance:
-            viewing = [
-                (views[k, wants[k], wants[1 - k]], first, first + per_demand)
-                for first, wants in zip(range(0, len(own), per_demand), demands)
-            ]
-        observed.append(
-            (place, bits * n_demands, key * n_demands, own, others, joints.get(k), viewing)
-        )
+        cache, bits, key = zip(*[slots[k, ks[k]] for ks, _, _ in realizations])
+        own, other = [], []
+        for wants in demands:
+            own += [wants[k]] * per_demand
+            other += [wants[:k] + wants[k + 1 :]] * per_demand
+        n = len(demands)
+        columns[k] = (cache * n, bits * n, key * n, paid, pay_bits, headers, own, other)
+    low = min(store_bits, max(0, (_BLOCK_ATOMS // per_store).bit_length() - 1))
+    block, images, tables = 1 << low, {}, {}
+    strides = [slice(i, None, block) for i in range(block)]
 
-    for index in range(FileStore.space_size(s.n_files, t, width)):
-        values = [_apply(ops, index) for ops in placer]
-        files = [
-            ((index >> j * file_bits) & file_mask, file_bits) for j in range(s.n_files)
-        ]
-        sent = []
-        for ops, pads in payloads:
-            x, value = index | pads, 0
-            for shift, mask, factor in ops:
-                value ^= ((x >> shift) & mask) * factor
-            sent.append(value)
-        paid = list(map(sent.__getitem__, pay_numbers))
-        for place, bits, key, own, others, joint, viewing in observed:
-            cached = list(map(values.__getitem__, place)) * n_demands
-            seen = zip(cached, bits, key, paid, pay_bits, headers, own)
-            if viewing:
-                seen = list(seen)
-                viewed = list(zip(seen, map(files.__getitem__, own)))
-                for view, first, end in viewing:
-                    view.update(viewed[first:end])
-            if joint is not None:
-                joint.update(zip(others, seen))
+    def sweep(feeds):
+        """Feed each (count table, user, atoms [lo, hi) of a store, file j
+        or None) over every store, keyed (observation, (file j's value, file
+        bits)), or with None (other users' demands, observation)."""
+        if not feeds:
+            return
+        # layout holds the value at each place of a store's row, and each
+        # column that tables read is laid out once, at segment[name]
+        layout, segment, fed = [], {}, []
+        for table, k, atoms, file in feeds:
+            cache, cbits, key, pay, pbits, header, own, other = map(
+                operator.itemgetter(slice(*atoms)), columns[k]
+            )
+            # (name, values, times over) per column: the cache repeats with
+            # each demand
+            read = [(k, cache[:per_demand], len(own) // per_demand), (atoms, pay, 1)]
+            if file is not None:
+                unit = tuple(map((1).__lshift__, range(file * t, file * t + t)))
+                value = forms.setdefault(unit, len(forms))
+                read.append((None, [value] * per_demand, 1))
+            gets = []
+            for name, values, times in read:
+                if name not in segment:
+                    place = slice(len(layout), len(layout) + len(values))
+                    segment[name] = operator.itemgetter(place)
+                    layout += values
+                gets.append((segment[name], itertools.repeat(times)))
+            fixed = (cbits, key, pbits, header, own, other)
+            fed.append((table, gets, [column * block for column in fixed]))
+        listed, read = list(forms), list(dict.fromkeys(layout))
+        pads_numbers = [divmod(value, span) for value in read]
+        distinct = {n for _, n in pads_numbers}
+        for n in distinct - images.keys():
+            images[n] = of_bits = _images(listed[n], width)
+            tables[n] = [0]
+            for b in range(low):  # by linearity, doubling with each bit's image
+                tables[n] += [of_bits.get(b, 0) ^ v for v in tables[n]]
+        on_pads = [(n, _evaluate(images[n], pads)) for pads, n in pads_numbers]
+        # got holds the values read one after another, of the e-th on store
+        # i at e*block + i, and each store's row is picked from its stride
+        pick = operator.itemgetter(*map(dict(zip(read, itertools.count())).get, layout))
+        for base in range(0, 1 << store_bits, block):
+            at_base = {n: _evaluate(images[n], base) for n in distinct}
+            got = []
+            for n, on in on_pads:
+                v = at_base[n] ^ on
+                got += map(v.__xor__, tables[n]) if v else tables[n]
+            rows = list(map(pick, map(got.__getitem__, strides)))
+            for table, gets, (cbits, key, pbits, header, own, other) in fed:
+                cache, pay, *file = [
+                    itertools.chain.from_iterable(map(operator.mul, map(g, rows), n))
+                    for g, n in gets
+                ]
+                seen = zip(cache, cbits, key, pay, pbits, header, own)
+                if file:
+                    table.update(zip(seen, zip(*file, itertools.repeat(file_bits))))
+                else:
+                    table.update(zip(other, seen))
 
+    joints = {user: Counter() for user in users}
+    sweep([(joints[k], k, (0, per_store), None) for k in users])
     verdicts: dict[str, Verdict] = {}
     for user, joint in joints.items():
         verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
     if invariance:
-        verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width))
+        views, spans = _view_tables(), range(0, per_store, per_demand)
+
+        def feed(k: int, j: int) -> None:
+            """Feed user k's view tables of the demands where it wants j."""
+            feeds = []
+            for lo, wants in zip(spans, demands):
+                if wants[k] == j:
+                    atoms = (lo, lo + per_demand)
+                    feeds.append((views[k, j, wants[1 - k]], k, atoms, j))
+            sweep(feeds)
+
+        verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width), feed)
     return verdicts
+
+
+def _images(forms: tuple[int, ...], width: int) -> dict[int, int]:
+    """Per input bit GF(2) forms read, their packed outputs on it: inputs
+    are w bits wide, input c at bits [c*w, (c+1)*w), and output r, at bits
+    [r*w, (r+1)*w), is the XOR of the inputs forms[r] reads, so bit b of
+    input c = b // w goes to the same lane of every output reading c."""
+    images = {}
+    for c, rows in _columns(forms).items():
+        spread = sum(1 << r * width for r in range(rows.bit_length()) if rows >> r & 1)
+        for lane in range(width):
+            images[c * width + lane] = spread << lane
+    return images
+
+
+def _evaluate(images: dict[int, int], x: int) -> int:
+    """The packed outputs on the packed inputs x: by linearity, the XOR of
+    the images (_images) of the bits x sets."""
+    value = 0
+    while x:
+        bit = x & -x
+        value ^= images.get(bit.bit_length() - 1, 0)
+        x ^= bit
+    return value
 
 
 def _exact(value: Fraction) -> Fraction | int:
@@ -619,59 +678,23 @@ def _split(value: int, width: int, count: int) -> tuple[int, ...]:
     return tuple((value >> (i * width)) & mask for i in range(count))
 
 
-# compiled forms: XOR over the triples of ((x >> shift) & mask) * factor
-Ops = tuple[tuple[int, int, int], ...]
-
-
-def _compile(forms: tuple[int, ...], width: int) -> Ops:
-    """GF(2) forms as triples that map packed inputs to packed outputs.
-
-    x holds width-bit inputs, input c at bits [c*w, (c+1)*w); the result
-    holds one output per form, output r at bits [r*w, (r+1)*w), the XOR of
-    the inputs forms[r] reads.  An input feeds the outputs that read it
-    (_columns), and factor places it in all of them at once.  A run of
-    consecutive inputs whose output sets are shifts of the first one's by
-    1, 2, ... shares one triple, so long as the run is no longer than the
-    least gap between those outputs (then the product never carries).
-    """
-    runs = sorted(_columns(forms).items())
-    ops = []
-    i = 0
-    while i < len(runs):
-        c, f = runs[i]
-        targets = [r for r in range(f.bit_length()) if (f >> r) & 1]
-        gap = min((b - a for a, b in zip(targets, targets[1:])), default=len(runs))
-        n = 1
-        while i + n < len(runs) and n < gap and runs[i + n] == (c + n, f << n):
-            n += 1
-        factor = sum(1 << (r * width) for r in targets)
-        ops.append((c * width, (1 << (n * width)) - 1, factor))
-        i += n
-    return tuple(ops)
-
-
-def _apply(ops: Ops, x: int) -> int:
-    """Compiled forms applied to the packed inputs x.  _enumerate calls it
-    for placements only and inlines the loop for each store's payloads."""
-    value = 0
-    for shift, mask, factor in ops:
-        value ^= ((x >> shift) & mask) * factor
-    return value
-
-
 def _invariance_verdict(
-    views: dict[tuple[int, int, int], Counter], cases: int
+    views: dict[tuple[int, int, int], Counter], cases: int, feed
 ) -> Verdict:
+    """The invariance verdict from the view tables, each (user k, own demand
+    j) pair fed by feed(k, j) just before it is read, in the order (0, 0),
+    (0, 1), (1, 0), (1, 1): no pair past the first that differs is fed."""
     worst_mi = 0.0
     for k in (0, 1):
         for j in (0, 1):
+            feed(k, j)
             t0, t1 = views[(k, j, 0)], views[(k, j, 1)]
-            joint = Counter(
-                {(v, obs): c for v, t in ((0, t0), (1, t1)) for obs, c in t.items()}
-            )
-            dist = JointDistribution.of(joint)
+            cells = dict(zip(zip(itertools.repeat(0), t0), t0.values()))
+            cells.update(zip(zip(itertools.repeat(1), t1), t1.values()))
+            dist = JointDistribution.of(Counter(cells))
             worst_mi = max(worst_mi, dist.mutual_information_bits())
-            if t0 != t1:
+            # no count is 0, so the tables differ as dicts when they differ
+            if dict.__ne__(t0, t1):
                 # first cell in insertion order, t0 then t1, whose counts differ
                 cell = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
                 return Verdict(

@@ -24,6 +24,9 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
+from cachepriv import verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.lift import low_memory_private_scheme
 from cachepriv.schemes import with_plaintext_demand_header
@@ -70,6 +73,26 @@ def enumerated(s, width: int) -> dict[str, list]:
         label: [v.passed, v.cases, str(v.counterexample), repr(v.mi_bits)]
         for label, v in verdicts.items()
     }
+
+
+# the cases pinned again with the stores split into blocks two other ways
+BOUNDARY_CASES = [f"control:{token}@1" for token in CONTROLS]
+BOUNDARY_CASES += ["coincidence@2", "control:thm1:3,2,0@2"]
+
+
+@pytest.mark.parametrize(
+    "block_atoms", [1, 1 << 62], ids=["one-store-per-block", "one-block"]
+)
+def test_block_boundaries_leave_the_verdicts_pinned(monkeypatch, tmp_path, block_atoms):
+    # a store-order or block-base error that one block size hides shows at
+    # the extremes: a block of one store, and every store in one block
+    monkeypatch.setattr(verifier, "_BLOCK_ATOMS", block_atoms)
+    pins = json.loads(PINS.read_text())
+    cases = schemes(pins["descriptors"], tmp_path)
+    cases = [case for case in cases if case[0] in BOUNDARY_CASES]
+    assert sorted(case for case, *_ in cases) == sorted(BOUNDARY_CASES)
+    for case, s, width in cases:
+        assert enumerated(s, width) == pins["verdicts"][case], case
 
 
 def test_enumerated_verdicts_match_the_pins(tmp_path):

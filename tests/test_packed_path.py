@@ -41,7 +41,7 @@ from cachepriv.schemes import (
 )
 from cachepriv.search import LinearSchemeMatrices, export_descriptor
 from cachepriv.session import run_session, simulate_session
-from cachepriv.verifier import _compile, atom_count, measure_rates, run_checks
+from cachepriv.verifier import _evaluate, _images, atom_count, measure_rates, run_checks
 from oracles import reference_checks, with_tables
 
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
@@ -302,36 +302,38 @@ def test_negative_columns_raise_on_both_paths(make, table):
         run_checks(broken)
 
 
-def test_compile_matches_symbolwise_xor():
+def test_evaluate_matches_symbolwise_xor():
     rng = random.Random(5)
+    # the inputs at each width, drawn apart so the rows are those drawn
+    # when the width was random
+    inputs = random.Random(6)
     for _ in range(300):
-        n_inputs, width = rng.randint(1, 9), rng.randint(1, 3)
+        n_inputs, drawn = rng.randint(1, 9), rng.randint(1, 3)
         rows = tuple(
             tuple(rng.randrange(n_inputs) for _ in range(rng.randint(0, 4)))
             for _ in range(rng.randint(0, 6))
         )
         if rng.random() < 0.5:
             # a run of inputs, input start+i feeding rows i and i+gap of a
-            # block: runs share a triple only up to the gap between rows
+            # block
             start, gap = rng.randrange(n_inputs), rng.randint(1, 4)
             run = n_inputs - start
             rows += tuple(
                 tuple(c for c in (start + i, start + i - gap) if start <= c < n_inputs)
                 for i in range(run + gap)
             )
-        x = rng.getrandbits(n_inputs * width)
-        mask = (1 << width) - 1
-        want = 0
-        for r, cols in enumerate(rows):
-            value = 0
-            for c in cols:
-                value ^= (x >> (c * width)) & mask
-            want |= value << (r * width)
-        got = 0
         forms = xor_rows(rows, [1 << c for c in range(n_inputs)])
-        for shift, m, factor in _compile(forms, width):
-            got ^= ((x >> shift) & m) * factor
-        assert got == want, (rows, width, x)
+        for width, x in [(drawn, rng.getrandbits(n_inputs * drawn))] + [
+            (w, inputs.getrandbits(n_inputs * w)) for w in (1, 3, 64)
+        ]:
+            mask = (1 << width) - 1
+            want = 0
+            for r, cols in enumerate(rows):
+                value = 0
+                for c in cols:
+                    value ^= (x >> (c * width)) & mask
+                want |= value << (r * width)
+            assert _evaluate(_images(forms, width), x) == want, (rows, width, x)
 
 
 @pytest.mark.parametrize("width", [0, -1])

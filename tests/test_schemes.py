@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,10 +31,12 @@ from cachepriv.schemes import (
 from cachepriv.search import export_descriptor, verify_linear
 from cachepriv.session import simulate_session
 from cachepriv.verifier import (
+    BudgetExceeded,
     check_conditional_invariance,
     check_decodability,
     check_privacy,
     measure_rates,
+    run_checks,
 )
 from oracles import view_determines_file, with_tables
 
@@ -97,6 +100,24 @@ def test_corrupted_delivery_fails_decodability():
     assert not v.passed
     assert v.counterexample is not None
     assert "wanted" in str(v.counterexample)
+
+
+def test_a_budget_refusal_builds_no_rows():
+    # t = 2N = 2,000 symbols a file: the delivery table has 1,999,000 rows,
+    # about 170 MB when built, and the refused check looks no table up
+    tracemalloc.start()
+    try:
+        s = resolve_scheme("thm1:1000,2,1/2")
+        with pytest.raises(BudgetExceeded):
+            run_checks(s, users=range(s.n_users))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    # the rows are built on the first lookup, and kept
+    small = basic_private_scheme(4, 2, Fraction(1, 2))
+    assert small.program.cache(0, 0) is small.program.cache(1, 1)
+    assert small.program.cache(0, 0) == ((0,), (8,), (16,), (24,))
 
 
 def test_split_subpacketization():

@@ -140,27 +140,49 @@ def decode_corrupted(s, when=lambda header: True):
     )
 
 
-def counting_placements(monkeypatch) -> Counter:
-    """Per store index, the user caches run_checks computes for it."""
-    apply = verifier._apply
-    calls = Counter()
+def counting_evaluations(monkeypatch) -> tuple[Counter, Counter]:
+    """Per form tuple, the times the enumerator reads its per-bit images
+    off the forms, and the nonzero packed inputs it evaluates it on from
+    them (block bases and pads)."""
+    images, evaluate = verifier._images, verifier._evaluate
+    built, evaluated, forms_of = Counter(), Counter(), {}
 
-    def counting(ops, index):
-        calls[index] += 1
-        return apply(ops, index)
+    def counting_images(forms, width):
+        built[forms] += 1
+        result = images(forms, width)
+        forms_of[id(result)] = forms
+        return result
 
-    monkeypatch.setattr(verifier, "_apply", counting)
-    return calls
+    def counting_evaluate(of_bits, x):
+        evaluated[forms_of[id(of_bits)]] += x != 0
+        return evaluate(of_bits, x)
+
+    monkeypatch.setattr(verifier, "_images", counting_images)
+    monkeypatch.setattr(verifier, "_evaluate", counting_evaluate)
+    return built, evaluated
 
 
-def placements_per_store(s) -> int:
-    """One cache per (user, key): a cache depends on nothing else."""
-    return sum(s.key_sizes)
+def cache_forms(s, width, users) -> set[tuple[int, ...]]:
+    """The form tuple of every (user, key)'s cache, for these users."""
+    walk = verifier._configurations(s, width, False)
+    return {caches[user] for *_, caches, _, _ in walk for user in users}
+
+
+def blocks_of(s, width) -> int:
+    """How many blocks the enumerator splits the stores into: each block
+    is the largest power of two of stores whose atoms stay within
+    max(one store's atoms, _BLOCK_ATOMS)."""
+    stores = FileStore.space_size(s.n_files, s.subpacketization, width)
+    per_store = atom_count(s, width) // stores
+    block = 1
+    while block < stores and 2 * block * per_store <= verifier._BLOCK_ATOMS:
+        block *= 2
+    return stores // block
 
 
 def test_decodability_counterexample_reporting(monkeypatch):
     s = decode_corrupted(low_memory_private_scheme())
-    placed = counting_placements(monkeypatch)
+    built, evaluated = counting_evaluations(monkeypatch)
     v = check_decodability(s)
     assert not v.passed
     ce = v.counterexample
@@ -177,13 +199,15 @@ def test_decodability_counterexample_reporting(monkeypatch):
         ce.user_keys,
         ce.server_random,
     )
-    # the proof finds that atom from the forms and places no store
-    assert not placed
-    # an enumerated check places each store once per (user, key)
+    # the proof finds that atom from the forms and evaluates nothing
+    assert not built and not evaluated
+    # an enumerated check reads each cache's images once; its 64 stores
+    # fill one block, based at store 0, so no base needs evaluating
     control = with_plaintext_demand_header(low_memory_private_scheme())
     assert not check_privacy(control, 0).passed
-    stores = FileStore.space_size(control.n_files, control.subpacketization, 1)
-    assert placed == {index: placements_per_store(control) for index in range(stores)}
+    assert blocks_of(control, 1) == 1
+    for forms in cache_forms(control, 1, [0]):
+        assert (built[forms], evaluated[forms]) == (1, 0)
 
 
 def reading_the_other_slot(s):
@@ -342,21 +366,21 @@ def test_enumerator_matches_the_reference_oracle(s, width):
     assert summary(got) == reference_checks(s, width, users, invariance)
 
 
-def test_a_proven_run_compiles_nothing(monkeypatch):
+def test_a_proven_run_evaluates_nothing(monkeypatch):
     control = with_plaintext_demand_header(low_memory_private_scheme())
     results = {}
     with monkeypatch.context() as patch:
 
         def refuse(*args, **kwargs):
-            raise AssertionError("compiled forms")
+            raise AssertionError("evaluated forms")
 
-        patch.setattr(verifier, "_compile", refuse)
+        patch.setattr(verifier, "_images", refuse)
         for param in verify_call_params():
             s, width = param.values
             users, invariance = all_checks(s)
             results[param.id] = run_checks(s, width, users=users, invariance=invariance)
-        # the control's leak is left to the enumerator, which compiles
-        with pytest.raises(AssertionError, match="compiled forms"):
+        # the control's leak is left to the enumerator, which evaluates
+        with pytest.raises(AssertionError, match="evaluated forms"):
             run_checks(control, users=(0, 1), invariance=True)
     for param in verify_call_params():
         s, width = param.values
@@ -555,17 +579,35 @@ def test_the_public_checks_give_the_verdicts_of_one_run(make):
 
 
 @pytest.mark.parametrize("token", ["example1", "thm1:3,2,0"])
-def test_place_runs_once_per_store_and_key_realization(monkeypatch, token):
+def test_each_cache_is_evaluated_on_bits_and_block_bases(monkeypatch, token):
     s = resolve_scheme(token)
-    calls = counting_placements(monkeypatch)
-    enumerate_checks(s, users=range(s.n_users), invariance=s.n_files == 2)
-    stores = FileStore.space_size(s.n_files, s.subpacketization, 1)
-    # one cache per distinct (user, key) per store: 4 for each of these,
-    # fewer than one per user per key realization
-    assert placements_per_store(s) == 4
-    assert calls == {index: placements_per_store(s) for index in range(stores)}
-    assert placements_per_store(s) < s.n_users * s.key_space_size
-    assert stores * placements_per_store(s) < atom_count(s, 1) * s.n_users
+    built, evaluated = counting_evaluations(monkeypatch)
+    verifier._enumerate(s, 2, tuple(range(s.n_users)), False)
+    stores = FileStore.space_size(s.n_files, s.subpacketization, 2)
+    blocks = blocks_of(s, 2)
+    # 16 blocks of 256 stores, and 32 blocks of 2 stores
+    assert blocks == {"example1": 16, "thm1:3,2,0": 32}[token]
+    for forms in cache_forms(s, 2, range(s.n_users)):
+        # its images once, then its value on each block base but store 0:
+        # fewer evaluations than stores
+        assert (built[forms], evaluated[forms]) == (1, blocks - 1)
+        assert built[forms] + evaluated[forms] < stores
+
+
+def test_invariance_stops_at_the_first_differing_pair(monkeypatch):
+    control = with_plaintext_demand_header(low_memory_private_scheme())
+    tables = []
+    view_tables = verifier._view_tables
+    monkeypatch.setattr(
+        verifier, "_view_tables", lambda: tables.append(view_tables()) or tables[-1]
+    )
+    v = verifier._enumerate(control, 1, (), True)["conditional-invariance"]
+    assert not v.passed and v.counterexample.startswith("user 0 demanding 0:")
+    (views,) = tables
+    # pair (0, 0) counts user 0's views of the demands (0, 0) and (0, 1),
+    # 256 atoms each: a quarter of the 2 x 1,024 atoms of every pair
+    counted = {key: sum(table.values()) for key, table in views.items() if table}
+    assert counted == {(0, 0, 0): 256, (0, 0, 1): 256}
 
 
 def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
@@ -576,12 +618,12 @@ def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
         rows = cache(user, key)
         return rows + rows[:1] if (user, key) == (1, 1) else rows
 
-    placed = counting_placements(monkeypatch)
+    built, evaluated = counting_evaluations(monkeypatch)
     with pytest.raises(SchemeError, match=r"cache holds 2 bits, declared M\*F = 1$"):
         check_decodability(with_tables(s, cache=late_oversized))
     # the sizes are checked as the configuration walk looks the cache
-    # tables up, before the first store is placed
-    assert not placed
+    # tables up, before anything is evaluated
+    assert not built and not evaluated
     # a program with one key alphabet per user is what makes one cache per
     # user, and a scheme is built only from such a program
     with pytest.raises(ValueError, match="one key alphabet per user"):
