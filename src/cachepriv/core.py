@@ -225,45 +225,49 @@ def alphabet_bits(size: int) -> int:
     return (size - 1).bit_length()
 
 
-# one tuple of input columns per output symbol, which is their XOR
-Rows = tuple[tuple[int, ...], ...]
+# one GF(2) form per output symbol: bit c set when the symbol XORs input c
+Rows = tuple[int, ...]
 
 
-def _nonnegative(lookup: Callable[..., tuple], with_header: bool) -> Callable:
-    """lookup, raising IndexError for a row that names a negative column;
-    behind the program's memo each table entry is checked once, and a
-    caller of the unmemoised lookup pays the check on every call."""
+def form_columns(form: int) -> tuple[int, ...]:
+    """The inputs a form reads, ascending; IndexError for a negative form.
+    Read off its binary digits, in time linear in the form's width."""
+    if form < 0:
+        raise IndexError(f"form {form} names a negative column")
+    digits, cols, c = bin(form)[:1:-1], [], -1
+    while (c := digits.find("1", c + 1)) >= 0:
+        cols.append(c)
+    return tuple(cols)
 
-    def checked(*args):
-        result = lookup(*args)
-        for r, cols in enumerate(result[0] if with_header else result):
-            if cols and min(cols) < 0:
-                raise IndexError(f"row {r} names a negative column: {cols}")
-        return result
 
-    return checked
+@functools.lru_cache(maxsize=4096)
+def columns_of(forms: Rows) -> tuple[tuple[int, ...], ...]:
+    """Each form's column tuple (form_columns), memoised by forms value."""
+    return tuple(map(form_columns, forms))
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnProgram:
-    """A keyed GF(2)-linear scheme as three lazily filled, memoised tables.
+    """A keyed GF(2)-linear scheme as three lazily filled, memoised tables
+    of forms (Rows): bit c of a form stands for input c.
 
-    cache(user, key) gives rows over the file columns (file i subfile j is
-    column i*t + j); delivery(demand, keys, configs) gives (rows over the
+    cache(user, key) gives forms over the file columns (file i subfile j is
+    column i*t + j); delivery(demand, keys, configs) gives (forms over the
     file columns then the pad columns, header); recipe(user, demand, key,
-    header) gives rows over the user's cache symbols then the payload.
+    header) gives forms over the user's cache symbols then the payload.
 
     server lists the parts of the server randomness, least significant
     first, as (configurations, pads).  At width w a part's low pads*w bits
     fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
     above them modulo configurations is the part's configuration.
 
-    A row naming a negative column raises IndexError when its table entry
-    is first looked up.  A table's __wrapped__ is the same checked lookup
-    without the memo, for a caller that reads each entry once.  A table
-    that is already a program's memoised lookup for the same slot, as
-    dataclasses.replace passes on every table it does not replace, is kept
-    as it is, so the two programs share that memo.
+    A table's __wrapped__ is its lookup without the memo, for a caller that
+    reads each entry once.  A table that is already a program's memoised
+    lookup for the same slot, as dataclasses.replace passes on every table
+    it does not replace, is kept as it is, so the two programs share that
+    memo.  columns[table] is a memo of the table's entries with each form
+    as its column tuple (form_columns), the symbol path's view: a negative
+    form raises IndexError on the entry's first read there.
     """
 
     key_sizes: tuple[int, ...]
@@ -278,9 +282,23 @@ class ColumnProgram:
             lookup = getattr(self, table)
             if getattr(lookup, "_column_table", None) == table:
                 continue
-            memo = functools.cache(_nonnegative(lookup, table == "delivery"))
+            memo = functools.cache(lookup)
             memo._column_table = table
             object.__setattr__(self, table, memo)
+
+    @cached_property
+    def columns(self) -> dict[str, Callable]:
+        cache, delivery, recipe = self.cache, self.delivery, self.recipe
+
+        def delivered(*args):
+            forms, header = delivery(*args)
+            return columns_of(forms), header
+
+        return {
+            "cache": functools.cache(lambda *args: columns_of(cache(*args))),
+            "delivery": functools.cache(delivered),
+            "recipe": functools.cache(lambda *args: columns_of(recipe(*args))),
+        }
 
     def server_size(self, width: int) -> int:
         return math.prod(configs << (pads * width) for configs, pads in self.server)
@@ -306,10 +324,9 @@ def check_shape(n_files: int, n_users: int) -> None:
         )
 
 
-def xor_rows(rows: Rows, values: Sequence[int]) -> tuple[int, ...]:
-    """One value per row, the XOR of the values its columns select.  Columns
-    are never negative: the program's tables reject such rows.  Given the
-    unit vectors 1 << c for the values, it gives each row's GF(2) form."""
+def xor_rows(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[int, ...]:
+    """One value per column tuple (form_columns), the XOR of the values its
+    columns select."""
     out = []
     for cols in rows:
         value = 0
@@ -331,15 +348,17 @@ class SchemeInstance:
     user_keys holds one key per user.  Caches, payloads and decoded files
     are tuples of symbol values, headers tuples of small ints.  deliver
     takes the demand as any int sequence and raises ParameterError unless
-    it has one entry per user, each in range(n_files).
-    They are plain methods, so an instance attribute may shadow them (a
-    tracer's wrapper, say).  The verifier evaluates the program itself and
-    never calls them.
+    it has one entry per user, each in range(n_files).  They XOR symbol
+    values by the program's column tuples (ColumnProgram.columns), and
+    raise IndexError for a negative form or one reading past the values
+    given.  They are plain methods, so an instance attribute may shadow
+    them (a tracer's wrapper, say).  The verifier reads the program's forms
+    itself and never calls them.
 
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile
-    symbols are l bits wide.  Non-private schemes must declare an explicit
-    served demand set; private schemes serve every demand (served is None).
+    symbols are l bits wide.  served is the set of served demands, or None
+    for every demand, as a private scheme serves.
     """
 
     name: str
@@ -356,13 +375,11 @@ class SchemeInstance:
         check_shape(self.n_files, self.n_users)
         if len(self.key_sizes) != self.n_users:
             raise ValueError("one key alphabet per user required")
-        if self.privacy is Privacy.NON_PRIVATE and self.served is None:
-            raise ValueError("non-private schemes must declare a served demand set")
 
     def place(
         self, user_keys: Sequence[int], store: FileStore
     ) -> tuple[tuple[int, ...], ...]:
-        cache = self.program.cache
+        cache = self.program.columns["cache"]
         return tuple(
             xor_rows(cache(u, k), store.values) for u, k in enumerate(user_keys)
         )
@@ -377,7 +394,7 @@ class SchemeInstance:
         demand = tuple(demand)
         self.check_demand(demand)
         configs, pads = self.program.split_server(server_random, store.symbol_width)
-        rows, header = self.program.delivery(demand, user_keys, configs)
+        rows, header = self.program.columns["delivery"](demand, user_keys, configs)
         return xor_rows(rows, (*store.values, *pads)), header
 
     def decode(
@@ -389,7 +406,7 @@ class SchemeInstance:
         cache: tuple[int, ...],
         payload: tuple[int, ...],
     ) -> tuple[int, ...]:
-        rows = self.program.recipe(user, demand, key, header)
+        rows = self.program.columns["recipe"](user, demand, key, header)
         return xor_rows(rows, cache + payload)
 
     @property

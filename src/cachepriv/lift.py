@@ -20,7 +20,6 @@ from .core import (
     ColumnProgram,
     ParameterError,
     Privacy,
-    Rows,
     SchemeInstance,
     check_shape,
     cyclic_demand_set,
@@ -31,7 +30,6 @@ from .schemes import (
     split_recipe,
     split_subpacketization,
     uncoded_program,
-    unit_rows,
 )
 
 
@@ -80,14 +78,13 @@ def basic_private_scheme(
         return [slots[d] for d in demand]
 
     def delivery(demand, keys, configs):
-        # the configuration is the slot rank; slot s carries the uncached
-        # run of the file assigned to it, or else pads s*tu onward
+        # the configuration is the slot rank; slot i carries the uncached
+        # run of the file assigned to it, or else pads i*tu onward
         order = slot_assignment(demand, configs[0])
-        by_slot = dict(zip(order, demand))
-        rows: Rows = ()
-        for slot in range(k):
-            start = by_slot[slot] * t + tc if slot in by_slot else n_cols + slot * tu
-            rows += unit_rows(start, tu)
+        starts = [n_cols + i * tu for i in range(k)]
+        for i, d in zip(order, demand):
+            starts[i] = d * t + tc
+        rows = tuple(1 << c for start in starts for c in range(start, start + tu))
         return rows, tuple((order[u] + keys[u]) % k for u in range(k))
 
     program = ColumnProgram(

@@ -20,7 +20,7 @@ from .core import (
     SchemeInstance,
     check_shape,
     cyclic_demand_set,
-    full_demand_set,
+    form_columns,
 )
 from .search import LinearSchemeMatrices, compile_linear_scheme
 
@@ -118,8 +118,8 @@ def split_subpacketization(n_files: int, memory: Fraction) -> tuple[int, int, in
 
 
 def unit_rows(start: int, count: int) -> Rows:
-    """Rows copying the count input columns from start on, one each."""
-    return tuple((start + j,) for j in range(count))
+    """Forms copying the count input columns from start on, one each."""
+    return tuple(1 << c for c in range(start, start + count))
 
 
 def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows:
@@ -129,7 +129,7 @@ def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows
 
 def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgram:
     """Identical caches holding the first tc symbols of every file, with the
-    remaining symbols of every file broadcast, file by file.  The rows are
+    remaining symbols of every file broadcast, file by file.  The forms are
     built on their first lookup, so a scheme refused before one (by the
     atom budget, say) builds none."""
     tu = t - tc
@@ -141,7 +141,7 @@ def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgra
         if (start, count) not in built:
             cols = range(start, start + count)
             built[start, count] = tuple(
-                (i * t + c,) for i in range(n_files) for c in cols
+                1 << (i * t + c) for i in range(n_files) for c in cols
             )
         return built[start, count]
 
@@ -176,7 +176,6 @@ def uncoded_baseline(
         rate=Fraction(n_files) - m,
         subpacketization=t,
         privacy=Privacy.NON_PRIVATE,
-        served=full_demand_set(n_files, n_users),
     )
 
 
@@ -185,12 +184,11 @@ def uncoded_baseline(
 
 
 def _narrow(rows: Rows, group: int, start: list[int]) -> Rows:
-    """Rows over symbols `group` times narrower: input c becomes the group
+    """Forms over symbols `group` times narrower: input c becomes the group
     inputs start[c] + o, and each output symbol becomes group output
-    symbols, least significant first."""
-    return tuple(
-        tuple(start[c] + o for c in cols) for cols in rows for o in range(group)
-    )
+    symbols, least significant first.  A negative form raises IndexError."""
+    scattered = [sum(1 << start[c] for c in form_columns(form)) for form in rows]
+    return tuple(form << o for form in scattered for o in range(group))
 
 
 def memory_share(
@@ -220,9 +218,8 @@ def memory_share(
         raise ParameterError("memory sharing needs identical (files, users)")
     if a.privacy is not b.privacy:
         raise ParameterError("memory sharing needs matching privacy classes")
-    if a.privacy is Privacy.NON_PRIVATE:
-        if set(a.served.members) != set(b.served.members):  # type: ignore[union-attr]
-            raise ParameterError("memory sharing needs identical served demands")
+    if a.served != b.served and set(a.served_demands()) != set(b.served_demands()):
+        raise ParameterError("memory sharing needs identical served demands")
     pa, pb = a.program, b.program
 
     n_files, n_users = a.n_files, a.n_users

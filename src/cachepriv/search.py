@@ -133,10 +133,6 @@ def verify_linear(m: LinearSchemeMatrices, demands: DemandSubset) -> Verdict:
 # compiling matrices into an executable scheme
 
 
-def _columns(row: int) -> tuple[int, ...]:
-    return tuple(i for i in range(row.bit_length()) if (row >> i) & 1)
-
-
 # matrix sets whose solved tables one process keeps; a verify call compiles
 # one or two, and a process that cycles through more only solves again
 _COMPILED_SETS = 64
@@ -144,8 +140,10 @@ _COMPILED_SETS = 64
 
 @functools.lru_cache(maxsize=_COMPILED_SETS)
 def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
-    """(cache columns per user, delivery columns per served demand, recipe
-    per (demand, user)), memoised by the value of (m, served).
+    """(the matrices' cache rows per user, delivery rows per served demand,
+    recipe forms per (demand, user)), memoised by the value of (m, served);
+    recipe form i reads row c of the cache rows then the delivery rows when
+    combination i of them takes it.
 
     Nothing outside compile_linear_scheme's closures holds the dicts, and
     they only read them.  An exception is raised again on every call, since
@@ -157,47 +155,44 @@ def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
     t = m.subpacketization
     n_cols = m.n_cols
 
-    cache_cols = tuple(tuple(map(_columns, rows)) for rows in m.cache_rows)
-    delivery_cols: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    recipes: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+    deliveries: dict[tuple[int, ...], tuple[int, ...]] = {}
+    recipes: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     for demand in served:
-        tx_rows = m.delivery_for(demand)
-        delivery_cols[demand] = tuple(map(_columns, tx_rows))
+        tx_rows = deliveries[demand] = m.delivery_for(demand)
         for u in range(m.n_users):
             solved = gf2.solve_combinations(
                 m.cache_rows[u] + tx_rows, _file_targets(m, demand[u]), n_cols
             )
             recipes[(demand, u)] = (
-                ((),) * t
+                (0,) * t
                 if None in solved
-                else tuple(tuple(i for i, c in enumerate(cs) if c) for cs in solved)
+                else tuple(sum(c << i for i, c in enumerate(cs)) for cs in solved)
             )
-    return cache_cols, delivery_cols, recipes
+    return m.cache_rows, deliveries, recipes
 
 
 def compile_linear_scheme(
     m: LinearSchemeMatrices, served: DemandSubset, name: str
 ) -> SchemeInstance:
-    """Executable scheme from matrices, with column programs fixed up front.
-
-    Every cache row, delivery row and decode recipe is turned into the tuple
-    of column indices it XORs, once, so running the scheme only XORs symbol
-    values.  The broadcast header carries the full demand vector, which is
-    the usual convention for schemes with no privacy requirement.  If some
-    (demand, user) pair is not solvable its recipe selects no columns and the
-    decoder emits zero symbols for it, so a broken matrix set stays runnable
-    and is caught by the exhaustive decodability check.
+    """Executable scheme from matrices.  The cache and delivery tables hand
+    out the matrices' rows, and each decode recipe is solved once, as forms
+    over the user's cache rows then the delivery rows.  The broadcast header
+    carries the full demand vector, which is the usual convention for
+    schemes with no privacy requirement.  An unsolvable (demand, user)
+    pair's recipe forms are zero, so its decoder emits zero symbols and a
+    broken matrix set stays runnable, caught by the exhaustive
+    decodability check.
 
     The solved tables are memoised per process by the value of (m, served)
     (_solved_tables); each call still returns a new instance with its own
     column program and memos, whose errors name this call's scheme.
     """
-    cache_cols, delivery_cols, recipes = _solved_tables(m, served)
+    cache_rows, deliveries, recipes = _solved_tables(m, served)
 
     def delivery(demand, keys, configs):
-        if demand not in delivery_cols:
+        if demand not in deliveries:
             raise UnservedDemand(f"{name} does not serve demand {demand}")
-        return delivery_cols[demand], demand
+        return deliveries[demand], demand
 
     def recipe(user, demand, key, header):
         if (header, user) not in recipes:
@@ -208,7 +203,7 @@ def compile_linear_scheme(
         key_sizes=(1,) * m.n_users,
         header_sizes=(m.n_files,) * m.n_users,
         server=(),
-        cache=lambda user, key: cache_cols[user],
+        cache=lambda user, key: cache_rows[user],
         delivery=delivery,
         recipe=recipe,
     )
@@ -338,7 +333,8 @@ def _try_placements(
     element v) beside their elements.  One row: the masks are intersected
     and the least row wins.  More rows (or none): the first W in
     iter_subspaces order that meets every coset.  residuals, when given,
-    holds each user's residuals per needed file; else they are computed here."""
+    holds each user's residuals per needed file; else each is computed here
+    on its first read."""
     cosets: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
     def needs(u: int, f: int) -> list[tuple[int, list[int]]]:
@@ -448,15 +444,16 @@ def search_linear_scheme(
         return None
     files_needed = [sorted({d[u] for d in demands}) for u in range(n_users)]
 
-    def trials() -> Iterator[tuple[Sequence[dict[int, int]], Sequence[dict]]]:
-        """(cache bases, each needed file's residuals) per trial."""
+    def trials() -> Iterator[tuple[Sequence[dict[int, int]], Sequence[dict] | None]]:
+        """(cache bases, each needed file's residuals) per trial; a restart
+        trial gives None, leaving completion to compute those it reads."""
         if strategy == "restart":
             widths = (n_cols,) * cache_dim
             free = n_cols + 1 - cache_dim  # zero entries of a full-rank table
             for idx in range(budget):
                 # string seeding is stable across runs and platforms
                 draw = random.Random(f"{seed}:{idx}").getrandbits
-                bases, residuals = [], []
+                bases = []
                 for files in files_needed:
                     # 4096 full-rank draws per user at most: an infeasible target ends
                     for _ in range(4096):
@@ -480,11 +477,8 @@ def search_linear_scheme(
                                 r ^= pr
                         basis[1 << (r.bit_length() - 1)] = r
                     bases.append(basis)
-                    residuals.append({})
-                    for f in files:
-                        residuals[-1][f] = _residuals(basis, f, t)
                 if len(bases) == n_users:
-                    yield bases, residuals
+                    yield bases, None
         else:
             per_user = []
             for files in files_needed:

@@ -30,10 +30,11 @@ from .core import (
     FileStore,
     ParameterError,
     Privacy,
-    Rows,
     SchemeError,
     SchemeInstance,
     check_width,
+    columns_of,
+    form_columns,
     xor_rows,
 )
 
@@ -42,13 +43,17 @@ BUDGET_ENV_VAR = "CACHEPRIV_BUDGET"
 
 
 class BudgetExceeded(SchemeError):
-    """The requested enumeration is larger than the atom budget."""
+    """The requested enumeration is larger than the atom budget.  required is
+    None for a count too large to build; bits is then the count less one's."""
 
-    def __init__(self, required: int, budget: int) -> None:
+    def __init__(self, required: int | None, budget: int, bits: int = 0) -> None:
         # from 2^64 a bound: the decimal can run to kilobytes, past str()'s limit
-        bound = f"more than 2^{(required - 1).bit_length() - 1}"
+        needs: object = required
+        if required is None or required >= 1 << 64:
+            bits = bits if required is None else (required - 1).bit_length()
+            needs = f"more than 2^{bits - 1}"
         super().__init__(
-            f"enumeration needs {required if required < 1 << 64 else bound} atoms, "
+            f"enumeration needs {needs} atoms, "
             f"budget is {budget} (override with {BUDGET_ENV_VAR})"
         )
         self.required = required
@@ -131,12 +136,16 @@ class Verdict:
 def atom_count(s: SchemeInstance, width: int) -> int:
     """Atoms in the joint space (stores x served demands x user keys x server
     randomness), counted without listing any of them."""
-    return (
-        FileStore.space_size(s.n_files, s.subpacketization, width)
-        * s.n_served()
-        * math.prod(s.key_sizes)
-        * s.server_random_size(width)
-    )
+    rest, shift = _atom_factors(s, width)
+    return rest << shift
+
+
+def _atom_factors(s: SchemeInstance, width: int) -> tuple[int, int]:
+    """(rest, shift), the atom count being rest << shift: stores and pads."""
+    server = s.program.server
+    shift = (s.n_files * s.subpacketization + sum(p for _, p in server)) * width
+    rest = s.n_served() * math.prod(s.key_sizes) * math.prod(c for c, _ in server)
+    return rest, shift
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +235,18 @@ def run_checks(
 
     Verdicts are keyed "decodability", "privacy[user k]" and
     "conditional-invariance", in that order, and are those that exhaustive
-    enumeration gives.  _prove streams the configurations (served demand,
-    key realization and the configuration part of the server randomness)
-    from _configurations, which looks up each row table of the scheme's
-    column program, checks the declared M*F and R*F sizes and each table's
-    column range, and turns the rows into GF(2) forms; the proof keeps
-    only its count tables and visits no store and no pad value.  A check
-    it proves holds at every width; it reports the atom count as its
-    cases, and for privacy and invariance MI=0, which is what enumeration
-    computes for an independent table.  It decides decodability either
-    way, a failure with the cases and counterexample of enumeration.  The
-    other checks it leaves open go to _enumerate, the exhaustive sweep,
-    which walks the configurations again and alone evaluates forms on
-    stores; it alone reports a leak and its counterexample: a privacy test on
-    configurations that does not succeed is no proof of a leak.  A wrongly
+    enumeration gives.  _prove reads the forms of each configuration from
+    _configurations and visits no store and no pad value.  A check it
+    proves holds at every width; it reports the atom count as its cases,
+    and for privacy and invariance MI=0, which is what enumeration computes
+    for an independent table.  It decides decodability either way, a
+    failure with the cases and counterexample of enumeration.  The checks
+    it leaves open go to _enumerate, the exhaustive sweep, which alone
+    evaluates forms on stores and alone reports a leak: a privacy test on
+    configurations that does not succeed is no proof of one.  A wrongly
     sized or out-of-range table raises during the proof's walk, before any
-    check is settled.
+    check is settled, and an atom count past 2^64 and the budget is refused
+    from its exponent, before it is built.
     """
     check_width(width)
     users = tuple(dict.fromkeys(users))
@@ -252,10 +257,13 @@ def run_checks(
             raise ParameterError(f"no user {user} in a {s.n_users}-user scheme")
     if invariance and (s.n_files != 2 or s.n_users != 2):
         raise ParameterError("conditional-invariance check is for N=K=2 schemes")
-    total = atom_count(s, width)
     limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(total, limit)
+    rest, shift = _atom_factors(s, width)
+    bits = shift + (rest - 1).bit_length()  # of the count less one
+    if rest and bits > max(64, limit.bit_length()):
+        raise BudgetExceeded(None, limit, bits)
+    if rest << shift > limit:
+        raise BudgetExceeded(rest << shift, limit)
 
     verdicts = _prove(s, width, decodability, users, invariance)
     open_users = tuple(u for u in users if _privacy(u) not in verdicts)
@@ -275,29 +283,27 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     A configuration is a served demand, a key realization (user 0's key
     fastest) and the configuration part of the server randomness (part 0
     fastest), walked in that order.  Under it every cache, payload and
-    decoded symbol is, in each bit lane, the XOR of a fixed set of file and
-    pad symbols: its form, an int whose bit c stands for column c (file
-    columns, then pads), found by running the row tables on the unit
-    vectors 1 << c.  Yields (demand, user keys, configuration, header,
-    cache forms per user, payload forms, decoded forms per user); the
-    decoded forms are empty without decodability.
+    decoded symbol is, in each bit lane, the XOR of the file and pad
+    symbols its form reads (bit c for column c: file columns, then pads).
+    The tables hand out the cache and payload forms as they are; a decoded
+    form XORs the cache and payload forms its recipe form selects.  Yields
+    (demand, user keys, configuration, header, cache forms per user,
+    payload forms, decoded forms per user, empty without decodability).
 
     Each cache is looked up once per (user, key), all before the first
-    delivery; then each delivery and, for decodability, each user's recipe
-    as the walk reaches it.  The walk reads each delivery entry once, so it
-    looks them up past the program's memo, which would only grow by one
-    entry per configuration.  Cache rows read the file columns, delivery
-    rows the file columns then the pads, and recipe rows the user's cache
-    symbols then the payload; a row naming an input outside that range
-    raises IndexError (_check_range), and with decodability a cache or
-    payload of other than the declared M*F or R*F bits raises SchemeError.
+    delivery; each delivery is read once, past the program's memo, which
+    would only grow by one entry per configuration, and for decodability
+    each user's recipe as the walk reaches it.  A negative form, or one
+    reading past its inputs (the file columns for a cache, then the pads
+    for a delivery, the user's cache symbols then the payload for a
+    recipe), raises IndexError (_check_range, or xor_rows as decode does
+    for a recipe), and with decodability a cache or payload of other than
+    the declared M*F or R*F bits raises SchemeError.
     """
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
     n_inputs = n_cols + sum(pads for _, pads in program.server)
     cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
-    units = [1 << c for c in range(n_inputs)]
-    check_range = functools.cache(_check_range)
     delivery = program.delivery.__wrapped__
     keys = _odometer(s.key_sizes)
     configs = _odometer([n for n, _ in program.server])
@@ -305,39 +311,34 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     for user_keys in keys:
         for slot in enumerate(user_keys):
             if slot not in held:
-                rows = program.cache(*slot)
-                bits = len(rows) * width
+                forms = program.cache(*slot)
+                bits = len(forms) * width
                 if decodability and bits != cache_bits:
                     raise SchemeError(
                         f"cache holds {bits} bits, declared M*F = {cache_bits}"
                     )
-                check_range(rows, n_cols)
-                held[slot] = xor_rows(rows, units)
+                _check_range(forms, n_cols)
+                held[slot] = forms
     for wants in s.served_demands().members:
         s.check_demand(wants)
         for user_keys in keys:
             caches = tuple(held[slot] for slot in enumerate(user_keys))
             for config in configs:
-                rows, header = delivery(wants, user_keys, config)
-                recipes = []
+                sent, header = delivery(wants, user_keys, config)
+                decoded = []
                 if decodability:
-                    pay_bits = len(rows) * width
+                    pay_bits = len(sent) * width
                     if pay_bits != payload_bits:
                         raise SchemeError(
                             f"payload holds {pay_bits} bits, "
                             f"declared R*F = {payload_bits}"
                         )
                     for user, key in enumerate(user_keys):
-                        recipe = program.recipe(user, wants[user], key, header)
-                        check_range(recipe, len(caches[user]) + len(rows))
-                        recipes.append(recipe)
-                check_range(rows, n_inputs)
-                sent = xor_rows(rows, units)
-                decoded = tuple(
-                    xor_rows(recipe, cache + sent)
-                    for recipe, cache in zip(recipes, caches)
-                )
-                yield wants, user_keys, config, header, caches, sent, decoded
+                        forms = program.recipe(user, wants[user], key, header)
+                        seen = caches[user] + sent
+                        decoded.append(xor_rows(columns_of(forms), seen))
+                _check_range(sent, n_inputs)
+                yield wants, user_keys, config, header, caches, sent, tuple(decoded)
 
 
 def _odometer(sizes: Iterable[int]) -> list[tuple[int, ...]]:
@@ -346,13 +347,14 @@ def _odometer(sizes: Iterable[int]) -> list[tuple[int, ...]]:
     return [tuple(reversed(values)) for values in itertools.product(*ranges)]
 
 
-def _check_range(rows: Rows, n_inputs: int) -> None:
-    """Raise IndexError for a row naming an input outside range(n_inputs),
-    where the scheme's own place, deliver and decode fail too."""
-    for r, cols in enumerate(rows):
-        for c in cols:
-            if not 0 <= c < n_inputs:
-                raise IndexError(f"row {r} names input {c} of {n_inputs}")
+def _check_range(forms: tuple[int, ...], n_inputs: int) -> None:
+    """Raise IndexError, as the scheme's own place, deliver and decode do,
+    for a negative form or one reading an input outside range(n_inputs):
+    either shifts to nonzero past the inputs."""
+    if functools.reduce(operator.or_, forms, 0) >> n_inputs:
+        form = next(f for f in forms if f >> n_inputs)
+        what = "a negative column" if form < 0 else f"input {form.bit_length() - 1}"
+        raise IndexError(f"form {form} names {what}, outside range({n_inputs})")
 
 
 def _view_tables() -> dict[tuple[int, int, int], Counter]:
@@ -458,8 +460,7 @@ def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
         config, pads = s.program.split_server(server, width)
         seen = symbols + tuple(pads)
         for k, forms in failing.get((wants, user_keys, config), ()):
-            reads = [[c for c in range(len(seen)) if form >> c & 1] for form in forms]
-            got = xor_rows(reads, seen)
+            got = xor_rows(columns_of(forms), seen)
             want = tuple(symbols[c] for c in files[wants[k]])
             if got != want:
                 ce = DecodeCounterexample(index, wants, user_keys, server, k, want, got)
@@ -468,24 +469,14 @@ def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
     raise AssertionError("the first failing store decodes")
 
 
-def _columns(forms: tuple[int, ...]) -> dict[int, int]:
-    """Per input column c that a form reads, the rows reading it: bit r set
-    when forms[r] reads c."""
-    columns: dict[int, int] = {}
-    for r, form in enumerate(forms):
-        while form:
-            low = form & -form
-            c = low.bit_length() - 1
-            columns[c] = columns.get(c, 0) | 1 << r
-            form ^= low
-    return columns
-
-
 def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of the GF(2) map whose output r has form forms[r], as a
-    canonical basis: the reduced echelon rows spanning its columns
-    (_columns)."""
-    return gf2.rref(_columns(forms).values())
+    """The image of the GF(2) map whose output r has form forms[r], given for
+    a fixed number of outputs by the reduced echelon basis of the output
+    combinations that vanish (its annihilator): the basis rows left without
+    form bits when each form is reduced with marker bit r below it."""
+    n = len(forms)
+    marked = [form << n | 1 << r for r, form in enumerate(forms)]
+    return tuple(sorted(r for r in gf2.reduced_basis(marked).values() if r >> n == 0))
 
 
 # a block of consecutive stores holds at most max(one store's atoms, this)
@@ -647,12 +638,12 @@ def _images(forms: tuple[int, ...], width: int) -> dict[int, int]:
     are w bits wide, input c at bits [c*w, (c+1)*w), and output r, at bits
     [r*w, (r+1)*w), is the XOR of the inputs forms[r] reads, so bit b of
     input c = b // w goes to the same lane of every output reading c."""
-    images = {}
-    for c, rows in _columns(forms).items():
-        spread = sum(1 << r * width for r in range(rows.bit_length()) if rows >> r & 1)
-        for lane in range(width):
-            images[c * width + lane] = spread << lane
-    return images
+    spread: dict[int, int] = {}  # per input, the lane-0 bits of its outputs
+    for r, form in enumerate(forms):
+        for c in form_columns(form):
+            spread[c] = spread.get(c, 0) | 1 << r * width
+    lanes = range(width)
+    return {c * width + i: rows << i for c, rows in spread.items() for i in lanes}
 
 
 def _evaluate(images: dict[int, int], x: int) -> int:

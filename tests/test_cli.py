@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,26 @@ def test_a_huge_atom_count_is_refused_by_the_budget(monkeypatch, capsys):
         "error: enumeration needs more than 2^20001 atoms, budget is 268435456 "
         "(override with CACHEPRIV_BUDGET)\n"
     )
+
+
+def test_a_store_space_past_building_is_refused_from_its_exponent(
+    monkeypatch, capsys
+):
+    # 2 x 10^12 store bits: the count alone would take 250 GB, so the budget
+    # refuses it from its exponent, as it refuses any count past 2^64
+    monkeypatch.delenv("CACHEPRIV_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "thm1:1000000,2,1/2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: enumeration needs more than 2^2000004000040 atoms, "
+        "budget is 268435456 (override with CACHEPRIV_BUDGET)\n"
+    )
+    assert peak < 4 << 20
 
 
 def test_unknown_scheme_exits_2(capsys):

@@ -237,7 +237,7 @@ def test_corrupted_program_fails_on_the_packed_path(make):
         rows = recipe(user, demand, key, header)
         if (user, demand) != target:
             return rows
-        return ((rows[0] + (0,)),) + rows[1:]  # one more input in row 0
+        return (rows[0] ^ 1,) + rows[1:]  # input 0 toggled in row 0
 
     broken = with_tables(s, recipe=corrupted)
     got = sweep(broken)
@@ -247,7 +247,7 @@ def test_corrupted_program_fails_on_the_packed_path(make):
 
 @pytest.mark.parametrize(
     "change",
-    [lambda rows: rows[:-1], lambda rows: rows + ((),)],
+    [lambda rows: rows[:-1], lambda rows: rows + (0,)],
     ids=["short", "long-with-a-zero-row"],
 )
 def test_recipe_of_the_wrong_length_fails_as_on_the_symbol_path(change):
@@ -265,8 +265,8 @@ def test_rows_past_their_inputs_raise_on_both_paths():
     recipe, cache = s.program.recipe, s.program.cache
     # user 0 holds 1 cache symbol and the payload 4, so input 5 is past both
     broken = [
-        with_tables(s, recipe=lambda *args: recipe(*args)[:-1] + ((5,),)),
-        with_tables(s, cache=lambda user, key: cache(user, key)[:-1] + ((n_cols,),)),
+        with_tables(s, recipe=lambda *args: recipe(*args)[:-1] + (1 << 5,)),
+        with_tables(s, cache=lambda user, key: cache(user, key)[:-1] + (1 << n_cols,)),
     ]
     store = FileStore.zero(s.n_files, s.subpacketization, 1)
     demand = DemandVector(s.n_files, s.served_demands().members[0])
@@ -286,12 +286,12 @@ def test_negative_columns_raise_on_both_paths(make, table):
 
         def negative(*args):
             rows, header = lookup(*args)
-            return rows[:-1] + ((-1,),), header
+            return rows[:-1] + (-1,), header
 
     else:
 
         def negative(*args):
-            return lookup(*args)[:-1] + ((-1,),)
+            return lookup(*args)[:-1] + (-1,)
 
     broken = with_tables(s, **{table: negative})
     store = FileStore.zero(s.n_files, s.subpacketization, 1)

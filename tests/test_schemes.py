@@ -12,6 +12,7 @@ from cachepriv.core import (
     ParameterError,
     Privacy,
     cyclic_demand_set,
+    full_demand_set,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
@@ -117,7 +118,24 @@ def test_a_budget_refusal_builds_no_rows():
     # the rows are built on the first lookup, and kept
     small = basic_private_scheme(4, 2, Fraction(1, 2))
     assert small.program.cache(0, 0) is small.program.cache(1, 1)
-    assert small.program.cache(0, 0) == ((0,), (8,), (16,), (24,))
+    assert small.program.cache(0, 0) == (1 << 0, 1 << 8, 1 << 16, 1 << 24)
+
+
+def test_a_baseline_lists_no_demand_before_the_budget_check():
+    # a baseline serves every demand, served None: its 2,000^2 demands, 294
+    # MB when listed, are counted for the budget's refusal and never listed
+    tracemalloc.start()
+    try:
+        s = resolve_scheme("baseline:2000,2,0")
+        with pytest.raises(BudgetExceeded):
+            run_checks(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    small = uncoded_baseline(3, 2, 1)
+    assert small.served is None and small.n_served() == 9
+    assert small.served_demands() == full_demand_set(3, 2)  # in product order
 
 
 def test_split_subpacketization():
@@ -224,20 +242,28 @@ def test_a_replaced_program_shares_the_memo_of_every_table_it_keeps():
     assert s.program.cache.cache_info().currsize == 1
     for replaced in ("delivery", "recipe"):
         assert getattr(ctrl.program, replaced) is not getattr(s.program, replaced)
-    # a replaced table is checked and memoised like any other:
-    # table -> (arguments of a first lookup, a lookup naming column -1)
+    # a replaced table is memoised like any other, and a negative form in
+    # its entry raises as place, deliver or decode first reads the entry:
+    # table -> (a call reading one entry, a lookup with a negative form)
+    store = FileStore.zero(2, 3, 1)
     negative = {
-        "cache": ((0, 0), lambda user, key: ((0,), (-1,))),
-        "delivery": (((0, 1), (0, 0), (0,)), lambda *args: (((-1,),), ())),
-        "recipe": ((0, 0, 0, (0,)), lambda *args: ((-1, 0),)),
+        "cache": (lambda b: b.place((0, 0), store), lambda user, key: (1, -1)),
+        "delivery": (
+            lambda b: b.deliver(store, (0, 1), (0, 0), 0),
+            lambda *args: ((-1,), (0, 0)),
+        ),
+        "recipe": (
+            lambda b: b.decode(0, 0, 0, (0, 0), (0,), (0,) * 4),
+            lambda *args: (-2,),
+        ),
     }
-    for table, (args, lookup) in negative.items():
+    for table, (read, lookup) in negative.items():
         broken = with_tables(s, **{table: lookup})
         for kept in set(negative) - {table}:
             assert getattr(broken.program, kept) is getattr(s.program, kept)
         replaced = getattr(broken.program, table)
         with pytest.raises(IndexError, match="names a negative column"):
-            replaced(*args)
+            read(broken)
         assert replaced.cache_info().misses == 1
 
 

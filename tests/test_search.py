@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import xor
@@ -563,24 +564,26 @@ def test_residuals_read_off_the_basis_match_reduce_vector():
     ],
     ids=["restart", "exhaustive"],
 )
-def test_completion_reads_the_residuals_of_the_rank_filter(
+def test_completion_computes_each_residual_set_it_reads_at_most_once(
     monkeypatch, target, demands, strategy, seed, budget, caches
 ):
-    # each needed file's residuals are computed once for each cache that
-    # passes the filter, and none for a rejected one; completing a trial
-    # reads them instead of computing them again
-    computed = {"filter": 0, "completion": 0}
-    stage = ["filter"]
+    # a restart trial's residual sets are computed as completion first reads
+    # them, at most once per (trial, user, file) and never by the filter;
+    # an exhaustive option's are computed once when the filter accepts it,
+    # and completing a trial reads them instead of computing them again
+    computed = Counter()  # (stage, trial, user's basis, file) -> calls
+    stage, trial = ["filter"], [0]
     accepted_files = [0]
     residuals, try_placements = search._residuals, search._try_placements
     feasible = search._user_feasible
 
-    def counting_residuals(*args):
-        computed[stage[0]] += 1
-        return residuals(*args)
+    def counting_residuals(basis, f, t):
+        computed[stage[0], trial[0], id(basis), f] += 1
+        return residuals(basis, f, t)
 
     def completing(*args):
         stage[0] = "completion"
+        trial[0] += 1
         try:
             return try_placements(*args)
         finally:
@@ -598,8 +601,16 @@ def test_completion_reads_the_residuals_of_the_rank_filter(
         *target, demands, strategy=strategy, seed=seed, budget=budget
     )
     assert found is not None and found.cache_rows == caches
-    assert computed["filter"] == accepted_files[0] > 0
-    assert computed["completion"] == 0
+    assert max(computed.values()) == 1
+    by_stage = Counter()
+    for (at, *_), calls in computed.items():
+        by_stage[at] += calls
+    if strategy == "restart":
+        assert by_stage["filter"] == 0
+        assert 0 < by_stage["completion"] <= accepted_files[0]
+    else:
+        assert by_stage["filter"] == accepted_files[0] > 0
+        assert by_stage["completion"] == 0
 
 
 def test_subspace_table_is_filled_only_as_far_as_scans_reach(monkeypatch):
@@ -670,9 +681,16 @@ def compile_pins():
     return out
 
 
+def pinned_columns(forms):
+    """The forms as compile_pins.json lists them: per form, the columns it
+    reads, ascending."""
+    return [[c for c in range(form.bit_length()) if form >> c & 1] for form in forms]
+
+
 def test_compiled_tables_match_the_pins():
     # the first pass solves every set (the memo starts empty), the second
-    # reads every set from the memo
+    # reads every set from the memo; the tables hand out forms, and the pins
+    # list each form's columns
     pins = compile_pins()
     assert len(pins) == 40
     search._solved_tables.cache_clear()
@@ -681,13 +699,15 @@ def test_compiled_tables_match_the_pins():
         for m, served, p in pins:
             program = compile_linear_scheme(m, served, p["name"]).program
             got = {
-                "cache": [program.cache(u, 0) for u in range(m.n_users)],
+                "cache": [
+                    pinned_columns(program.cache(u, 0)) for u in range(m.n_users)
+                ],
                 "delivery": [
-                    [d, program.delivery(d, (0,) * m.n_users, ())[0]]
+                    [d, pinned_columns(program.delivery(d, (0,) * m.n_users, ())[0])]
                     for d in served
                 ],
                 "recipes": [
-                    [d, u, program.recipe(u, d, 0, d)]
+                    [d, u, pinned_columns(program.recipe(u, d, 0, d))]
                     for d in served
                     for u in range(m.n_users)
                 ],

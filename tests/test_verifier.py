@@ -101,7 +101,7 @@ def test_atom_space_is_a_bijection():
 
 
 def recipe_changed(s, change):
-    """s with each decode recipe's rows replaced by change(rows, user,
+    """s with each decode recipe's forms replaced by change(forms, user,
     demand, key, header)."""
     recipe = s.program.recipe
     return with_tables(s, recipe=lambda *args: change(recipe(*args), *args))
@@ -125,8 +125,9 @@ def perturbed_2x4(rng: random.Random) -> SchemeInstance:
 
 
 def with_first_input(rows):
-    """The first recipe row also reading the user's first input symbol."""
-    return (rows[0] + (0,),) + rows[1:]
+    """The first recipe form also reading the user's first input symbol: as
+    a XOR, it drops that symbol when the form reads it already."""
+    return (rows[0] ^ 1,) + rows[1:]
 
 
 def decode_corrupted(s, when=lambda header: True):
@@ -219,7 +220,7 @@ def reading_the_other_slot(s):
 
     def corrupted(user, demand, key, header):
         (row,) = recipe(user, demand, key, header)
-        return (row + (1 - row[0],),)
+        return (row | 0b11,)  # the form reads slot 0 or 1, and now both
 
     return with_tables(s, recipe=corrupted)
 
@@ -423,8 +424,8 @@ def coincidence_scheme() -> SchemeInstance:
     file 1 it is uniform on one of the three lines.  Both mixtures give
     the same distribution at width 1 and different ones at width 2."""
     payloads = {
-        0: (((), ()), ((0,), (1,)), ((0,), (1,))),
-        1: (((0,), ()), ((), (0,)), ((0,), (0,))),
+        0: ((0, 0), (0b01, 0b10), (0b01, 0b10)),
+        1: ((0b01, 0), (0, 0b01), (0b01, 0b01)),
     }
     program = ColumnProgram(
         key_sizes=(1, 1),
@@ -432,7 +433,7 @@ def coincidence_scheme() -> SchemeInstance:
         server=((3, 0),),
         cache=lambda user, key: (),
         delivery=lambda demand, keys, configs: (payloads[demand[1]][configs[0]], ()),
-        recipe=lambda user, demand, key, header: ((0,),),
+        recipe=lambda user, demand, key, header: (0b01,),
     )
     return SchemeInstance(
         name="coincidence",
@@ -467,6 +468,31 @@ def test_a_repeated_user_is_checked_once():
         once = run_checks(s, decodability=False, users=(1,))
         assert run_checks(s, decodability=False, users=(1, 1)) == once
         assert once["privacy[user 1]"].cases == atom_count(s, 1)
+
+
+def column_space(forms):
+    """The reduced echelon basis of the columns of the map whose output r
+    has form forms[r]: its image, as the proof once keyed it."""
+    columns = {}
+    for r, form in enumerate(forms):
+        for c in range(form.bit_length()):
+            if form >> c & 1:
+                columns[c] = columns.get(c, 0) | 1 << r
+    return gf2.rref(columns.values())
+
+
+def test_the_image_partitions_forms_as_the_column_space_does():
+    # few inputs for many outputs, so that distinct forms tuples share images
+    rng = random.Random("image")
+    for n_outputs in range(7):
+        drawn = {
+            tuple(rng.getrandbits(rng.randint(0, 4)) for _ in range(n_outputs))
+            for _ in range(300)
+        }
+        keys = [(verifier._image(f), column_space(f)) for f in drawn]
+        assert len({new for new, _ in keys}) == len({old for _, old in keys})
+        assert len(set(keys)) == len({old for _, old in keys})
+        assert n_outputs < 2 or len(set(keys)) < len(drawn)
 
 
 def lanes(forms, symbols):
@@ -753,6 +779,34 @@ def test_budget_refusal_prints_counts_past_2_64_as_a_bound():
             f"(override with {BUDGET_ENV_VAR})"
         )
         assert err.required == required
+
+
+@pytest.mark.parametrize(
+    "token, width, budget",
+    [
+        ("thm1:2,2,0", 31, None),  # 2^64 atoms: counted, and printed as a bound
+        ("thm1:2,2,0", 32, None),  # 2^66 atoms: refused from the exponent
+        ("thm1:2,2,0", 40, (1 << 81) - 1),  # 2^82 atoms, past 81 budget bits
+        ("thm1:2,2,0", 40, 1 << 81),  # 82 budget bits: counted, then refused
+        ("thm1:3,2,0", 30, None),  # pads and configurations count too
+        ("share:1/2:thm1:3,2,0:thm1:3,2,3", 9, 1 << 64),
+    ],
+)
+def test_a_refusal_from_the_exponent_reads_as_the_count_would(
+    monkeypatch, token, width, budget
+):
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    s = resolve_scheme(token)
+    limit = resolve_budget(budget)
+    total = atom_count(s, width)
+    assert total > limit
+    with pytest.raises(BudgetExceeded) as err:
+        run_checks(s, width, budget)
+    assert str(err.value) == str(BudgetExceeded(total, limit))
+    assert err.value.required in (None, total)
+    assert (err.value.required is None) == (
+        total > 1 << 64 and (total - 1).bit_length() > limit.bit_length()
+    )
 
 
 def test_budget_environment_variable(monkeypatch):
