@@ -80,23 +80,25 @@ def _parse_nkm(params: str) -> tuple[int, int, Fraction]:
     return int(parts[0]), int(parts[1]), _fraction(parts[2])
 
 
-# descriptor texts whose parse one process keeps, keyed by the whole text,
-# so a file edited between calls is parsed again; errors are not kept
-_parse_descriptor_text = functools.lru_cache(maxsize=64)(parse_descriptor)
+# descriptor texts whose parse and served set one process keeps, keyed by the
+# whole text, so a file edited between calls is parsed again; errors are not
+# kept
+@functools.lru_cache(maxsize=64)
+def _parse_descriptor_text(text: str) -> tuple:
+    """(matrices, served set, name) of a descriptor text: the cyclic demand
+    set when the deliveries list its members, else them in file order."""
+    matrices, name = parse_descriptor(text)
+    members = tuple(d for d, _ in matrices.deliveries)
+    cyc = cyclic_demand_set(matrices.n_files, matrices.n_users // matrices.n_files)
+    if set(members) == set(cyc.members):
+        return matrices, cyc, name
+    served = DemandSubset(matrices.n_files, matrices.n_users, members, "explicit")
+    return matrices, served, name
 
 
 def _load_descriptor(path: str) -> SchemeInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        matrices, name = _parse_descriptor_text(fh.read())
-    members = tuple(d for d, _ in matrices.deliveries)
-    cyc = cyclic_demand_set(matrices.n_files, matrices.n_users // matrices.n_files)
-    if set(members) == set(cyc.members):
-        served = cyc
-    else:
-        served = DemandSubset(
-            matrices.n_files, matrices.n_users, members, "explicit"
-        )
-    return compile_linear_scheme(matrices, served, name)
+        return compile_linear_scheme(*_parse_descriptor_text(fh.read()))
 
 
 def resolve_scheme(token: str) -> SchemeInstance:

@@ -240,6 +240,11 @@ def form_columns(form: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def unit_rows(start: int, count: int) -> Rows:
+    """Forms copying the count input columns from start on, one each."""
+    return tuple(1 << c for c in range(start, start + count))
+
+
 @functools.lru_cache(maxsize=4096)
 def columns_of(forms: Rows) -> tuple[tuple[int, ...], ...]:
     """Each form's column tuple (form_columns), memoised by forms value."""

@@ -21,6 +21,7 @@ from .core import (
     check_shape,
     cyclic_demand_set,
     form_columns,
+    unit_rows,
 )
 from .search import LinearSchemeMatrices, compile_linear_scheme
 
@@ -115,11 +116,6 @@ def split_subpacketization(n_files: int, memory: Fraction) -> tuple[int, int, in
         raise ParameterError(f"cannot split files for memory {m}")
     tc = int(cached)
     return t, tc, t - tc
-
-
-def unit_rows(start: int, count: int) -> Rows:
-    """Forms copying the count input columns from start on, one each."""
-    return tuple(1 << c for c in range(start, start + count))
 
 
 def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows:

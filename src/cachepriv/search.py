@@ -25,6 +25,7 @@ from .core import (
     Privacy,
     SchemeInstance,
     UnservedDemand,
+    unit_rows,
 )
 from .verifier import Verdict
 
@@ -103,21 +104,16 @@ class LinearSchemeMatrices:
                 raise ParameterError(f"delivery matrix for {d} is rank deficient")
 
 
-def _file_targets(m: LinearSchemeMatrices, file_index: int) -> list[int]:
-    t = m.subpacketization
-    return [1 << (file_index * t + j) for j in range(t)]
-
-
 def verify_linear(m: LinearSchemeMatrices, demands: DemandSubset) -> Verdict:
     """Rank-condition decodability of a linear scheme over a demand set."""
     if demands.n_files != m.n_files or demands.n_users != m.n_users:
         raise ParameterError("demand set shape does not match the matrices")
-    cases = 0
+    cases, t = 0, m.subpacketization
     for demand in demands:
         rows = m.delivery_for(demand)
         for u in range(m.n_users):
             basis = gf2.reduced_basis(m.cache_rows[u] + rows)
-            for j, target in enumerate(_file_targets(m, demand[u])):
+            for j, target in enumerate(unit_rows(demand[u] * t, t)):
                 cases += 1
                 if not gf2.in_span(target, basis):
                     return Verdict(
@@ -161,7 +157,7 @@ def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
         tx_rows = deliveries[demand] = m.delivery_for(demand)
         for u in range(m.n_users):
             solved = gf2.solve_combinations(
-                m.cache_rows[u] + tx_rows, _file_targets(m, demand[u]), n_cols
+                m.cache_rows[u] + tx_rows, unit_rows(demand[u] * t, t), n_cols
             )
             recipes[(demand, u)] = (
                 (0,) * t

@@ -35,6 +35,7 @@ from .core import (
     check_width,
     columns_of,
     form_columns,
+    unit_rows,
     xor_rows,
 )
 
@@ -391,7 +392,7 @@ def _prove(
     configuration where decoding fails, the failing users' decoded forms.
     """
     t = s.subpacketization
-    files = [tuple(1 << (f * t + i) for i in range(t)) for f in range(s.n_files)]
+    files = [unit_rows(f * t, t) for f in range(s.n_files)]
     image = functools.cache(_image)
     # per (demand, user keys, configuration) where decoding fails, the
     # (user, decoded forms) of each user whose forms are not its file's
@@ -494,50 +495,45 @@ def _enumerate(
     with a delivery's pads packed above it as columns n_cols on.  A user's
     observation is (cache value, cache bits, key, payload value, payload
     bits, header, own demand); an invariance view adds the demanded file's
-    packed content.  Each value is GF(2)-linear in the packed store and
-    pads, so over a block of consecutive stores (at most max(one store's
-    atoms, _BLOCK_ATOMS) atoms) it is a table on the low store bits XORed
-    with its value on the block's base and the pads (_evaluate).  Each
-    count table is fed once per block, by one Counter.update over a zip of
-    columns, with a per-atom loop's keys in its order; invariance one (user
-    k, own demand j) pair at a time.
+    packed content.  Each value an atom reads is keyed (packed pads, forms)
+    and is GF(2)-linear in the packed store and pads, so over a block of
+    consecutive stores (at most max(one store's atoms, _BLOCK_ATOMS) atoms)
+    it is a table on the low store bits XORed with its value on the block's
+    base and the pads (_evaluate).  A block's values are zipped into one row
+    per store, each count column is read off the rows by one getter, and
+    each count table is fed once per block, by one Counter.update over a
+    zip of columns, with a per-atom loop's keys in its order; invariance one
+    (user k, own demand j) pair at a time, in the order (0, 0), (0, 1), (1,
+    0), (1, 1), no pair past the first whose tables differ.
     """
     t = s.subpacketization
     store_bits, file_bits = s.n_files * t * width, t * width
-    # forms numbers each distinct form tuple, and slots holds (forms number,
-    # cache bits, key) per (user, key)
-    forms: dict[tuple[int, ...], int] = {}
+    # slots holds (cache value, cache bits, key) per (user, key)
     slots, configured = {}, defaultdict(dict)
     walk = _configurations(s, width, False)
     for wants, user_keys, config, header, caches, sent, _ in walk:
         for slot, cache in zip(enumerate(user_keys), caches):
             if slot not in slots:
-                number = forms.setdefault(cache, len(forms))
-                slots[slot] = (number, len(cache) * width, slot[1])
-        number = forms.setdefault(sent, len(forms))
-        configured[wants][user_keys, config] = (number, len(sent) * width, header)
-    # a value an atom reads is pads * span + forms number: an int, which the
-    # garbage collector does not track
-    span = len(forms) + s.n_files  # above every forms number, the files' too
-    # the atoms of one store and demand: (user keys, configuration, pads *
-    # span), the pads packed above the store
+                slots[slot] = ((0, cache), len(cache) * width, slot[1])
+        configured[wants][user_keys, config] = (sent, len(sent) * width, header)
+    # the atoms of one store and demand: (user keys, configuration, pads),
+    # the pads packed above the store
     plan = []
     for server in range(s.server_random_size(width)):
         config, pads = s.program.split_server(server, width)
         packed = sum(v << (store_bits + i * width) for i, v in enumerate(pads))
-        plan.append((config, packed * span))
+        plan.append((config, packed))
     realizations = [(ks, *p) for ks in _odometer(s.key_sizes) for p in plan]
     demands, per_demand = list(configured), len(realizations)
     per_store = len(demands) * per_demand
-    # per atom of a store: payload value, payload bits, header
+    # per atom of a store: payload forms, payload bits, header
     paying = [
         table[ks, config]
         for table in map(configured.__getitem__, demands)
         for ks, config, _ in realizations
     ]
-    numbers, pay_bits, headers = zip(*paying)
-    pads = [p for _, _, p in realizations] * len(demands)
-    paid = tuple(map(operator.add, pads, numbers))
+    sent, pay_bits, headers = zip(*paying)
+    paid = tuple(zip([p for _, _, p in realizations] * len(demands), sent))
     # per user counted, per atom of a store: the observation's columns, then
     # the other users' demands, one tuple per demand (it compares faster)
     columns = {}
@@ -551,7 +547,6 @@ def _enumerate(
         columns[k] = (cache * n, bits * n, key * n, paid, pay_bits, headers, own, other)
     low = min(store_bits, max(0, (_BLOCK_ATOMS // per_store).bit_length() - 1))
     block, images, tables = 1 << low, {}, {}
-    strides = [slice(i, None, block) for i in range(block)]
 
     def sweep(feeds):
         """Feed each (count table, user, atoms [lo, hi) of a store, file j
@@ -559,53 +554,40 @@ def _enumerate(
         bits)), or with None (other users' demands, observation)."""
         if not feeds:
             return
-        # layout holds the value at each place of a store's row, and each
-        # column that tables read is laid out once, at segment[name]
-        layout, segment, fed = [], {}, []
+        # each value read, keyed (packed pads, forms), at its place in a row
+        places: dict[tuple[int, tuple[int, ...]], int] = {}
+        fed = []
         for table, k, atoms, file in feeds:
             cache, cbits, key, pay, pbits, header, own, other = map(
                 operator.itemgetter(slice(*atoms)), columns[k]
             )
-            # (name, values, times over) per column: the cache repeats with
-            # each demand
-            read = [(k, cache[:per_demand], len(own) // per_demand), (atoms, pay, 1)]
+            read = [cache, pay]
             if file is not None:
-                unit = tuple(map((1).__lshift__, range(file * t, file * t + t)))
-                value = forms.setdefault(unit, len(forms))
-                read.append((None, [value] * per_demand, 1))
+                read.append([(0, unit_rows(file * t, t))] * len(own))
             gets = []
-            for name, values, times in read:
-                if name not in segment:
-                    place = slice(len(layout), len(layout) + len(values))
-                    segment[name] = operator.itemgetter(place)
-                    layout += values
-                gets.append((segment[name], itertools.repeat(times)))
+            for values in read:
+                at = [places.setdefault(v, len(places)) for v in values]
+                gets.append(operator.itemgetter(*at))
+            # a getter of one place returns its value, not a 1-tuple
+            join = itertools.chain.from_iterable if len(own) > 1 else iter
             fixed = (cbits, key, pbits, header, own, other)
-            fed.append((table, gets, [column * block for column in fixed]))
-        listed, read = list(forms), list(dict.fromkeys(layout))
-        pads_numbers = [divmod(value, span) for value in read]
-        distinct = {n for _, n in pads_numbers}
-        for n in distinct - images.keys():
-            images[n] = of_bits = _images(listed[n], width)
-            tables[n] = [0]
+            fed.append((table, gets, join, [column * block for column in fixed]))
+        distinct = {forms for _, forms in places}
+        for forms in distinct - images.keys():
+            images[forms] = of_bits = _images(forms, width)
+            tables[forms] = [0]
             for b in range(low):  # by linearity, doubling with each bit's image
-                tables[n] += [of_bits.get(b, 0) ^ v for v in tables[n]]
-        on_pads = [(n, _evaluate(images[n], pads)) for pads, n in pads_numbers]
-        # got holds the values read one after another, of the e-th on store
-        # i at e*block + i, and each store's row is picked from its stride
-        pick = operator.itemgetter(*map(dict(zip(read, itertools.count())).get, layout))
+                tables[forms] += [of_bits.get(b, 0) ^ v for v in tables[forms]]
+        on_pads = [(forms, _evaluate(images[forms], pads)) for pads, forms in places]
         for base in range(0, 1 << store_bits, block):
-            at_base = {n: _evaluate(images[n], base) for n in distinct}
-            got = []
-            for n, on in on_pads:
-                v = at_base[n] ^ on
-                got += map(v.__xor__, tables[n]) if v else tables[n]
-            rows = list(map(pick, map(got.__getitem__, strides)))
-            for table, gets, (cbits, key, pbits, header, own, other) in fed:
-                cache, pay, *file = [
-                    itertools.chain.from_iterable(map(operator.mul, map(g, rows), n))
-                    for g, n in gets
-                ]
+            at_base = {forms: _evaluate(images[forms], base) for forms in distinct}
+            values = []
+            for forms, on in on_pads:
+                v = at_base[forms] ^ on
+                values.append(map(v.__xor__, tables[forms]) if v else tables[forms])
+            rows = list(zip(*values))
+            for table, gets, join, (cbits, key, pbits, header, own, other) in fed:
+                cache, pay, *file = [join(map(get, rows)) for get in gets]
                 seen = zip(cache, cbits, key, pay, pbits, header, own)
                 if file:
                     table.update(zip(seen, zip(*file, itertools.repeat(file_bits))))
@@ -619,17 +601,35 @@ def _enumerate(
         verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
     if invariance:
         views, spans = _view_tables(), range(0, per_store, per_demand)
-
-        def feed(k: int, j: int) -> None:
-            """Feed user k's view tables of the demands where it wants j."""
-            feeds = []
-            for lo, wants in zip(spans, demands):
-                if wants[k] == j:
-                    atoms = (lo, lo + per_demand)
-                    feeds.append((views[k, j, wants[1 - k]], k, atoms, j))
-            sweep(feeds)
-
-        verdicts[_INVARIANCE] = _invariance_verdict(views, atom_count(s, width), feed)
+        cases, worst_mi = atom_count(s, width), 0.0
+        for k, j in itertools.product((0, 1), repeat=2):
+            sweep(
+                [
+                    (views[k, j, wants[1 - k]], k, (lo, lo + per_demand), j)
+                    for lo, wants in zip(spans, demands)
+                    if wants[k] == j
+                ]
+            )
+            t0, t1 = views[k, j, 0], views[k, j, 1]
+            cells = dict(zip(zip(itertools.repeat(0), t0), t0.values()))
+            cells.update(zip(zip(itertools.repeat(1), t1), t1.values()))
+            dist = JointDistribution.of(Counter(cells))
+            worst_mi = max(worst_mi, dist.mutual_information_bits())
+            # no count is 0, so the tables differ as dicts when they differ
+            if dict.__ne__(t0, t1):
+                # first cell in insertion order, t0 then t1, whose counts differ
+                cell = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
+                verdicts[_INVARIANCE] = Verdict(
+                    False,
+                    cases,
+                    f"user {k} demanding {j}: view counts shift with the "
+                    f"other demand (first differing cell {cell}: seen {t0[cell]} "
+                    f"times when the other user demands 0, {t1[cell]} when 1)",
+                    worst_mi,
+                )
+                break
+        else:
+            verdicts[_INVARIANCE] = Verdict(True, cases, None, worst_mi)
     return verdicts
 
 
@@ -667,36 +667,6 @@ def _split(value: int, width: int, count: int) -> tuple[int, ...]:
     """The count width-bit symbol values packed in value, first lowest."""
     mask = (1 << width) - 1
     return tuple((value >> (i * width)) & mask for i in range(count))
-
-
-def _invariance_verdict(
-    views: dict[tuple[int, int, int], Counter], cases: int, feed
-) -> Verdict:
-    """The invariance verdict from the view tables, each (user k, own demand
-    j) pair fed by feed(k, j) just before it is read, in the order (0, 0),
-    (0, 1), (1, 0), (1, 1): no pair past the first that differs is fed."""
-    worst_mi = 0.0
-    for k in (0, 1):
-        for j in (0, 1):
-            feed(k, j)
-            t0, t1 = views[(k, j, 0)], views[(k, j, 1)]
-            cells = dict(zip(zip(itertools.repeat(0), t0), t0.values()))
-            cells.update(zip(zip(itertools.repeat(1), t1), t1.values()))
-            dist = JointDistribution.of(Counter(cells))
-            worst_mi = max(worst_mi, dist.mutual_information_bits())
-            # no count is 0, so the tables differ as dicts when they differ
-            if dict.__ne__(t0, t1):
-                # first cell in insertion order, t0 then t1, whose counts differ
-                cell = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
-                return Verdict(
-                    False,
-                    cases,
-                    f"user {k} demanding {j}: view counts shift with the "
-                    f"other demand (first differing cell {cell}: seen {t0[cell]} "
-                    f"times when the other user demands 0, {t1[cell]} when 1)",
-                    worst_mi,
-                )
-    return Verdict(True, cases, None, worst_mi)
 
 
 def check_decodability(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import cachepriv.cli
 from cachepriv import search
 from cachepriv.cli import main, resolve_scheme
+from cachepriv.core import DemandSubset, cyclic_demand_set
 from cachepriv.schemes import high_memory_2x4_matrices
 from cachepriv.search import export_descriptor
 
@@ -417,6 +419,43 @@ def test_pinned_verify_calls_repeat_byte_for_byte(capsys):
         passes.append(got)
     assert search._solved_tables.cache_info().hits > 0
     assert passes[0] == passes[1] == [(c["exit"], c["stdout"], "") for c in calls]
+
+
+def test_a_repeated_descriptor_verify_builds_its_served_set_once(
+    tmp_path, monkeypatch, capsys
+):
+    # the served set is memoised with the parse, by the descriptor's text
+    cachepriv.cli._parse_descriptor_text.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cyclic_demand_set(*args)
+
+    monkeypatch.setattr(cachepriv.cli, "cyclic_demand_set", counted)
+    path = tmp_path / "witness.desc"
+    path.write_text(FROZEN)
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert calls == [(2, 2)]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.endswith("overall: PASS\n")
+
+
+def test_a_descriptor_serving_other_demands_lists_them_in_file_order(tmp_path):
+    m = high_memory_2x4_matrices()
+    deliveries = m.deliveries[:3][::-1]
+    path = tmp_path / "partial.desc"
+    path.write_text(export_descriptor(replace(m, deliveries=deliveries), "partial"))
+    cachepriv.cli._parse_descriptor_text.cache_clear()
+    members = tuple(d for d, _ in deliveries)
+    assert set(members) != set(cyclic_demand_set(2, 2).members)
+    for _ in range(2):  # parsed, then read from the memo
+        served = resolve_scheme(str(path)).served
+        assert served == DemandSubset(2, 4, members, "explicit")
+    assert cachepriv.cli._parse_descriptor_text.cache_info().hits == 1
 
 
 def test_search_exhaustive_strategy(capsys):

@@ -19,6 +19,7 @@ from cachepriv import gf2, verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     ColumnProgram,
+    DemandSubset,
     DemandVector,
     FileStore,
     ParameterError,
@@ -845,6 +846,23 @@ def test_conditional_invariance_verdicts():
     )
     assert not v.passed
     assert v.mi_bits == pytest.approx(1.0, abs=1e-12)
+
+
+def test_invariance_compares_raw_counts_on_a_partial_served_set():
+    # demand (0, 1) is not served, so user 0 demanding 0 meets only the
+    # other demand 0, and its counts differ from the empty table of demand 1;
+    # the product identity holds with one table empty, so a test of it would
+    # pass this pair and report user 0 demanding 1 instead
+    control = with_plaintext_demand_header(low_memory_private_scheme())
+    served = DemandSubset(2, 2, ((0, 0), (1, 0), (1, 1)), "partial")
+    s = replace(control, served=served)
+    v = run_checks(s, decodability=False, invariance=True)["conditional-invariance"]
+    assert (v.passed, v.cases, v.mi_bits) == (False, 768, 0.0)
+    assert v.counterexample == (
+        "user 0 demanding 0: view counts shift with the other demand (first "
+        "differing cell ((0, 1, 0, 0, 4, (0, 0, 0, 0), 0), (0, 3)): seen 2 times "
+        "when the other user demands 0, 0 when 1)"
+    )
 
 
 def test_measure_rates():
