@@ -12,6 +12,7 @@ expanded virtual demand, which is statistically independent of the real one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .core import (
     ColumnProgram,
     ParameterError,
     Privacy,
+    Rows,
     SchemeInstance,
     check_shape,
     cyclic_demand_set,
@@ -31,6 +33,21 @@ from .schemes import (
     split_subpacketization,
     uncoded_program,
 )
+
+
+def _slot_assignment(demand: tuple[int, ...], rank: int, k: int) -> list[int]:
+    """Slot per user: fresh demands take the rank-th unused slot of k in
+    ascending candidate order, repeats reuse the earlier slot."""
+    draws = []
+    for size in range(k, 0, -1):
+        rank, c = divmod(rank, size)
+        draws.append(c)
+    slots: dict[int, int] = {}
+    free = list(range(k))
+    for d in demand:
+        if d not in slots:
+            slots[d] = free.pop(draws[len(slots)])
+    return [slots[d] for d in demand]
 
 
 def basic_private_scheme(
@@ -63,29 +80,24 @@ def basic_private_scheme(
 
     k, n_cols = n_users, n_files * t
 
-    def slot_assignment(demand: tuple[int, ...], rank: int) -> list[int]:
-        """Slot per user: fresh demands take the rank-th unused slot in
-        ascending candidate order, repeats reuse the earlier slot."""
-        draws = []
-        for size in range(k, 0, -1):
-            rank, c = divmod(rank, size)
-            draws.append(c)
-        slots: dict[int, int] = {}
-        free = list(range(k))
-        for d in demand:
-            if d not in slots:
-                slots[d] = free.pop(draws[len(slots)])
-        return [slots[d] for d in demand]
-
-    def delivery(demand, keys, configs):
-        # the configuration is the slot rank; slot i carries the uncached
-        # run of the file assigned to it, or else pads i*tu onward
-        order = slot_assignment(demand, configs[0])
+    @functools.cache
+    def slotted(demand: tuple[int, ...], rank: int) -> tuple[list[int], Rows]:
+        """The slot per user and the payload forms: slot i carries the
+        uncached run of the file assigned to it, or else pads i*tu onward."""
+        order = _slot_assignment(demand, rank, k)
         starts = [n_cols + i * tu for i in range(k)]
         for i, d in zip(order, demand):
             starts[i] = d * t + tc
         rows = tuple(1 << c for start in starts for c in range(start, start + tu))
-        return rows, tuple((order[u] + keys[u]) % k for u in range(k))
+        return order, rows
+
+    def delivery(demand, keys, configs):
+        # the configuration is the slot rank; only the header reads the keys
+        order, rows = slotted(demand, configs[0])
+        return rows, tuple([(slot + key) % k for slot, key in zip(order, keys)])
+
+    # a user's key and header name its slot, and the forms depend on no more
+    reading = functools.cache(functools.partial(split_recipe, n_files, tc, tu))
 
     program = ColumnProgram(
         key_sizes=(k,) * k,
@@ -93,8 +105,8 @@ def basic_private_scheme(
         server=((math.factorial(k), k * tu),),
         cache=base.cache,
         delivery=delivery,
-        recipe=lambda user, demand, key, header: split_recipe(
-            n_files, tc, tu, demand, (header[user] - key) % k
+        recipe=lambda user, demand, key, header: reading(
+            demand, (header[user] - key) % k
         ),
     )
     return SchemeInstance(program=program, rate=k * (1 - m / n_files), **params)

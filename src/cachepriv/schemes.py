@@ -8,6 +8,7 @@ memory-rate trade-off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -187,6 +188,14 @@ def _narrow(rows: Rows, group: int, start: list[int]) -> Rows:
     return tuple(form << o for form in scattered for o in range(group))
 
 
+def _narrowing(group_a: int, start_a: list[int], group_b: int, start_b: list[int]):
+    """Two parts' forms narrowed (_narrow) and joined, a's first: once per
+    distinct pair of forms tuples, and each part's once per distinct tuple."""
+    part_a = functools.cache(lambda rows: _narrow(rows, group_a, start_a))
+    part_b = functools.cache(lambda rows: _narrow(rows, group_b, start_b))
+    return functools.cache(lambda rows_a, rows_b: part_a(rows_a) + part_b(rows_b))
+
+
 def memory_share(
     a: SchemeInstance, b: SchemeInstance, share: Fraction | int | str
 ) -> SchemeInstance:
@@ -248,25 +257,26 @@ def memory_share(
     in_b = [ca * ga + i * gb for i in range(cb)]
     in_b += [cached + pay_a * ga + i * gb for i in range(pay_b)]
     parts_a, headers_a = len(pa.server), len(pa.header_sizes)
+    # the cache and delivery forms read columns, the recipe forms inputs
+    columns, inputs = _narrowing(ga, col_a, gb, col_b), _narrowing(ga, in_a, gb, in_b)
 
     def cache(user: int, key: int) -> Rows:
         size = pa.key_sizes[user]
         rows_a, rows_b = pa.cache(user, key % size), pb.cache(user, key // size)
-        return _narrow(rows_a, ga, col_a) + _narrow(rows_b, gb, col_b)
+        return columns(rows_a, rows_b)
 
     def delivery(demand, keys, configs):
-        keys_a = tuple(k % size for k, size in zip(keys, pa.key_sizes))
-        keys_b = tuple(k // size for k, size in zip(keys, pa.key_sizes))
+        keys_a = tuple([k % size for k, size in zip(keys, pa.key_sizes)])
+        keys_b = tuple([k // size for k, size in zip(keys, pa.key_sizes)])
         rows_a, header_a = pa.delivery(demand, keys_a, configs[:parts_a])
         rows_b, header_b = pb.delivery(demand, keys_b, configs[parts_a:])
-        rows = _narrow(rows_a, ga, col_a) + _narrow(rows_b, gb, col_b)
-        return rows, header_a + header_b
+        return columns(rows_a, rows_b), header_a + header_b
 
     def recipe(user, demand, key, header):
         size = pa.key_sizes[user]
         rows_a = pa.recipe(user, demand, key % size, header[:headers_a])
         rows_b = pb.recipe(user, demand, key // size, header[headers_a:])
-        return _narrow(rows_a, ga, in_a) + _narrow(rows_b, gb, in_b)
+        return inputs(rows_a, rows_b)
 
     program = ColumnProgram(
         key_sizes=tuple(ka * kb for ka, kb in zip(pa.key_sizes, pb.key_sizes)),

@@ -294,9 +294,13 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     Each cache is looked up once per (user, key), all before the first
     delivery; each delivery is read once, past the program's memo, which
     would only grow by one entry per configuration, and for decodability
-    each user's recipe as the walk reaches it.  A negative form, or one
-    reading past its inputs (the file columns for a cache, then the pads
-    for a delivery, the user's cache symbols then the payload for a
+    each user's recipe as the walk reaches it.  Such a read still derives
+    little anew: a thm1 table keeps its slot order and payload forms per
+    (demand, slot rank) and its recipes per (demand, slot), so per key
+    realization it computes only the header, and a share keeps its
+    narrowed forms per distinct pair of part entries.  A negative form, or
+    one reading past its inputs (the file columns for a cache, then the
+    pads for a delivery, the user's cache symbols then the payload for a
     recipe), raises IndexError (_check_range, or xor_rows as decode does
     for a recipe), and with decodability a cache or payload of other than
     the declared M*F or R*F bits raises SchemeError.
@@ -418,11 +422,14 @@ def _prove(
     verdicts = {}
     if decodability:
         verdicts["decodability"] = _decode_verdict(s, width, failing)
+    # the tables are built by += 1 alone, so they hold no zero count and
+    # dict equality is Counter equality, without its generator over both
     for user, observed in groups.items():
         first, *rest = observed.values()
-        if all(counts == first for counts in rest):
+        if all(dict.__eq__(counts, first) for counts in rest):
             verdicts[_privacy(user)] = Verdict(True, total, None, 0.0)
-    if views and all(views[k, j, 0] == views[k, j, 1] for k in (0, 1) for j in (0, 1)):
+    same = (dict.__eq__(views[k, j, 0], views[k, j, 1]) for k in (0, 1) for j in (0, 1))
+    if views and all(same):
         verdicts[_INVARIANCE] = Verdict(True, total, None, 0.0)
     return verdicts
 

@@ -421,6 +421,32 @@ def test_pinned_verify_calls_repeat_byte_for_byte(capsys):
     assert passes[0] == passes[1] == [(c["exit"], c["stdout"], "") for c in calls]
 
 
+# a K = 3 thm1 scheme, whose header mixes three keys into three slots, and
+# a share whose first part's slot rows vary with the configuration while
+# the second part sends nothing
+PINNED_PROOFS = {
+    "thm1:4,3,0": "scheme: thm1:4,3,0 (N=4 K=3 M=0 R=3 t=1, private)\n"
+    "decodability: PASS (1327104 cases)\n"
+    "privacy[user 0]: PASS (1327104 cases, MI=0 bits)\n"
+    "privacy[user 1]: PASS (1327104 cases, MI=0 bits)\n"
+    "privacy[user 2]: PASS (1327104 cases, MI=0 bits)\n"
+    "overall: PASS\n",
+    "share:1/2:thm1:3,2,0:thm1:3,2,3": "scheme: share:1/2:thm1:3,2,0:thm1:3,2,3 "
+    "(N=3 K=2 M=3/2 R=1 t=2, private)\n"
+    "decodability: PASS (147456 cases)\n"
+    "privacy[user 0]: PASS (147456 cases, MI=0 bits)\n"
+    "privacy[user 1]: PASS (147456 cases, MI=0 bits)\n"
+    "overall: PASS\n",
+}
+
+
+@pytest.mark.parametrize("token", PINNED_PROOFS)
+def test_pinned_thm1_k3_and_share_verify_outputs(capsys, token):
+    assert main(["verify", token]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (PINNED_PROOFS[token], "")
+
+
 def test_a_repeated_descriptor_verify_builds_its_served_set_once(
     tmp_path, monkeypatch, capsys
 ):

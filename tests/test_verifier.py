@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cachepriv
-from cachepriv import gf2, verifier
+from cachepriv import gf2, lift, schemes, verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
     ColumnProgram,
@@ -573,6 +573,59 @@ def test_the_proof_walk_leaves_the_delivery_memo_empty():
     assert s.program.delivery.cache_info().currsize == 0
     simulate_session(s, DemandVector(3, (2, 0)), seed=1)
     assert s.program.delivery.cache_info().currsize == 1
+
+
+def test_a_share_narrows_each_distinct_part_entry_once(monkeypatch):
+    # the 576 configurations and their recipes read 20 distinct part
+    # entries (cache, delivery or recipe forms of one part): each is
+    # narrowed once, not once per read
+    narrowed = Counter()
+    narrow = schemes._narrow
+
+    def counting(rows, group, start):
+        narrowed[rows, group, tuple(start)] += 1
+        return narrow(rows, group, start)
+
+    monkeypatch.setattr(schemes, "_narrow", counting)
+    s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
+    assert all(v.passed for v in run_checks(s, users=range(s.n_users)).values())
+    assert len(narrowed) == 20
+    assert set(narrowed.values()) == {1}
+
+
+def test_thm1_derives_each_slot_order_once(monkeypatch):
+    # thm1:4,3,0 walks 64 demands x 27 key realizations x 6 slot ranks;
+    # the slots are derived once per (demand, rank), and only the header
+    # is computed per key realization
+    derived = Counter()
+    assign = lift._slot_assignment
+
+    def counting(demand, rank, k):
+        derived[demand, rank] += 1
+        return assign(demand, rank, k)
+
+    monkeypatch.setattr(lift, "_slot_assignment", counting)
+    s = resolve_scheme("thm1:4,3,0")
+    assert all(v.passed for v in run_checks(s, users=range(3)).values())
+    demands = itertools.product(range(4), repeat=3)
+    assert derived == Counter(itertools.product(demands, range(6)))
+
+
+def test_a_k3_thm1_control_fails_decoding_at_the_pinned_atom():
+    # the recipes read a wrong slot under one header value only, so the
+    # first failure depends on how the header mixes all three keys
+    s = decode_corrupted(resolve_scheme("thm1:4,3,0"), lambda h: h == (2, 0, 1))
+    verdicts = run_checks(s, users=range(3))
+    assert summary(verdicts) == {
+        "decodability": (
+            False,
+            346,
+            None,
+            "user 0 under demand (0, 0, 0) (store #0, keys (1, 2, 0), server "
+            "randomness 9): decoded (1,), wanted (0,)",
+        ),
+        **{f"privacy[user {k}]": (True, 1327104, 0.0, None) for k in range(3)},
+    }
 
 
 @pytest.mark.parametrize(
