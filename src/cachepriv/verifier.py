@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from . import gf2
 from .core import (
     FileStore,
     ParameterError,
@@ -397,7 +396,8 @@ def _prove(
     """
     t = s.subpacketization
     files = [unit_rows(f * t, t) for f in range(s.n_files)]
-    image = functools.cache(_image)
+    image = functools.cache(_image)  # per call, so the bounded memo never thrashes
+    last = want = None  # the users' unit forms under the demand last walked
     # per (demand, user keys, configuration) where decoding fails, the
     # (user, decoded forms) of each user whose forms are not its file's
     failing = {}
@@ -405,7 +405,9 @@ def _prove(
     views = _view_tables() if invariance else {}
     walk = _configurations(s, width, decodability)
     for wants, user_keys, config, header, caches, sent, decoded in walk:
-        if decodability and not all(d == files[w] for d, w in zip(decoded, wants)):
+        if decodability and wants is not last:  # the walk goes demand by demand
+            last, want = wants, tuple(files[w] for w in wants)
+        if decodability and decoded != want:
             failing[wants, user_keys, config] = [
                 (k, d) for k, d in enumerate(decoded) if d != files[wants[k]]
             ]
@@ -477,14 +479,27 @@ def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
     raise AssertionError("the first failing store decodes")
 
 
+@functools.lru_cache(maxsize=4096)  # each at most as many ints as its forms
 def _image(forms: tuple[int, ...]) -> tuple[int, ...]:
     """The image of the GF(2) map whose output r has form forms[r], given for
-    a fixed number of outputs by the reduced echelon basis of the output
-    combinations that vanish (its annihilator): the basis rows left without
-    form bits when each form is reduced with marker bit r below it."""
+    a fixed number of outputs by the reduced echelon basis, ascending, of the
+    output combinations that vanish (its annihilator).  Each form, marked
+    with bit r below it, is eliminated once by top bit.  A row left without
+    form bits is topped by its own marker and holds no other such row's, as
+    only pivot rows are XORed in, so those rows are that basis as they stand.
+    A negative form never runs out of form bits: _check_range comes first."""
     n = len(forms)
-    marked = [form << n | 1 << r for r, form in enumerate(forms)]
-    return tuple(sorted(r for r in gf2.reduced_basis(marked).values() if r >> n == 0))
+    pivots, vanishing = {}, []  # pivots keyed by their top bit's length
+    for r, form in enumerate(forms):
+        row = form << n | 1 << r
+        while row >> n:
+            if (pivot := pivots.get(row.bit_length())) is None:
+                pivots[row.bit_length()] = row
+                break
+            row ^= pivot
+        else:
+            vanishing.append(row)
+    return tuple(vanishing)
 
 
 # a block of consecutive stores holds at most max(one store's atoms, this)
@@ -553,7 +568,7 @@ def _enumerate(
         n = len(demands)
         columns[k] = (cache * n, bits * n, key * n, paid, pay_bits, headers, own, other)
     low = min(store_bits, max(0, (_BLOCK_ATOMS // per_store).bit_length() - 1))
-    block, images, tables = 1 << low, {}, {}
+    block, tables = 1 << low, {}  # _block_table per form set, kept per call
 
     def sweep(feeds):
         """Feed each (count table, user, atoms [lo, hi) of a store, file j
@@ -580,18 +595,15 @@ def _enumerate(
             fixed = (cbits, key, pbits, header, own, other)
             fed.append((table, gets, join, [column * block for column in fixed]))
         distinct = {forms for _, forms in places}
-        for forms in distinct - images.keys():
-            images[forms] = of_bits = _images(forms, width)
-            tables[forms] = [0]
-            for b in range(low):  # by linearity, doubling with each bit's image
-                tables[forms] += [of_bits.get(b, 0) ^ v for v in tables[forms]]
-        on_pads = [(forms, _evaluate(images[forms], pads)) for pads, forms in places]
+        for forms in distinct - tables.keys():
+            tables[forms] = _block_table(forms, width, low)
+        on_pads = [(f, tables[f][1], _evaluate(tables[f][0], p)) for p, f in places]
         for base in range(0, 1 << store_bits, block):
-            at_base = {forms: _evaluate(images[forms], base) for forms in distinct}
+            at_base = {forms: _evaluate(tables[forms][0], base) for forms in distinct}
             values = []
-            for forms, on in on_pads:
+            for forms, table, on in on_pads:
                 v = at_base[forms] ^ on
-                values.append(map(v.__xor__, tables[forms]) if v else tables[forms])
+                values.append(map(v.__xor__, table) if v else table)
             rows = list(zip(*values))
             for table, gets, join, (cbits, key, pbits, header, own, other) in fed:
                 cache, pay, *file = [join(map(get, rows)) for get in gets]
@@ -653,6 +665,18 @@ def _images(forms: tuple[int, ...], width: int) -> dict[int, int]:
     return {c * width + i: rows << i for c, rows in spread.items() for i in lanes}
 
 
+# each table 1 << low ints: at most max(1, _BLOCK_ATOMS // one store's atoms)
+@functools.lru_cache(maxsize=128)
+def _block_table(forms: tuple[int, ...], width: int, low: int) -> tuple:
+    """(forms' per-bit images (_images), their packed outputs on each of the
+    1 << low lowest packed inputs, doubling with each low bit's image by
+    linearity), memoised by value.  Callers only read the images."""
+    images, table = _images(forms, width), [0]
+    for b in range(low):
+        table += [images.get(b, 0) ^ v for v in table]
+    return images, tuple(table)
+
+
 def _evaluate(images: dict[int, int], x: int) -> int:
     """The packed outputs on the packed inputs x: by linearity, the XOR of
     the images (_images) of the bits x sets."""
@@ -681,8 +705,8 @@ def check_decodability(
 ) -> Verdict:
     """Every user recovers its demanded file exactly, over every atom.
 
-    Each call is its own run_checks run and walks the configurations again;
-    to ask several checks of one scheme, ask them of one run_checks call.
+    Each call walks the configurations again, sharing only the images and
+    block tables memoised by value; ask several checks of one run_checks call.
     """
     return run_checks(s, width, budget)["decodability"]
 
@@ -693,8 +717,8 @@ def check_privacy(
     """Exact statistical independence of the other users' demands from
     everything user `user` observes (cache, key, broadcast, own demand).
 
-    Each call is its own run_checks run and walks the configurations again;
-    to ask several checks of one scheme, ask them of one run_checks call.
+    Each call walks the configurations again, sharing only the images and
+    block tables memoised by value; ask several checks of one run_checks call.
     """
     return run_checks(s, width, budget, decodability=False, users=(user,))[
         f"privacy[user {user}]"
@@ -710,8 +734,8 @@ def check_conditional_invariance(
     (broadcast, user k's cache, file j's content) is the same whether the
     other user demands file 0 or file 1.
 
-    Each call is its own run_checks run and walks the configurations again;
-    to ask several checks of one scheme, ask them of one run_checks call.
+    Each call walks the configurations again, sharing only the images and
+    block tables memoised by value; ask several checks of one run_checks call.
     """
     return run_checks(s, width, budget, decodability=False, invariance=True)[
         "conditional-invariance"

@@ -145,7 +145,9 @@ def decode_corrupted(s, when=lambda header: True):
 def counting_evaluations(monkeypatch) -> tuple[Counter, Counter]:
     """Per form tuple, the times the enumerator reads its per-bit images
     off the forms, and the nonzero packed inputs it evaluates it on from
-    them (block bases and pads)."""
+    them (block bases and pads).  It clears the block-table memo first,
+    since a warm entry reads no images."""
+    verifier._block_table.cache_clear()
     images, evaluate = verifier._images, verifier._evaluate
     built, evaluated, forms_of = Counter(), Counter(), {}
 
@@ -377,6 +379,7 @@ def test_a_proven_run_evaluates_nothing(monkeypatch):
             raise AssertionError("evaluated forms")
 
         patch.setattr(verifier, "_images", refuse)
+        verifier._block_table.cache_clear()  # a warm entry reads no images
         for param in verify_call_params():
             s, width = param.values
             users, invariance = all_checks(s)
@@ -494,6 +497,129 @@ def test_the_image_partitions_forms_as_the_column_space_does():
         assert len({new for new, _ in keys}) == len({old for _, old in keys})
         assert len(set(keys)) == len({old for _, old in keys})
         assert n_outputs < 2 or len(set(keys)) < len(drawn)
+
+
+def marked_reduction(forms):
+    """The annihilator as _image once found it: the reduced echelon basis
+    of every form marked with bit r below it, less the rows with form bits."""
+    n = len(forms)
+    marked = [form << n | 1 << r for r, form in enumerate(forms)]
+    return tuple(sorted(r for r in gf2.reduced_basis(marked).values() if r >> n == 0))
+
+
+def bundled_cases():
+    """(id, scheme) per token of the pinned verify calls, each private one
+    followed by its plaintext-header control."""
+    cases = []
+    for call in json.loads(EXPECTED_VERIFY.read_text()):
+        token = call["args"][0]
+        s = resolve_scheme(token)
+        cases.append((token, s))
+        if s.privacy is Privacy.PRIVATE:
+            cases.append((f"control:{token}", with_plaintext_demand_header(s)))
+    return cases
+
+
+def test_the_image_matches_the_marked_forms_reduction(monkeypatch):
+    rng = random.Random("annihilator")
+    drawn = []
+    for _ in range(3000):
+        pool = [0] + [rng.getrandbits(rng.randint(1, 12)) for _ in range(2)]
+        drawn.append(
+            tuple(
+                rng.choice(pool) if rng.random() < 0.4 else rng.getrandbits(12)
+                for _ in range(rng.randint(0, 9))
+            )
+        )
+    assert any(0 in forms for forms in drawn)
+    assert any(len(set(forms)) < len(forms) for forms in drawn)
+    # and every view tuple the proof reads for the bundled tokens
+    image, read = verifier._image, set()
+    monkeypatch.setattr(
+        verifier, "_image", lambda forms: read.add(forms) or image(forms)
+    )
+    for _, s in bundled_cases():
+        users, invariance = all_checks(s)
+        verifier._prove(s, 1, False, tuple(users), invariance)
+    assert len(read) > 50  # 91 distinct tuples
+    for forms in drawn + sorted(read):
+        want = marked_reduction(forms)
+        assert image.__wrapped__(forms) == want and image(forms) == want, forms
+
+
+def clear_memos():
+    verifier._image.cache_clear()
+    verifier._block_table.cache_clear()
+
+
+def every_check(s, width):
+    """run_checks with every check s admits: per label, (passed, cases,
+    str(counterexample), repr(mi_bits))."""
+    users, invariance = all_checks(s)
+    got = run_checks(s, width, users=users, invariance=invariance)
+    return {
+        label: (v.passed, v.cases, str(v.counterexample), repr(v.mi_bits))
+        for label, v in got.items()
+    }
+
+
+def test_the_memos_never_change_a_result(monkeypatch):
+    cases = bundled_cases()
+    # width 2 too where it has at most 2^16 atoms
+    widths = {
+        name: (1, 2) if atom_count(s, 2) <= 1 << 16 else (1,) for name, s in cases
+    }
+    cold = {}
+    for name, s in cases:
+        for width in widths[name]:
+            clear_memos()
+            cold[name, width] = every_check(s, width)
+    assert sum(len(w) for w in widths.values()) > len(cases)
+    # warm, then interleaved (width 1, 2, 1 per scheme) with the stores
+    # split into blocks three ways, none clearing the memos
+    for name, s in cases:
+        assert every_check(s, 1) == cold[name, 1], name
+    for block_atoms in (verifier._BLOCK_ATOMS, 1, 1 << 62):
+        monkeypatch.setattr(verifier, "_BLOCK_ATOMS", block_atoms)
+        for name, s in cases:
+            for width in (1, 2, 1) if 2 in widths[name] else (1,):
+                assert every_check(s, width) == cold[name, width], (name, width)
+
+
+def test_the_public_checks_read_each_form_sets_images_once(monkeypatch):
+    clear_memos()
+    built, images = Counter(), verifier._images
+    monkeypatch.setattr(
+        verifier,
+        "_images",
+        lambda forms, width: built.update([(forms, width)]) or images(forms, width),
+    )
+    # a fresh instance, as the bench's control operation builds each time;
+    # three of its four checks enumerate, reading 19 images without memos
+    control = with_plaintext_demand_header(low_memory_private_scheme())
+    check_decodability(control)
+    for k in range(control.n_users):
+        check_privacy(control, k)
+    check_conditional_invariance(control)
+    assert sum(built.values()) == len(built) == 9
+
+
+@pytest.mark.parametrize(
+    "memo, key",
+    [
+        (verifier._image, lambda i: ((i,),)),
+        (verifier._block_table, lambda i: ((i,), 1, 0)),
+    ],
+    ids=["image", "block-table"],
+)
+def test_the_memos_are_bounded(memo, key):
+    memo.cache_clear()
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 5):
+        memo(*key(i))
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (bound + 5, bound)
 
 
 def lanes(forms, symbols):

@@ -9,12 +9,15 @@ relative), and runs every call in both through cli.main.  Each call runs
 once untimed on each side first, and its stdout and exit code must be the
 same on both; then every call is timed N times on each side, the two sides
 alternating (A first on even repetitions, B first on odd), so that a drift
-in the host's speed falls on both sides of a pair alike.
+in the host's speed falls on both sides of a pair alike.  Every timed run's
+stdout and exit code must be those of the call's first run, so that a
+process-wide memo warmed by earlier calls cannot change an output unseen.
 
 Prints per call the median milliseconds on each side and the median of the
 paired ratios B/A, then the median paired ratio over every call and
 repetition.  Exits 1 when a call's stdout or exit code differs between the
-sides, and 2 on a usage error.  Uses the standard library only.
+sides or from its first run, and 2 on a usage error.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -84,19 +87,31 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give at least one call and a positive --repeat")
     sides = load_cli(args.a_dir, "cachepriv_a"), load_cli(args.b_dir, "cachepriv_b")
 
+    first = []  # per call, the (exit code, stdout) of its untimed runs
     for call in calls:
         (code_a, out_a, _), (code_b, out_b, _) = (run(cli, call) for cli in sides)
         if (code_a, out_a) != (code_b, out_b):
             print(f"differs: {' '.join(call)}", file=sys.stderr)
             print(f"A exit {code_a}:\n{out_a}B exit {code_b}:\n{out_b}", file=sys.stderr)
             return 1
+        first.append((code_a, out_a))
 
     times: list[tuple[list[float], list[float]]] = [([], []) for _ in calls]
     for rep in range(args.repeat):
-        for call, (t_a, t_b) in zip(calls, times):
+        for call, (t_a, t_b), want in zip(calls, times, first):
             order = (0, 1) if rep % 2 == 0 else (1, 0)
             for side in order:
-                (t_a, t_b)[side].append(run(sides[side], call)[2])
+                code, out, elapsed = run(sides[side], call)
+                if (code, out) != want:
+                    name = "AB"[side]
+                    print(f"changed: {' '.join(call)} on {name}", file=sys.stderr)
+                    print(
+                        f"first exit {want[0]}:\n{want[1]}"
+                        f"{name} timed run {rep + 1} exit {code}:\n{out}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                (t_a, t_b)[side].append(elapsed)
 
     ratios = []
     width = max(len(" ".join(call)) for call in calls)
