@@ -55,6 +55,13 @@ def pack_symbols(values: Sequence[int], width: int) -> tuple[int, int]:
     return value, offset
 
 
+def unpack_symbols(value: int, width: int, count: int) -> tuple[int, ...]:
+    """The count width-bit values packed in value (pack_symbols), the first
+    from the least significant bits."""
+    mask = (1 << width) - 1
+    return tuple((value >> (i * width)) & mask for i in range(count))
+
+
 @dataclass(frozen=True, slots=True)
 class FileStore:
     """A library of n_files files, each split into t subfile symbols of
@@ -78,31 +85,15 @@ class FileStore:
             if not 0 <= v < limit:
                 raise ValueError(f"value {v} out of range for width {self.symbol_width}")
 
-    @property
-    def file_bits(self) -> int:
-        return self.subpacketization * self.symbol_width
-
     def file(self, i: int) -> tuple[int, ...]:
         t = self.subpacketization
         return self.values[i * t : (i + 1) * t]
-
-    def index(self) -> int:
-        """Rank of this realization in the column-order enumeration of stores."""
-        value, _ = pack_symbols(self.values, self.symbol_width)
-        return value
-
-    @staticmethod
-    def space_size(n_files: int, subpacketization: int, width: int) -> int:
-        return 1 << (n_files * subpacketization * width)
 
     @classmethod
     def from_index(
         cls, n_files: int, subpacketization: int, width: int, index: int
     ) -> "FileStore":
-        mask = (1 << width) - 1
-        values = tuple(
-            (index >> (i * width)) & mask for i in range(n_files * subpacketization)
-        )
+        values = unpack_symbols(index, width, n_files * subpacketization)
         return cls(n_files, subpacketization, width, values)
 
     @classmethod
@@ -144,10 +135,6 @@ class DemandVector:
 
     def __getitem__(self, k: int) -> int:
         return self.entries[k]
-
-    def drop(self, k: int) -> tuple[int, ...]:
-        """All entries except user k's, in user order."""
-        return self.entries[:k] + self.entries[k + 1 :]
 
 
 def identity_vector(n: int) -> tuple[int, ...]:
@@ -253,8 +240,8 @@ def columns_of(forms: Rows) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, eq=False)
 class ColumnProgram:
-    """A keyed GF(2)-linear scheme as three lazily filled, memoised tables
-    of forms (Rows): bit c of a form stands for input c.
+    """A keyed GF(2)-linear scheme as three lazily filled tables of forms
+    (Rows): bit c of a form stands for input c.
 
     cache(user, key) gives forms over the file columns (file i subfile j is
     column i*t + j); delivery(demand, keys, configs) gives (forms over the
@@ -266,13 +253,12 @@ class ColumnProgram:
     fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
     above them modulo configurations is the part's configuration.
 
-    A table's __wrapped__ is its lookup without the memo, for a caller that
-    reads each entry once.  A table that is already a program's memoised
-    lookup for the same slot, as dataclasses.replace passes on every table
-    it does not replace, is kept as it is, so the two programs share that
-    memo.  columns[table] is a memo of the table's entries with each form
-    as its column tuple (form_columns), the symbol path's view: a negative
-    form raises IndexError on the entry's first read there.
+    The tables are plain lookups with no memo of their own: the verifier's
+    walk keeps the recipes it reads again and memory_share its parts'
+    deliveries, so there is no memo past the walk.  columns[table] is a
+    memo of the table's entries with each form as its column tuple
+    (form_columns), the symbol path's view: a negative form raises
+    IndexError on the entry's first read there.
     """
 
     key_sizes: tuple[int, ...]
@@ -281,15 +267,6 @@ class ColumnProgram:
     cache: Callable[[int, int], Rows]
     delivery: Callable[..., tuple[Rows, tuple[int, ...]]]
     recipe: Callable[..., Rows]
-
-    def __post_init__(self) -> None:
-        for table in ("cache", "delivery", "recipe"):
-            lookup = getattr(self, table)
-            if getattr(lookup, "_column_table", None) == table:
-                continue
-            memo = functools.cache(lookup)
-            memo._column_table = table
-            object.__setattr__(self, table, memo)
 
     @cached_property
     def columns(self) -> dict[str, Callable]:

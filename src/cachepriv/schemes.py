@@ -259,6 +259,8 @@ def memory_share(
     parts_a, headers_a = len(pa.server), len(pa.header_sizes)
     # the cache and delivery forms read columns, the recipe forms inputs
     columns, inputs = _narrowing(ga, col_a, gb, col_b), _narrowing(ga, in_a, gb, in_b)
+    # each part delivery recurs under every key and configuration of the other
+    deliver_a, deliver_b = functools.cache(pa.delivery), functools.cache(pb.delivery)
 
     def cache(user: int, key: int) -> Rows:
         size = pa.key_sizes[user]
@@ -268,8 +270,8 @@ def memory_share(
     def delivery(demand, keys, configs):
         keys_a = tuple([k % size for k, size in zip(keys, pa.key_sizes)])
         keys_b = tuple([k // size for k, size in zip(keys, pa.key_sizes)])
-        rows_a, header_a = pa.delivery(demand, keys_a, configs[:parts_a])
-        rows_b, header_b = pb.delivery(demand, keys_b, configs[parts_a:])
+        rows_a, header_a = deliver_a(demand, keys_a, configs[:parts_a])
+        rows_b, header_b = deliver_b(demand, keys_b, configs[parts_a:])
         return columns(rows_a, rows_b), header_a + header_b
 
     def recipe(user, demand, key, header):

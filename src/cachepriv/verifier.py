@@ -35,6 +35,7 @@ from .core import (
     columns_of,
     form_columns,
     unit_rows,
+    unpack_symbols,
     xor_rows,
 )
 
@@ -291,27 +292,29 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     payload forms, decoded forms per user, empty without decodability).
 
     Each cache is looked up once per (user, key), all before the first
-    delivery; each delivery is read once, past the program's memo, which
-    would only grow by one entry per configuration, and for decodability
-    each user's recipe as the walk reaches it.  Such a read still derives
-    little anew: a thm1 table keeps its slot order and payload forms per
-    (demand, slot rank) and its recipes per (demand, slot), so per key
-    realization it computes only the header, and a share keeps its
-    narrowed forms per distinct pair of part entries.  A negative form, or
-    one reading past its inputs (the file columns for a cache, then the
-    pads for a delivery, the user's cache symbols then the payload for a
-    recipe), raises IndexError (_check_range, or xor_rows as decode does
-    for a recipe), and with decodability a cache or payload of other than
-    the declared M*F or R*F bits raises SchemeError.
+    delivery; each delivery is read once, with no memo past the walk; and
+    for decodability each user's recipe once per distinct (user, own
+    demand, key, header), kept beside the caches for the walk.  Such a read
+    still derives little anew: a thm1 table keeps its slot order and
+    payload forms per (demand, slot rank) and its recipes per (demand,
+    slot), so per key realization it computes only the header, and a share
+    keeps its parts' deliveries and its narrowed forms per distinct pair of
+    part entries.  A negative form, or one reading past its inputs (the
+    file columns for a cache, then the pads for a delivery, the user's
+    cache symbols then the payload for a recipe), raises IndexError
+    (_check_range, or xor_rows as decode does for a recipe), and with
+    decodability a cache or payload of other than the declared M*F or R*F
+    bits raises SchemeError.
     """
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
     n_inputs = n_cols + sum(pads for _, pads in program.server)
     cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
-    delivery = program.delivery.__wrapped__
+    delivery, recipe = program.delivery, program.recipe
     keys = _odometer(s.key_sizes)
     configs = _odometer([n for n, _ in program.server])
     held: dict[tuple[int, int], tuple[int, ...]] = {}
+    recipes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     for user_keys in keys:
         for slot in enumerate(user_keys):
             if slot not in held:
@@ -338,9 +341,11 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
                             f"declared R*F = {payload_bits}"
                         )
                     for user, key in enumerate(user_keys):
-                        forms = program.recipe(user, wants[user], key, header)
+                        entry = (user, wants[user], key, header)
+                        if entry not in recipes:
+                            recipes[entry] = columns_of(recipe(*entry))
                         seen = caches[user] + sent
-                        decoded.append(xor_rows(columns_of(forms), seen))
+                        decoded.append(xor_rows(recipes[entry], seen))
                 _check_range(sent, n_inputs)
                 yield wants, user_keys, config, header, caches, sent, tuple(decoded)
 
@@ -396,7 +401,6 @@ def _prove(
     """
     t = s.subpacketization
     files = [unit_rows(f * t, t) for f in range(s.n_files)]
-    image = functools.cache(_image)  # per call, so the bounded memo never thrashes
     last = want = None  # the users' unit forms under the demand last walked
     # per (demand, user keys, configuration) where decoding fails, the
     # (user, decoded forms) of each user whose forms are not its file's
@@ -415,11 +419,11 @@ def _prove(
             seen = caches[user] + sent
             others = wants[:user] + wants[user + 1 :]
             cell = (len(caches[user]), user_keys[user], len(sent), header, wants[user])
-            observed[others][cell, image(seen)] += 1
+            observed[others][cell, _image(seen)] += 1
         for user in (0, 1) if views else ():
             seen = caches[user] + sent + files[wants[user]]
             cell = (len(caches[user]), user_keys[user], len(sent), header)
-            views[user, wants[user], wants[1 - user]][cell, image(seen)] += 1
+            views[user, wants[user], wants[1 - user]][cell, _image(seen)] += 1
     total = atom_count(s, width)
     verdicts = {}
     if decodability:
@@ -463,7 +467,7 @@ def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
                 diff |= form ^ (1 << c)
             low = 0 if len(forms) != t or diff >> n_cols else diff & -diff
             index = min(index, low**width)  # 1 << c*w for the lowest column c
-    symbols = _split(index, width, n_cols)
+    symbols = unpack_symbols(index, width, n_cols)
     demands, keys = s.served_demands().members, _odometer(s.key_sizes)
     atoms = itertools.product(demands, keys, range(s.server_random_size(width)))
     for position, (wants, user_keys, server) in enumerate(atoms, 1):
@@ -692,12 +696,6 @@ def _exact(value: Fraction) -> Fraction | int:
     """value as an int when it is whole, which compares faster."""
     value = Fraction(value)
     return int(value) if value.denominator == 1 else value
-
-
-def _split(value: int, width: int, count: int) -> tuple[int, ...]:
-    """The count width-bit symbol values packed in value, first lowest."""
-    mask = (1 << width) - 1
-    return tuple((value >> (i * width)) & mask for i in range(count))
 
 
 def check_decodability(

@@ -45,7 +45,7 @@ def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:
 def atom_total(s: SchemeInstance, width: int = 1) -> int:
     """Atoms in the joint space, from the sizes of its four factors."""
     return (
-        FileStore.space_size(s.n_files, s.subpacketization, width)
+        (1 << (s.n_files * s.subpacketization * width))
         * len(s.served_demands().members)
         * math.prod(s.key_sizes)
         * s.server_random_size(width)
@@ -128,7 +128,7 @@ def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[int, ...]:
     symbol k holds bits k*width .. (k+1)*width - 1."""
     width = store.symbol_width
     n_cols = store.n_files * store.subpacketization
-    packed = store.index()
+    packed, _ = pack_symbols(store.values, width)
     out = []
     for row in rows:
         value = 0
@@ -183,7 +183,7 @@ def reference_checks(
                 if got != want:
                     decode_text = str(
                         DecodeCounterexample(
-                            store.index(),
+                            pack_symbols(store.values, width)[0],
                             demand.entries,
                             user_keys,
                             server,
@@ -197,7 +197,8 @@ def reference_checks(
                 break
         for u in users:
             view = (caches[u], user_keys[u], payload, header, demand[u])
-            joint[u][(demand.drop(u), view)] += 1
+            others = demand.entries[:u] + demand.entries[u + 1 :]
+            joint[u][(others, view)] += 1
         if invariance:
             pay = pack_symbols(payload, width)
             for k in (0, 1):

@@ -216,7 +216,7 @@ def test_wire_observations_reproduce_the_privacy_verdict():
             parsed.delivery,
             demand[0],
         )
-        pairs.append((demand.drop(0), view))
+        pairs.append((demand.entries[1:], view))
     table = JointDistribution.from_pairs(pairs)
     assert table.total == atom_count(s, 1)
     assert table.first_violation() is None

@@ -27,6 +27,7 @@ from cachepriv.core import (
     SchemeError,
     SchemeInstance,
     cyclic_demand_set,
+    pack_symbols,
 )
 from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
 from cachepriv.schemes import (
@@ -95,7 +96,7 @@ def test_atom_space_is_a_bijection():
     s = basic_private_scheme(3, 2, 0)
     seen = set()
     for store, demand, user_keys, server in iter_atoms(s, 1):
-        seen.add((store.index(), demand.entries, user_keys, server))
+        seen.add((pack_symbols(store.values, 1)[0], demand.entries, user_keys, server))
     # the sweep counts each of the distinct atoms once
     cases = run_checks(s, decodability=False, users=(0,))["privacy[user 0]"].cases
     assert len(seen) == atom_count(s, 1) == cases == 2304
@@ -176,7 +177,7 @@ def blocks_of(s, width) -> int:
     """How many blocks the enumerator splits the stores into: each block
     is the largest power of two of stores whose atoms stay within
     max(one store's atoms, _BLOCK_ATOMS)."""
-    stores = FileStore.space_size(s.n_files, s.subpacketization, width)
+    stores = 1 << (s.n_files * s.subpacketization * width)
     per_store = atom_count(s, width) // stores
     block = 1
     while block < stores and 2 * block * per_store <= verifier._BLOCK_ATOMS:
@@ -197,7 +198,7 @@ def test_decodability_counterexample_reporting(monkeypatch):
     # reported
     atoms = list(itertools.islice(iter_atoms(s, 1), v.cases))
     store, demand, user_keys, server = atoms[-1]
-    assert (store.index(), demand.entries, user_keys, server) == (
+    assert (pack_symbols(store.values, 1)[0], demand.entries, user_keys, server) == (
         ce.store_index,
         ce.demand,
         ce.user_keys,
@@ -684,9 +685,9 @@ def test_forms_predict_place_deliver_and_decode(s, width):
             assert got == lanes(forms_of_user, symbols)
 
 
-def test_the_proof_walk_leaves_the_delivery_memo_empty():
-    # the walk reads each of the 576 delivery entries once, so it looks them
-    # up past the memo; a simulated round still goes through the memo
+def test_the_proof_walk_builds_no_symbol_path_memo():
+    # the walk reads each of the 576 delivery entries once, with no memo
+    # past it; a simulated round fills the symbol path's memo
     s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
     configs = math.prod(n for n, _ in s.program.server)
     assert s.n_served() * s.key_space_size * configs == 576
@@ -696,9 +697,45 @@ def test_the_proof_walk_leaves_the_delivery_memo_empty():
         "privacy[user 0]": (True, 147456, 0.0),
         "privacy[user 1]": (True, 147456, 0.0),
     }
-    assert s.program.delivery.cache_info().currsize == 0
+    assert "columns" not in vars(s.program)
     simulate_session(s, DemandVector(3, (2, 0)), seed=1)
-    assert s.program.delivery.cache_info().currsize == 1
+    assert s.program.columns["delivery"].cache_info().currsize == 1
+
+
+def counting(table, calls):
+    """table with each call's arguments counted in calls."""
+    return lambda *args: calls.update([args]) or table(*args)
+
+
+def test_the_proof_walk_reads_each_recipe_entry_once():
+    # thm1:4,3,0 walks 64 demands x 27 key realizations x 6 slot ranks, and
+    # reads 3 recipes in each: 31,104 reads of 972 distinct entries
+    s = resolve_scheme("thm1:4,3,0")
+    configs = math.prod(n for n, _ in s.program.server)
+    assert s.n_served() * s.key_space_size * configs * s.n_users == 31104
+    calls = Counter()
+    s = with_tables(s, recipe=counting(s.program.recipe, calls))
+    assert run_checks(s)["decodability"].passed
+    assert len(calls) == 972
+    assert set(calls.values()) == {1}
+
+
+def test_a_share_reads_each_part_delivery_once():
+    # the 576 configurations read each part's delivery table, 72 distinct
+    # entries per part
+    parts = [resolve_scheme(token) for token in ("thm1:3,2,0", "thm1:3,2,3")]
+    calls = [Counter(), Counter()]
+    a, b = (
+        with_tables(part, delivery=counting(part.program.delivery, counts))
+        for part, counts in zip(parts, calls)
+    )
+    s = memory_share(a, b, Fraction(1, 2))
+    configs = math.prod(n for n, _ in s.program.server)
+    assert s.n_served() * s.key_space_size * configs == 576
+    assert all(v.passed for v in run_checks(s, users=range(s.n_users)).values())
+    for counts in calls:
+        assert len(counts) == 72
+        assert set(counts.values()) == {1}
 
 
 def test_a_share_narrows_each_distinct_part_entry_once(monkeypatch):
@@ -789,7 +826,7 @@ def test_each_cache_is_evaluated_on_bits_and_block_bases(monkeypatch, token):
     s = resolve_scheme(token)
     built, evaluated = counting_evaluations(monkeypatch)
     verifier._enumerate(s, 2, tuple(range(s.n_users)), False)
-    stores = FileStore.space_size(s.n_files, s.subpacketization, 2)
+    stores = 1 << (s.n_files * s.subpacketization * 2)
     blocks = blocks_of(s, 2)
     # 16 blocks of 256 stores, and 32 blocks of 2 stores
     assert blocks == {"example1": 16, "thm1:3,2,0": 32}[token]
