@@ -253,12 +253,14 @@ class ColumnProgram:
     fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
     above them modulo configurations is the part's configuration.
 
-    The tables are plain lookups with no memo of their own: the verifier's
-    walk keeps the recipes it reads again and memory_share its parts'
-    deliveries, so there is no memo past the walk.  columns[table] is a
-    memo of the table's entries with each form as its column tuple
-    (form_columns), the symbol path's view: a negative form raises
-    IndexError on the entry's first read there.
+    The tables are plain lookups with no memo of their own; where an entry
+    is re-read, the scheme keeps it inside (a thm1's slot orders, a share's
+    parts' deliveries), and the verifier's walk keeps the recipes it reads
+    again for that walk only.  columns[table] is a memo of the table's
+    entries with each form as its column tuple (form_columns), the symbol
+    path's view: a negative form raises IndexError on the entry's first
+    read there.  These memos live as long as the program, which a
+    memoised constructor keeps per process (SCHEME_MEMO).
     """
 
     key_sizes: tuple[int, ...]
@@ -295,6 +297,16 @@ class ColumnProgram:
             value, config = divmod(value, n_configs)
             configs.append(config)
         return tuple(configs), pads
+
+
+# instances each scheme constructor (basic_private_scheme, lift_private,
+# uncoded_baseline, memory_share, compile_linear_scheme) keeps per process,
+# in an lru_cache keyed by the value of its arguments: equal arguments give
+# the same instance, and with it the table entries its program memoised on
+# earlier calls.  No instance holds a verdict, walk or count table, and an
+# exception is raised again on every call.  A verify call builds one
+# instance per scheme its token names.
+SCHEME_MEMO = 64
 
 
 def check_shape(n_files: int, n_users: int) -> None:
@@ -334,8 +346,9 @@ class SchemeInstance:
     values by the program's column tuples (ColumnProgram.columns), and
     raise IndexError for a negative form or one reading past the values
     given.  They are plain methods, so an instance attribute may shadow
-    them (a tracer's wrapper, say).  The verifier reads the program's forms
-    itself and never calls them.
+    them (a tracer's wrapper, say); on an instance a memoised constructor
+    returned, every later caller given that instance sees the shadow.  The
+    verifier reads the program's forms itself and never calls them.
 
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile

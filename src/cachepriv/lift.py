@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .core import (
+    SCHEME_MEMO,
     ColumnProgram,
     ParameterError,
     Privacy,
@@ -50,6 +51,7 @@ def _slot_assignment(demand: tuple[int, ...], rank: int, k: int) -> list[int]:
     return [slots[d] for d in demand]
 
 
+@functools.lru_cache(maxsize=SCHEME_MEMO)
 def basic_private_scheme(
     n_files: int, n_users: int, memory: Fraction | int | str
 ) -> SchemeInstance:
@@ -112,6 +114,7 @@ def basic_private_scheme(
     return SchemeInstance(program=program, rate=k * (1 - m / n_files), **params)
 
 
+@functools.lru_cache(maxsize=SCHEME_MEMO)
 def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
     """Private K-user scheme from a cyclic-demand scheme for N*K virtual users.
 

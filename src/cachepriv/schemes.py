@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
+    SCHEME_MEMO,
     ColumnProgram,
     ParameterError,
     Privacy,
@@ -154,6 +156,7 @@ def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgra
     )
 
 
+@functools.lru_cache(maxsize=SCHEME_MEMO)
 def uncoded_baseline(
     n_files: int, n_users: int, memory: Fraction | int | str
 ) -> SchemeInstance:
@@ -196,6 +199,7 @@ def _narrowing(group_a: int, start_a: list[int], group_b: int, start_b: list[int
     return functools.cache(lambda rows_a, rows_b: part_a(rows_a) + part_b(rows_b))
 
 
+@functools.lru_cache(maxsize=SCHEME_MEMO)
 def memory_share(
     a: SchemeInstance, b: SchemeInstance, share: Fraction | int | str
 ) -> SchemeInstance:
@@ -259,8 +263,10 @@ def memory_share(
     parts_a, headers_a = len(pa.server), len(pa.header_sizes)
     # the cache and delivery forms read columns, the recipe forms inputs
     columns, inputs = _narrowing(ga, col_a, gb, col_b), _narrowing(ga, in_a, gb, in_b)
-    # each part delivery recurs under every key and configuration of the other
+    # each part delivery recurs under every key and configuration of the
+    # other, and each pair of part headers with it: one joined header per pair
     deliver_a, deliver_b = functools.cache(pa.delivery), functools.cache(pb.delivery)
+    joined = functools.cache(operator.add)
 
     def cache(user: int, key: int) -> Rows:
         size = pa.key_sizes[user]
@@ -272,7 +278,7 @@ def memory_share(
         keys_b = tuple([k // size for k, size in zip(keys, pa.key_sizes)])
         rows_a, header_a = deliver_a(demand, keys_a, configs[:parts_a])
         rows_b, header_b = deliver_b(demand, keys_b, configs[parts_a:])
-        return columns(rows_a, rows_b), header_a + header_b
+        return columns(rows_a, rows_b), joined(header_a, header_b)
 
     def recipe(user, demand, key, header):
         size = pa.key_sizes[user]

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .core import (
+    SCHEME_MEMO,
     ColumnProgram,
     DemandSubset,
     ParameterError,
@@ -129,27 +130,30 @@ def verify_linear(m: LinearSchemeMatrices, demands: DemandSubset) -> Verdict:
 # compiling matrices into an executable scheme
 
 
-# matrix sets whose solved tables one process keeps; a verify call compiles
-# one or two, and a process that cycles through more only solves again
-_COMPILED_SETS = 64
+@functools.lru_cache(maxsize=SCHEME_MEMO)
+def compile_linear_scheme(
+    m: LinearSchemeMatrices, served: DemandSubset, name: str
+) -> SchemeInstance:
+    """Executable scheme from matrices.  The cache and delivery tables hand
+    out the matrices' rows, and each decode recipe is solved once, as forms
+    over the user's cache rows then the delivery rows: recipe form i reads
+    row c of them when combination i takes it.  The broadcast header
+    carries the full demand vector, which is the usual convention for
+    schemes with no privacy requirement.  An unsolvable (demand, user)
+    pair's recipe forms are zero, so its decoder emits zero symbols and a
+    broken matrix set stays runnable, caught by the exhaustive
+    decodability check.
 
-
-@functools.lru_cache(maxsize=_COMPILED_SETS)
-def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
-    """(the matrices' cache rows per user, delivery rows per served demand,
-    recipe forms per (demand, user)), memoised by the value of (m, served);
-    recipe form i reads row c of the cache rows then the delivery rows when
-    combination i of them takes it.
-
-    Nothing outside compile_linear_scheme's closures holds the dicts, and
-    they only read them.  An exception is raised again on every call, since
-    lru_cache keeps results only.
+    The instance is memoised per process by the value of (m, served, name)
+    (core.SCHEME_MEMO), so the recipes are solved once per distinct
+    arguments; another name gives another instance, whose errors name it.
     """
     m.validate()
     if served.n_files != m.n_files or served.n_users != m.n_users:
         raise ParameterError("served demand set shape does not match the matrices")
     t = m.subpacketization
     n_cols = m.n_cols
+    cache_rows = m.cache_rows
 
     deliveries: dict[tuple[int, ...], tuple[int, ...]] = {}
     recipes: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
@@ -157,33 +161,13 @@ def _solved_tables(m: LinearSchemeMatrices, served: DemandSubset) -> tuple:
         tx_rows = deliveries[demand] = m.delivery_for(demand)
         for u in range(m.n_users):
             solved = gf2.solve_combinations(
-                m.cache_rows[u] + tx_rows, unit_rows(demand[u] * t, t), n_cols
+                cache_rows[u] + tx_rows, unit_rows(demand[u] * t, t), n_cols
             )
             recipes[(demand, u)] = (
                 (0,) * t
                 if None in solved
                 else tuple(sum(c << i for i, c in enumerate(cs)) for cs in solved)
             )
-    return m.cache_rows, deliveries, recipes
-
-
-def compile_linear_scheme(
-    m: LinearSchemeMatrices, served: DemandSubset, name: str
-) -> SchemeInstance:
-    """Executable scheme from matrices.  The cache and delivery tables hand
-    out the matrices' rows, and each decode recipe is solved once, as forms
-    over the user's cache rows then the delivery rows.  The broadcast header
-    carries the full demand vector, which is the usual convention for
-    schemes with no privacy requirement.  An unsolvable (demand, user)
-    pair's recipe forms are zero, so its decoder emits zero symbols and a
-    broken matrix set stays runnable, caught by the exhaustive
-    decodability check.
-
-    The solved tables are memoised per process by the value of (m, served)
-    (_solved_tables); each call still returns a new instance with its own
-    column program and memos, whose errors name this call's scheme.
-    """
-    cache_rows, deliveries, recipes = _solved_tables(m, served)
 
     def delivery(demand, keys, configs):
         if demand not in deliveries:

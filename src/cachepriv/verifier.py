@@ -292,19 +292,22 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     payload forms, decoded forms per user, empty without decodability).
 
     Each cache is looked up once per (user, key), all before the first
-    delivery; each delivery is read once, with no memo past the walk; and
-    for decodability each user's recipe once per distinct (user, own
-    demand, key, header), kept beside the caches for the walk.  Such a read
-    still derives little anew: a thm1 table keeps its slot order and
-    payload forms per (demand, slot rank) and its recipes per (demand,
-    slot), so per key realization it computes only the header, and a share
-    keeps its parts' deliveries and its narrowed forms per distinct pair of
-    part entries.  A negative form, or one reading past its inputs (the
-    file columns for a cache, then the pads for a delivery, the user's
-    cache symbols then the payload for a recipe), raises IndexError
-    (_check_range, or xor_rows as decode does for a recipe), and with
-    decodability a cache or payload of other than the declared M*F or R*F
-    bits raises SchemeError.
+    delivery; each delivery is read once; and for decodability each user's
+    recipe once per distinct (user, own demand, key, header), kept beside
+    the caches for this walk only.  Such a read still derives little anew:
+    a thm1 table keeps its slot order and payload forms per (demand, slot
+    rank) and its recipes per (demand, slot), so per key realization it
+    computes only the header, and a share keeps its parts' deliveries, its
+    joined headers and its narrowed forms per distinct pair of part
+    entries.  Those memos live as long as the instance, which its
+    constructor keeps per process (core.SCHEME_MEMO), so a repeated
+    verify of one scheme reads them warm; it still walks every
+    configuration, as nothing the walk yields is kept.  A negative form, or
+    one reading past its inputs (the file columns for a cache, then the
+    pads for a delivery, the user's cache symbols then the payload for a
+    recipe), raises IndexError (_check_range, or xor_rows as decode does
+    for a recipe), and with decodability a cache or payload of other than
+    the declared M*F or R*F bits raises SchemeError.
     """
     program, t = s.program, s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width

@@ -23,7 +23,7 @@ from fractions import Fraction
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
-from cachepriv import gf2
+from cachepriv import gf2, lift, schemes, search
 from cachepriv.core import (
     DemandVector,
     FileStore,
@@ -34,6 +34,23 @@ from cachepriv.core import (
 )
 from cachepriv.region import check_inequalities
 from cachepriv.verifier import DecodeCounterexample, IndependenceCounterexample
+
+
+# every memoised scheme constructor (core.SCHEME_MEMO)
+CONSTRUCTORS = (
+    lift.basic_private_scheme,
+    lift.lift_private,
+    schemes.uncoded_baseline,
+    schemes.memory_share,
+    search.compile_linear_scheme,
+)
+
+
+def clear_constructors() -> None:
+    """Empty every constructor memo, so the next scheme built is a fresh
+    instance with cold table memos."""
+    for constructor in CONSTRUCTORS:
+        constructor.cache_clear()
 
 
 def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,8 +15,15 @@ import cachepriv.cli
 from cachepriv import search
 from cachepriv.cli import main, resolve_scheme
 from cachepriv.core import DemandSubset, cyclic_demand_set
-from cachepriv.schemes import high_memory_2x4_matrices
+from cachepriv.lift import low_memory_private_scheme
+from cachepriv.schemes import high_memory_2x4_matrices, with_plaintext_demand_header
 from cachepriv.search import export_descriptor
+from cachepriv.verifier import (
+    check_conditional_invariance,
+    check_decodability,
+    check_privacy,
+)
+from oracles import clear_constructors
 
 
 def test_measure_output_is_exact(capsys):
@@ -404,23 +412,6 @@ def test_pinned_verify_outputs(capsys, call):
     assert err == ""
 
 
-def test_pinned_verify_calls_repeat_byte_for_byte(capsys):
-    # the first pass compiles and parses into empty memos, the second reads them
-    search._solved_tables.cache_clear()
-    cachepriv.cli._parse_descriptor_text.cache_clear()
-    calls = json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8"))
-    passes = []
-    for _ in range(2):
-        got = []
-        for call in calls:
-            code = main(["verify", *call["args"]])
-            out, err = capsys.readouterr()
-            got.append((code, out, err))
-        passes.append(got)
-    assert search._solved_tables.cache_info().hits > 0
-    assert passes[0] == passes[1] == [(c["exit"], c["stdout"], "") for c in calls]
-
-
 # a K = 3 thm1 scheme, whose header mixes three keys into three slots, and
 # a share whose first part's slot rows vary with the configuration while
 # the second part sends nothing
@@ -445,6 +436,86 @@ def test_pinned_thm1_k3_and_share_verify_outputs(capsys, token):
     assert main(["verify", token]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == (PINNED_PROOFS[token], "")
+
+
+def control_verdicts():
+    """The plaintext-header control's checks, one call each as the bench's
+    control operation makes them: (passed, cases, counterexample, MI)."""
+    ctrl = with_plaintext_demand_header(low_memory_private_scheme())
+    verdicts = [check_decodability(ctrl)]
+    verdicts += [check_privacy(ctrl, k) for k in range(ctrl.n_users)]
+    verdicts.append(check_conditional_invariance(ctrl))
+    return [(v.passed, v.cases, str(v.counterexample), v.mi_bits) for v in verdicts]
+
+
+def test_pinned_verify_calls_repeat_byte_for_byte(capsys):
+    # the cold pass builds every scheme afresh and parses into an empty memo;
+    # the warm pass gets the same instances back, their table memos filled
+    pinned = json.loads(EXPECTED_VERIFY.read_text(encoding="utf-8"))
+    calls = [(c["args"], c["exit"], c["stdout"]) for c in pinned]
+    calls += [([token], 0, out) for token, out in PINNED_PROOFS.items()]
+    cachepriv.cli._parse_descriptor_text.cache_clear()
+    passes = []
+    for cold in (True, False):
+        got = []
+        for args, _, _ in calls:
+            if cold:
+                clear_constructors()
+            code = main(["verify", *args])
+            got.append((code, *capsys.readouterr()))
+        if cold:
+            clear_constructors()
+        got.append(control_verdicts())
+        passes.append(got)
+    assert search.compile_linear_scheme.cache_info().hits > 0
+    assert passes[0] == passes[1]
+    assert passes[0][:-1] == [(code, out, "") for _, code, out in calls]
+    decodes, *private, invariant = passes[0][-1]
+    assert decodes[0] and not invariant[0]
+    assert [(passed, mi) for passed, _, _, mi in private] == [(False, 1.0)] * 2
+
+
+def test_a_warm_verify_still_reads_every_delivery_entry(capsys):
+    # no verdict is kept: a repeated verify of the same instance walks all
+    # 9 demands x 4 key realizations x 2 slot ranks again
+    s = resolve_scheme("thm1:3,2,0")
+    assert main(["verify", "thm1:3,2,0"]) == 0
+    first = capsys.readouterr()
+    delivery, reads = s.program.delivery, Counter()
+
+    def counting(*args):
+        reads[args] += 1
+        return delivery(*args)
+
+    object.__setattr__(s.program, "delivery", counting)
+    try:
+        assert resolve_scheme("thm1:3,2,0") is s
+        assert main(["verify", "thm1:3,2,0"]) == 0
+    finally:
+        object.__setattr__(s.program, "delivery", delivery)
+    assert capsys.readouterr() == first
+    assert len(reads) == 72 and set(reads.values()) == {1}
+
+
+def test_an_edited_descriptor_is_verified_as_edited_as_a_share_part(
+    tmp_path, capsys
+):
+    # the share's parts are memoised, the descriptor part by its text: each
+    # edit gives the verdict of the text on disk
+    path = tmp_path / "witness.desc"
+    token = f"share:1/2:highmem2x4:{path}"
+    perturbed = DELIVERY.replace(": 0", ": 1", 1)
+    for text, code, verdict in (
+        (FROZEN, 0, "PASS"),
+        (FROZEN.replace(DELIVERY, perturbed), 1, "FAIL"),
+        (FROZEN, 0, "PASS"),
+    ):
+        path.write_text(text)
+        assert main(["verify", token]) == code
+        out = capsys.readouterr().out
+        assert out.startswith("scheme: share:1/2:highmem2x4:frozen ")
+        assert f"decodability: {verdict} (" in out
+        assert out.endswith(f"overall: {verdict}\n")
 
 
 def test_a_repeated_descriptor_verify_builds_its_served_set_once(

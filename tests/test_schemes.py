@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,11 @@ from cachepriv.core import (
     cyclic_demand_set,
     full_demand_set,
 )
-from cachepriv.lift import basic_private_scheme, low_memory_private_scheme
+from cachepriv.lift import (
+    basic_private_scheme,
+    lift_private,
+    low_memory_private_scheme,
+)
 from cachepriv.schemes import (
     HIGH_MEMORY_2X4_CACHES,
     HIGH_MEMORY_2X4_DELIVERIES,
@@ -29,7 +35,7 @@ from cachepriv.schemes import (
     uncoded_baseline,
     with_plaintext_demand_header,
 )
-from cachepriv.search import export_descriptor, verify_linear
+from cachepriv.search import compile_linear_scheme, export_descriptor, verify_linear
 from cachepriv.session import simulate_session
 from cachepriv.verifier import (
     BudgetExceeded,
@@ -296,3 +302,76 @@ def test_share_nested_as_the_first_part_decodes():
         for demand in ((0, 0), (0, 1), (1, 0), (1, 1)):
             t = simulate_session(s, DemandVector(2, demand), 7 * width, width)
             assert t.all_matched, (width, demand)
+
+
+# ---------------------------------------------------------------------------
+# memoised constructors: per constructor, (its i-th distinct arguments, an
+# argument tuple it refuses)
+
+
+def share_parts():
+    return basic_private_scheme(2, 2, 0), basic_private_scheme(2, 2, 2)
+
+
+CONSTRUCTOR_CALLS = {
+    "thm1": (
+        basic_private_scheme,
+        lambda i: (1, i + 1, 0),
+        lambda: (2, 2, 3),
+    ),
+    "baseline": (
+        uncoded_baseline,
+        lambda i: (1, i + 1, 0),
+        lambda: (0, 2, 0),
+    ),
+    "share": (
+        memory_share,
+        lambda i: (*share_parts(), Fraction(1, i + 2)),
+        lambda: (share_parts()[0], basic_private_scheme(3, 2, 0), Fraction(1, 2)),
+    ),
+    "lift": (
+        lift_private,
+        lambda i: (low_memory_2x4_scheme(), f"lifted-{i}"),
+        lambda: (basic_private_scheme(2, 2, 0),),
+    ),
+    "compile": (
+        compile_linear_scheme,
+        lambda i: (low_memory_2x4_matrices(), CYCLIC, f"compiled-{i}"),
+        lambda: (low_memory_2x4_matrices(), cyclic_demand_set(2, 1), "wrong-shape"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTOR_CALLS)
+def test_equal_arguments_give_the_same_instance(kind):
+    build, args, _ = CONSTRUCTOR_CALLS[kind]
+    first = build(*args(0))
+    assert build(*args(0)) is first
+    assert build(*args(1)) is not first
+    assert build(*args(0)) is first
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTOR_CALLS)
+def test_a_refused_construction_raises_on_every_call(kind):
+    build, _, refused = CONSTRUCTOR_CALLS[kind]
+    build.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(ParameterError):
+            build(*refused())
+        info = build.cache_info()
+        assert (info.misses, info.currsize) == (calls, 0)
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTOR_CALLS)
+def test_each_constructor_memo_is_bounded_and_lets_evicted_instances_go(kind):
+    build, args, _ = CONSTRUCTOR_CALLS[kind]
+    build.cache_clear()
+    bound = build.cache_info().maxsize
+    assert bound is not None
+    evicted = weakref.ref(build(*args(0)))
+    for i in range(1, bound + 5):
+        build(*args(i))
+    info = build.cache_info()
+    assert (info.misses, info.currsize) == (bound + 5, bound)
+    gc.collect()
+    assert evicted() is None

@@ -689,11 +689,11 @@ def pinned_columns(forms):
 
 def test_compiled_tables_match_the_pins():
     # the first pass solves every set (the memo starts empty), the second
-    # reads every set from the memo; the tables hand out forms, and the pins
-    # list each form's columns
+    # gets every instance from the memo; the tables hand out forms, and the
+    # pins list each form's columns
     pins = compile_pins()
     assert len(pins) == 40
-    search._solved_tables.cache_clear()
+    compile_linear_scheme.cache_clear()
     for solved, memo_hits in ((40, 0), (40, 40)):
         unsolvable = 0
         for m, served, p in pins:
@@ -717,27 +717,35 @@ def test_compiled_tables_match_the_pins():
                 r == [[]] * m.subpacketization for _, _, r in p["recipes"]
             )
         assert unsolvable >= 100  # unsolvable pairs keep the empty recipe
-        info = search._solved_tables.cache_info()
+        info = compile_linear_scheme.cache_info()
         assert (info.misses, info.hits) == (solved, memo_hits)
 
 
-def test_equal_matrices_compile_to_separate_instances():
+def test_equal_arguments_compile_to_one_instance_and_other_names_to_others():
+    # the instance is memoised by the value of (matrices, served set, name)
+    compile_linear_scheme.cache_clear()
     a = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "lowmem")
     b = compile_linear_scheme(
         low_memory_2x4_matrices(), cyclic_demand_set(2, 2), "lowmem"
     )
-    assert a is not b and a.program is not b.program
+    c = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "other")
+    assert a is b
+    assert a is not c and a.program is not c.program
     for table in ("cache", "delivery", "recipe"):
-        assert getattr(a.program, table) is not getattr(b.program, table)
+        assert getattr(a.program, table) is not getattr(c.program, table)
     assert [a.program.cache(u, 0) for u in range(4)] == [
-        b.program.cache(u, 0) for u in range(4)
+        c.program.cache(u, 0) for u in range(4)
     ]
     for d in CYCLIC:
         keys = (0,) * 4
-        assert a.program.delivery(d, keys, ()) == b.program.delivery(d, keys, ())
+        assert a.program.delivery(d, keys, ()) == c.program.delivery(d, keys, ())
         for u in range(4):
-            assert a.program.recipe(u, d, 0, d) == b.program.recipe(u, d, 0, d)
-    # rebinding a method on one instance, as a tracer does, leaves the other alone
+            assert a.program.recipe(u, d, 0, d) == c.program.recipe(u, d, 0, d)
+    store = FileStore.zero(2, 3, 1)
+    with pytest.raises(UnservedDemand, match="^other does not serve demand"):
+        c.deliver(store, (0, 0, 0, 0), (0,) * 4, 0)
+    # rebinding a method on one instance, as a tracer does, leaves the
+    # instance of another name alone and is seen by whoever gets it again
     calls = []
 
     def place(*args, fn=a.place):
@@ -745,9 +753,12 @@ def test_equal_matrices_compile_to_separate_instances():
         return fn(*args)
 
     object.__setattr__(a, "place", place)
-    store = FileStore.zero(2, 3, 1)
-    assert b.place((0,) * 4, store) == a.place((0,) * 4, store)
-    assert len(calls) == 1 and "place" not in vars(b)
+    try:
+        again = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "lowmem")
+        assert c.place((0,) * 4, store) == again.place((0,) * 4, store)
+        assert len(calls) == 1 and "place" not in vars(c)
+    finally:
+        object.__delattr__(a, "place")
 
 
 def test_unserved_demand_errors_name_the_scheme_compiled():
@@ -766,7 +777,7 @@ def test_compile_errors_are_raised_on_every_call():
         2, 4, 3, ((0b000001, 0b000001),) * 4, m.deliveries
     )
     wrong_shape = cyclic_demand_set(2, 1)
-    search._solved_tables.cache_clear()
+    compile_linear_scheme.cache_clear()
     compile_linear_scheme(m, CYCLIC, "clean")
     for _ in range(2):
         with pytest.raises(
@@ -778,12 +789,12 @@ def test_compile_errors_are_raised_on_every_call():
             match="^served demand set shape does not match the matrices$",
         ):
             compile_linear_scheme(m, wrong_shape, "wrong-shape")
-    assert search._solved_tables.cache_info().currsize == 1
+    assert compile_linear_scheme.cache_info().currsize == 1
 
 
 def test_the_compile_memo_is_bounded():
-    search._solved_tables.cache_clear()
-    bound = search._solved_tables.cache_info().maxsize
+    compile_linear_scheme.cache_clear()
+    bound = compile_linear_scheme.cache_info().maxsize
     assert bound is not None
     rng = random.Random("memo-bound")
     sets = set()
@@ -799,7 +810,7 @@ def test_the_compile_memo_is_bounded():
         )
     for m in sets:
         compile_linear_scheme(m, CYCLIC, "random")
-    info = search._solved_tables.cache_info()
+    info = compile_linear_scheme.cache_info()
     assert (info.misses, info.currsize) == (bound + 5, bound)
 
 

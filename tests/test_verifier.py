@@ -51,7 +51,13 @@ from cachepriv.verifier import (
     resolve_budget,
     run_checks,
 )
-from oracles import iter_atoms, mi_from_pairs, reference_checks, with_tables
+from oracles import (
+    clear_constructors,
+    iter_atoms,
+    mi_from_pairs,
+    reference_checks,
+    with_tables,
+)
 
 EXPECTED_VERIFY = Path(__file__).resolve().parents[1] / "bench" / "expected_verify.json"
 
@@ -687,7 +693,9 @@ def test_forms_predict_place_deliver_and_decode(s, width):
 
 def test_the_proof_walk_builds_no_symbol_path_memo():
     # the walk reads each of the 576 delivery entries once, with no memo
-    # past it; a simulated round fills the symbol path's memo
+    # past it; a simulated round fills the symbol path's memo.  A fresh
+    # instance, as an earlier round would have filled a memoised one's
+    clear_constructors()
     s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
     configs = math.prod(n for n, _ in s.program.server)
     assert s.n_served() * s.key_space_size * configs == 576
@@ -738,6 +746,16 @@ def test_a_share_reads_each_part_delivery_once():
         assert set(counts.values()) == {1}
 
 
+def test_a_share_keeps_one_header_object_per_header_value():
+    # each configuration's header joins its parts' headers, and the proof
+    # walk's count tables keep the header of every cell they count
+    s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
+    assert all(v.passed for v in run_checks(s, users=range(s.n_users)).values())
+    headers = [header for *_, header, _, _, _ in verifier._configurations(s, 1, True)]
+    assert len(headers) == 576
+    assert len({id(h) for h in headers}) == len(set(headers)) == 16
+
+
 def test_a_share_narrows_each_distinct_part_entry_once(monkeypatch):
     # the 576 configurations and their recipes read 20 distinct part
     # entries (cache, delivery or recipe forms of one part): each is
@@ -750,6 +768,7 @@ def test_a_share_narrows_each_distinct_part_entry_once(monkeypatch):
         return narrow(rows, group, start)
 
     monkeypatch.setattr(schemes, "_narrow", counting)
+    clear_constructors()  # a fresh share, its narrowing memos empty
     s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
     assert all(v.passed for v in run_checks(s, users=range(s.n_users)).values())
     assert len(narrowed) == 20
@@ -768,6 +787,7 @@ def test_thm1_derives_each_slot_order_once(monkeypatch):
         return assign(demand, rank, k)
 
     monkeypatch.setattr(lift, "_slot_assignment", counting)
+    clear_constructors()  # a fresh scheme, its slot memo empty
     s = resolve_scheme("thm1:4,3,0")
     assert all(v.passed for v in run_checks(s, users=range(3)).values())
     demands = itertools.product(range(4), repeat=3)
