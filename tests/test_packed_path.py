@@ -130,8 +130,11 @@ def descriptor_scheme(tmp_path, seed: int, perturb: bool):
 
 
 def rebound(s, calls: Counter):
-    """s with place, deliver and decode rebound to wrappers that count
-    their calls in calls, the way a tracer wraps them."""
+    """A copy of s, sharing its program, with place, deliver and decode
+    rebound to wrappers that count their calls in calls, the way a tracer
+    wraps them.  s itself is left alone: a constructor may hand it out
+    again (core.SCHEME_MEMO)."""
+    s = dataclasses.replace(s)
     for attr in ("place", "deliver", "decode"):
 
         def wrapper(*args, fn=getattr(s, attr), attr=attr):
@@ -219,7 +222,9 @@ def test_a_scheme_is_not_given_other_callables():
 def test_rebound_callables_leave_the_sweep_unchanged(token):
     calls = Counter()
     s = rebound(resolve_scheme(token), calls)
-    assert sweep(s) == sweep(resolve_scheme(token))
+    clean = resolve_scheme(token)
+    assert clean is not s and not {"place", "deliver", "decode"} & set(vars(clean))
+    assert sweep(s) == sweep(clean)
     assert not calls  # the sweep reads the program only
     # simulate still runs the rebound callables
     demand = DemandVector(s.n_files, s.served_demands().members[-1])
@@ -339,7 +344,7 @@ def test_evaluate_matches_symbolwise_xor():
 @pytest.mark.parametrize("width", [0, -1])
 def test_width_below_one_is_refused_on_both_paths(width):
     s = basic_private_scheme(2, 2, 1)
-    for scheme in (s, rebound(basic_private_scheme(2, 2, 1), Counter())):
+    for scheme in (s, rebound(s, Counter())):
         with pytest.raises(ParameterError, match=f"at least 1, got {width}$"):
             run_checks(scheme, width)
         with pytest.raises(ParameterError, match=f"at least 1, got {width}$"):
