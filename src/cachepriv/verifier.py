@@ -155,7 +155,12 @@ def _atom_factors(s: SchemeInstance, width: int) -> tuple[int, int]:
 
 @dataclass
 class JointDistribution:
-    """Exact joint counts of (left, right) observations over an atom space."""
+    """Exact joint counts of (left, right) observations over an atom space.
+
+    The enumerator builds each one with its margins, counted in its sweep
+    in the order of first appearance in joint that `of` gives; `of`, which
+    derives them cell by cell, serves from_pairs only.
+    """
 
     total: int = 0
     joint: Counter = field(default_factory=Counter)
@@ -203,13 +208,11 @@ class JointDistribution:
         return Verdict(violation is None, self.total, counterexample, mi)
 
     def mutual_information_bits(self) -> float:
-        total = self.total
+        total, left, right, log2 = self.total, self.left, self.right, math.log2
         mi = 0.0
         for (l, r), c in self.joint.items():
             if c:
-                mi += (c / total) * math.log2(
-                    c * total / (self.left[l] * self.right[r])
-                )
+                mi += (c / total) * log2(c * total / (left[l] * right[r]))
         return max(mi, 0.0)
 
 
@@ -292,7 +295,8 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     payload forms, decoded forms per user, empty without decodability).
 
     Each cache is looked up once per (user, key), all before the first
-    delivery; each delivery is read once; and for decodability each user's
+    delivery, and each key realization's tuple of caches is built once
+    then; each delivery is read once; and for decodability each user's
     recipe once per distinct (user, own demand, key, header), kept beside
     the caches for this walk only.  Such a read still derives little anew:
     a thm1 table keeps its slot order and payload forms per (demand, slot
@@ -318,6 +322,7 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     configs = _odometer([n for n, _ in program.server])
     held: dict[tuple[int, int], tuple[int, ...]] = {}
     recipes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+    keyed = []  # per key realization, (user keys, cache forms per user)
     for user_keys in keys:
         for slot in enumerate(user_keys):
             if slot not in held:
@@ -329,10 +334,10 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
                     )
                 _check_range(forms, n_cols)
                 held[slot] = forms
+        keyed.append((user_keys, tuple(held[slot] for slot in enumerate(user_keys))))
     for wants in s.served_demands().members:
         s.check_demand(wants)
-        for user_keys in keys:
-            caches = tuple(held[slot] for slot in enumerate(user_keys))
+        for user_keys, caches in keyed:
             for config in configs:
                 sent, header = delivery(wants, user_keys, config)
                 decoded = []
@@ -524,27 +529,40 @@ def _enumerate(
     with a delivery's pads packed above it as columns n_cols on.  A user's
     observation is (cache value, cache bits, key, payload value, payload
     bits, header, own demand); an invariance view adds the demanded file's
-    packed content.  Each value an atom reads is keyed (packed pads, forms)
-    and is GF(2)-linear in the packed store and pads, so over a block of
+    packed content.  Each is counted as one int: the cache value from bit
+    0, the payload value above the longest cache, the file value above the
+    longest payload, and on top the number of the fixed part (cache bits,
+    key, payload bits, header, own demand), numbered once per call in order
+    of first appearance.  So two observations are equal exactly when their
+    ints are, and an int is decoded back to its tuples (view_of) only for
+    the printed invariance cell.
+
+    Each value an atom reads is keyed (packed pads, forms, constant) and is
+    GF(2)-linear in the packed store and pads, so over a block of
     consecutive stores (at most max(one store's atoms, _BLOCK_ATOMS) atoms)
     it is a table on the low store bits XORed with its value on the block's
-    base and the pads (_evaluate).  A block's values are zipped into one row
-    per store, each count column is read off the rows by one getter, and
-    each count table is fed once per block, by one Counter.update over a
-    zip of columns, with a per-atom loop's keys in its order; invariance one
-    (user k, own demand j) pair at a time, in the order (0, 0), (0, 1), (1,
-    0), (1, 1), no pair past the first whose tables differ.
+    base and the pads (_evaluate), and with its constant: payload and file
+    forms come shifted to their offsets, and a payload's constant is the
+    fixed part's number in place.  A block's values are zipped into one row
+    per store, each column is read off the rows by one getter, and an
+    atom's int is the OR of its columns.  Each count table is fed once per
+    block, by one Counter.update, with a per-atom loop's keys in its order;
+    privacy's right margin by a second update over the same ints, and its
+    left margin is one store's other-demand column times the number of
+    stores, so each JointDistribution is built with the margins
+    JointDistribution.of would give, in the same order.  Invariance is fed
+    one (user k, own demand j) pair at a time, in the order (0, 0), (0, 1),
+    (1, 0), (1, 1), no pair past the first whose tables differ.
     """
     t = s.subpacketization
     store_bits, file_bits = s.n_files * t * width, t * width
-    # slots holds (cache value, cache bits, key) per (user, key)
+    # slots holds the cache forms per (user, key)
     slots, configured = {}, defaultdict(dict)
     walk = _configurations(s, width, False)
     for wants, user_keys, config, header, caches, sent, _ in walk:
         for slot, cache in zip(enumerate(user_keys), caches):
-            if slot not in slots:
-                slots[slot] = ((0, cache), len(cache) * width, slot[1])
-        configured[wants][user_keys, config] = (sent, len(sent) * width, header)
+            slots.setdefault(slot, cache)
+        configured[wants][user_keys, config] = (sent, header)
     # the atoms of one store and demand: (user keys, configuration, pads),
     # the pads packed above the store
     plan = []
@@ -555,56 +573,64 @@ def _enumerate(
     realizations = [(ks, *p) for ks in _odometer(s.key_sizes) for p in plan]
     demands, per_demand = list(configured), len(realizations)
     per_store = len(demands) * per_demand
-    # per atom of a store: payload forms, payload bits, header
-    paying = [
-        table[ks, config]
-        for table in map(configured.__getitem__, demands)
-        for ks, config, _ in realizations
-    ]
-    sent, pay_bits, headers = zip(*paying)
-    paid = tuple(zip([p for _, _, p in realizations] * len(demands), sent))
-    # per user counted, per atom of a store: the observation's columns, then
-    # the other users' demands, one tuple per demand (it compares faster)
-    columns = {}
-    for k in dict.fromkeys(users + ((0, 1) if invariance else ())):
-        cache, bits, key = zip(*[slots[k, ks[k]] for ks, _, _ in realizations])
-        own, other = [], []
-        for wants in demands:
-            own += [wants[k]] * per_demand
-            other += [wants[:k] + wants[k + 1 :]] * per_demand
-        n = len(demands)
-        columns[k] = (cache * n, bits * n, key * n, paid, pay_bits, headers, own, other)
+    # the symbol offsets of an observation's payload and file values
+    pay_at = max(map(len, slots.values()))
+    file_at = pay_at + max(
+        len(sent) for table in configured.values() for sent, _ in table.values()
+    )
+    numbers: dict[tuple, int] = {}  # per fixed part, in order of first appearance
+
+    def reads(k: int, wants: tuple, file: int | None) -> list[list[tuple]]:
+        """Per column (cache, payload, then file j's content for a view),
+        the value user k's atoms of (a store, demand wants) read there."""
+        top = (file_at + (0 if file is None else t)) * width
+        table, shift, cache, pay = configured[wants], (0,) * pay_at, [], []
+        for ks, config, packed in realizations:
+            forms = slots[k, ks[k]]
+            sent, header = table[ks, config]
+            fixed = (len(forms) * width, ks[k], len(sent) * width, header, wants[k])
+            number = numbers.setdefault(fixed, len(numbers))
+            cache.append((0, forms, 0))
+            pay.append((packed, shift + sent, number << top))
+        if file is None:
+            return [cache, pay]
+        unit = (0,) * file_at + unit_rows(file * t, t)
+        return [cache, pay, [(0, unit, 0)] * per_demand]
+
+    def view_of(obs: int) -> tuple:
+        """The view an invariance int counts: (observation, (file j's
+        value, file bits))."""
+        cbits, key, pbits, header, own = list(numbers)[obs >> (file_at + t) * width]
+        pay = obs >> pay_at * width & (1 << pbits) - 1
+        seen = (obs & (1 << cbits) - 1, cbits, key, pay, pbits, header, own)
+        return seen, (obs >> file_at * width & (1 << file_bits) - 1, file_bits)
+
     low = min(store_bits, max(0, (_BLOCK_ATOMS // per_store).bit_length() - 1))
     block, tables = 1 << low, {}  # _block_table per form set, kept per call
 
     def sweep(feeds):
-        """Feed each (count table, user, atoms [lo, hi) of a store, file j
-        or None) over every store, keyed (observation, (file j's value, file
-        bits)), or with None (other users' demands, observation)."""
+        """Feed each (columns of reads, count) over every store: count is
+        called once per block with the block's ints in atom order."""
         if not feeds:
             return
-        # each value read, keyed (packed pads, forms), at its place in a row
-        places: dict[tuple[int, tuple[int, ...]], int] = {}
+        # each value read, keyed (packed pads, forms, constant), at its
+        # place in a row
+        places: dict[tuple[int, tuple[int, ...], int], int] = {}
         fed = []
-        for table, k, atoms, file in feeds:
-            cache, cbits, key, pay, pbits, header, own, other = map(
-                operator.itemgetter(slice(*atoms)), columns[k]
-            )
-            read = [cache, pay]
-            if file is not None:
-                read.append([(0, unit_rows(file * t, t))] * len(own))
+        for columns, count in feeds:
             gets = []
-            for values in read:
-                at = [places.setdefault(v, len(places)) for v in values]
+            for keys in columns:
+                at = [places.setdefault(key, len(places)) for key in keys]
                 gets.append(operator.itemgetter(*at))
             # a getter of one place returns its value, not a 1-tuple
-            join = itertools.chain.from_iterable if len(own) > 1 else iter
-            fixed = (cbits, key, pbits, header, own, other)
-            fed.append((table, gets, join, [column * block for column in fixed]))
-        distinct = {forms for _, forms in places}
+            join = itertools.chain.from_iterable if len(columns[0]) > 1 else iter
+            fed.append((gets, join, count))
+        distinct = {forms for _, forms, _ in places}
         for forms in distinct - tables.keys():
             tables[forms] = _block_table(forms, width, low)
-        on_pads = [(f, tables[f][1], _evaluate(tables[f][0], p)) for p, f in places]
+        on_pads = [
+            (f, tables[f][1], _evaluate(tables[f][0], p) ^ c) for p, f, c in places
+        ]
         for base in range(0, 1 << store_bits, block):
             at_base = {forms: _evaluate(tables[forms][0], base) for forms in distinct}
             values = []
@@ -612,50 +638,76 @@ def _enumerate(
                 v = at_base[forms] ^ on
                 values.append(map(v.__xor__, table) if v else table)
             rows = list(zip(*values))
-            for table, gets, join, (cbits, key, pbits, header, own, other) in fed:
-                cache, pay, *file = [join(map(get, rows)) for get in gets]
-                seen = zip(cache, cbits, key, pay, pbits, header, own)
-                if file:
-                    table.update(zip(seen, zip(*file, itertools.repeat(file_bits))))
-                else:
-                    table.update(zip(other, seen))
+            for gets, join, count in fed:
+                observed, *rest = [join(map(get, rows)) for get in gets]
+                for column in rest:
+                    observed = map(operator.or_, observed, column)
+                count(observed)
 
-    joints = {user: Counter() for user in users}
-    sweep([(joints[k], k, (0, per_store), None) for k in users])
-    verdicts: dict[str, Verdict] = {}
-    for user, joint in joints.items():
-        verdicts[_privacy(user)] = JointDistribution.of(joint).verdict()
+    def counting(dist: JointDistribution, lefts: list):
+        """A count feeding dist's joint table, keyed (left, int), and its
+        right margin from the ints of one block, lefts its left column."""
+
+        def count(observed):
+            observed = list(observed)
+            dist.joint.update(zip(lefts, observed))
+            dist.right.update(observed)
+
+        return count
+
+    total = per_store << store_bits
+    feeds, dists = [], {}
+    for k in users:
+        columns, other = [[], []], []
+        for wants in demands:
+            for column, keys in zip(columns, reads(k, wants, None)):
+                column += keys
+            other += [wants[:k] + wants[k + 1 :]] * per_demand
+        # the left margin: every store has one store's other-demand column
+        left = Counter({l: c << store_bits for l, c in Counter(other).items()})
+        dists[k] = JointDistribution(total, Counter(), left, Counter())
+        feeds.append((columns, counting(dists[k], other * block)))
+    sweep(feeds)
+    verdicts = {_privacy(k): dist.verdict() for k, dist in dists.items()}
     if invariance:
-        views, spans = _view_tables(), range(0, per_store, per_demand)
-        cases, worst_mi = atom_count(s, width), 0.0
+        views = _view_tables()
+        worst_mi = 0.0
         for k, j in itertools.product((0, 1), repeat=2):
             sweep(
                 [
-                    (views[k, j, wants[1 - k]], k, (lo, lo + per_demand), j)
-                    for lo, wants in zip(spans, demands)
+                    (reads(k, wants, j), views[k, j, wants[1 - k]].update)
+                    for wants in demands
                     if wants[k] == j
                 ]
             )
             t0, t1 = views[k, j, 0], views[k, j, 1]
             cells = dict(zip(zip(itertools.repeat(0), t0), t0.values()))
             cells.update(zip(zip(itertools.repeat(1), t1), t1.values()))
-            dist = JointDistribution.of(Counter(cells))
+            n0, n1 = sum(t0.values()), sum(t1.values())
+            left = Counter({v: n for v, n in ((0, n0), (1, n1)) if n})
+            # t0's views, then t1's new ones, each counted in both tables
+            right = Counter(t0)
+            dict.update(right, t1)
+            for view in t0.keys() & t1.keys():
+                right[view] = t0[view] + t1[view]
+            dist = JointDistribution(n0 + n1, Counter(cells), left, right)
             worst_mi = max(worst_mi, dist.mutual_information_bits())
             # no count is 0, so the tables differ as dicts when they differ
             if dict.__ne__(t0, t1):
-                # first cell in insertion order, t0 then t1, whose counts differ
-                cell = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
+                # first view in insertion order, t0 then t1, whose counts differ
+                view = next(c for c in itertools.chain(t0, t1) if t0[c] != t1[c])
                 verdicts[_INVARIANCE] = Verdict(
                     False,
-                    cases,
+                    total,
                     f"user {k} demanding {j}: view counts shift with the "
-                    f"other demand (first differing cell {cell}: seen {t0[cell]} "
-                    f"times when the other user demands 0, {t1[cell]} when 1)",
+                    f"other demand (first differing cell {view_of(view)}: seen "
+                    f"{t0[view]} times when the other user demands 0, "
+                    f"{t1[view]} when 1)",
                     worst_mi,
                 )
                 break
         else:
-            verdicts[_INVARIANCE] = Verdict(True, cases, None, worst_mi)
+            verdicts[_INVARIANCE] = Verdict(True, total, None, worst_mi)
     return verdicts
 
 

@@ -95,6 +95,37 @@ def test_block_boundaries_leave_the_verdicts_pinned(monkeypatch, tmp_path, block
         assert enumerated(s, width) == pins["verdicts"][case], case
 
 
+@pytest.mark.parametrize(
+    "block_atoms", [1, 1 << 62], ids=["one-store-per-block", "one-block"]
+)
+def test_the_sweeps_margins_are_those_of_the_joint(monkeypatch, tmp_path, block_atoms):
+    # the enumerator counts each margin in its sweep; first_violation reads
+    # them in order, so they must be JointDistribution.of's item by item
+    monkeypatch.setattr(verifier, "_BLOCK_ATOMS", block_atoms)
+    built, of = [], verifier.JointDistribution.of
+
+    class Recorded(verifier.JointDistribution):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            built.append(self)
+
+    monkeypatch.setattr(verifier, "JointDistribution", Recorded)
+    pins = json.loads(PINS.read_text())
+    for case, s, width in schemes(pins["descriptors"], tmp_path):
+        built.clear()
+        enumerated(s, width)
+        # one per privacy check, and one per invariance pair up to the first
+        # whose views differ
+        labels = pins["verdicts"][case]
+        checks = sum(label.startswith("privacy") for label in labels)
+        assert len(built) >= checks + ("conditional-invariance" in labels), case
+        for dist in built:
+            want = of(dist.joint)
+            assert dist.total == want.total, case
+            assert list(dist.left.items()) == list(want.left.items()), case
+            assert list(dist.right.items()) == list(want.right.items()), case
+
+
 def test_enumerated_verdicts_match_the_pins(tmp_path):
     data = PINS.read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINS_SHA256

@@ -470,6 +470,55 @@ def test_unequal_multisets_fall_back_to_enumeration(width, passed, cases):
     assert (v.counterexample is None) is passed
 
 
+def uneven_scheme(longer_cache: bool) -> SchemeInstance:
+    """N=K=2, t=1, two-valued keys and one server part of 2 configurations
+    with one pad.  Either a user's cache is file 0 under key 0 and both
+    files under key 1, and the payload is f_d0 ^ f_d1 (0 when the demands
+    agree); or the cache is file 0 under both keys, and the payload is that
+    symbol under configuration 0 and that symbol then the pad under 1.  So
+    a shorter cache or payload padded with a zero symbol has the value of a
+    longer one, and an int that lost a bit count, or let a longer field run
+    into the next, would merge observations the tuples keep apart."""
+    cache = {0: (0b01,), 1: (0b01, 0b10) if longer_cache else (0b01,)}
+
+    def delivery(demand, keys, configs):
+        both = (1 << demand[0]) ^ (1 << demand[1])
+        return ((both,) if longer_cache or configs[0] == 0 else (both, 0b100)), ()
+
+    program = ColumnProgram(
+        key_sizes=(2, 2),
+        header_sizes=(),
+        server=((2, 1),),
+        cache=lambda user, key: cache[key],
+        delivery=delivery,
+        recipe=lambda user, demand, key, header: (0b01,),
+    )
+    return SchemeInstance(
+        name="uneven",
+        n_files=2,
+        n_users=2,
+        memory=Fraction(1),
+        rate=Fraction(1),
+        subpacketization=1,
+        program=program,
+        privacy=Privacy.PRIVATE,
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize(
+    "longer_cache", [True, False], ids=["cache-by-key", "payload-by-configuration"]
+)
+def test_observation_ints_stay_injective_over_uneven_bit_counts(longer_cache, width):
+    s = uneven_scheme(longer_cache)
+    got = summary(verifier._enumerate(s, width, (0, 1), True))
+    want = reference_checks(s, width, (0, 1), True)
+    assert list(got) == ["privacy[user 0]", "privacy[user 1]", "conditional-invariance"]
+    assert got == {label: want[label] for label in got}
+    # each check leaks, with less than the one bit a plaintext demand gives
+    assert all(not passed and 0 < mi < 1 for passed, _, mi, _ in got.values())
+
+
 def test_a_repeated_user_is_checked_once():
     # proven (example1) and enumerated (the control's leak) alike
     for s in (
