@@ -31,6 +31,9 @@ from .core import (
 from .verifier import Verdict
 
 DEFAULT_TRIAL_BUDGET = 10**6
+# completion keeps each coset as a 2^n_cols-bit element mask (8 KiB at 16
+# columns), so a wider target is refused before its first trial
+MAX_SEARCH_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,9 @@ def _user_feasible(table: list[int], files: Iterable[int], t: int, tx_dim: int) 
     cache span C must meet each needed file's span F_f in t - tx_dim or more.
     table is C's echelon form by highest pivot (table[h]: the row with top bit
     h - 1, or 0), so dim(C & F_f) is its pivot count inside F_f, less each such
-    row that, F_f's columns cleared, is independent of the rows below them."""
+    row that, F_f's columns cleared, is independent of the rows below them.
+    File 0 has no columns below it, so its pivot count is its dimension; the
+    first file whose count falls short ends the test."""
     need = t - tx_dim
     if need <= 0:
         return True
@@ -253,14 +258,18 @@ def _user_feasible(table: list[int], files: Iterable[int], t: int, tx_dim: int) 
         lo = f * t
         inside = table[lo + 1 : lo + t + 1]
         meet = t - inside.count(0)
-        below = table[: lo + 1]
-        for r in map(((1 << lo) - 1).__and__, inside) if meet >= need else ():
-            while p := below[r.bit_length()]:
-                r ^= p
-            meet -= r > 0  # independent: one dimension less
-            below[r.bit_length()] = r
         if meet < need:
             return False
+        if lo:
+            below = table[: lo + 1]
+            for r in map(((1 << lo) - 1).__and__, inside):
+                while p := below[r.bit_length()]:
+                    r ^= p
+                if r:  # independent: one dimension less
+                    meet -= 1
+                    if meet < need:
+                        return False
+                    below[r.bit_length()] = r
     return True
 
 
@@ -354,9 +363,16 @@ def _try_placements(
 
 
 def check_search_target(n_files: int, n_users: int, t: int, budget: int) -> None:
-    """Reject a size below 1 or a negative trial budget."""
+    """Reject a size below 1, more than MAX_SEARCH_COLUMNS columns or a
+    negative trial budget."""
     if min(n_files, n_users, t) < 1:
         raise ParameterError("files, users and subpacketization must be at least 1")
+    if n_files * t > MAX_SEARCH_COLUMNS:
+        raise ParameterError(
+            f"a target of {n_files * t} columns (files times subpacketization) "
+            f"is more than the {MAX_SEARCH_COLUMNS} search handles: completion "
+            f"keeps each coset as a 2^{n_files * t}-bit mask"
+        )
     if budget < 0:
         raise ParameterError(f"trial budget must be non-negative, not {budget}")
 
@@ -429,7 +445,7 @@ def search_linear_scheme(
         trial gives None, leaving completion to compute those it reads."""
         if strategy == "restart":
             widths = (n_cols,) * cache_dim
-            free = n_cols + 1 - cache_dim  # zero entries of a full-rank table
+            zeros = [0] * (n_cols + 1)  # the echelon table before a draw
             for idx in range(budget):
                 # string seeding is stable across runs and platforms
                 draw = random.Random(f"{seed}:{idx}").getrandbits
@@ -437,14 +453,18 @@ def search_linear_scheme(
                 for files in files_needed:
                     # 4096 full-rank draws per user at most: an infeasible target ends
                     for _ in range(4096):
-                        # cache_dim rows in draw order, drawn until independent
-                        table = []
-                        while table.count(0) != free:
-                            table = [0] * (n_cols + 1)
+                        # cache_dim rows in draw order, drawn until independent;
+                        # the rank counts the rows that land on a new pivot
+                        rank = 0
+                        while rank != cache_dim:
+                            table = zeros.copy()
+                            rank = 0
                             for r in map(draw, widths):
                                 while p := table[r.bit_length()]:
                                     r ^= p
-                                table[r.bit_length()] = r
+                                if r:
+                                    table[r.bit_length()] = r
+                                    rank += 1
                         if _user_feasible(table, files, t, tx_dim):
                             break
                     else:

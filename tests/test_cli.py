@@ -167,6 +167,29 @@ def test_search_rejects_bad_targets(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_search_refuses_a_target_too_wide_for_completions_masks(monkeypatch, capsys):
+    # 40 columns would make each coset a 2^40-bit mask; the target is refused
+    # as a usage error before any row is drawn or any mask is built
+    def never(*args):
+        raise AssertionError("the search went past its target check")
+
+    monkeypatch.setattr(search, "_element_mask", never)
+    monkeypatch.setattr(search.random, "Random", never)
+    monkeypatch.setattr(search.gf2, "iter_subspaces", never)
+    for target, columns in (("2,2,20,1,20", 40), ("1,2,17,1,17", 17)):
+        for strategy in ("restart", "exhaustive"):
+            argv = ["search", "--target", target, "--budget", "1", "--strategy", strategy]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: a target of {columns} columns (files times "
+                f"subpacketization) is more than the {search.MAX_SEARCH_COLUMNS} "
+                f"search handles: completion keeps each coset as a "
+                f"2^{columns}-bit mask\n"
+            )
+
+
 def test_search_says_a_refused_target_ran_no_trial(capsys):
     assert main(["search", "--target", "2,4,4,5,1", "--budget", "4"]) == 1
     captured = capsys.readouterr()

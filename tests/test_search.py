@@ -372,9 +372,22 @@ FILTER_COUNTS = {
 }
 
 
+# getrandbits calls per search call at the commit before each draw was
+# handled in one pass, same targets, budgets and seeds; every call draws one
+# row over the target's 6 columns.  The filter sees only full-rank draws, so
+# these pin the rows drawn ahead of a filter call or again after a dependent
+# row
+ROWS_DRAWN = {
+    ((2, 4, 3, 4, 1), 32): [7756, 8644, 5416, 7864, 9616],
+    ((2, 4, 3, 1, 4), 16): [65, 65, 64, 64, 65],
+    ((2, 4, 3, 3, 2), 16): [564, 516, 564, 528, 579],
+}
+
+
 def test_the_rank_filter_is_called_and_passes_as_before(monkeypatch):
     counts = [0, 0]
     feasible = search._user_feasible
+    draws = []
 
     def counting(*args):
         passed = feasible(*args)
@@ -383,13 +396,21 @@ def test_the_rank_filter_is_called_and_passes_as_before(monkeypatch):
         return passed
 
     monkeypatch.setattr(search, "_user_feasible", counting)
+    monkeypatch.setattr(
+        search, "random", SimpleNamespace(Random=lambda s: CountingRandom(s, draws))
+    )
+    assert FILTER_COUNTS.keys() == ROWS_DRAWN.keys()
     for (target, budget), want in FILTER_COUNTS.items():
-        got = []
+        got, rows = [], []
         for seed in range(5):
             counts[:] = [0, 0]
+            draws.clear()
             search_linear_scheme(*target, CYCLIC, seed=seed, budget=budget)
             got.append(tuple(counts))
+            rows.append(len(draws))
+            assert set(draws) == {6}, target
         assert got == want, target
+        assert rows == ROWS_DRAWN[(target, budget)], target
 
 
 # (target, strategy, seed, budget) -> matrices or None.  search_pins.json was
@@ -422,6 +443,18 @@ def test_no_pinned_or_benchmark_target_is_refused(monkeypatch):
     # the search-seeds benchmark targets: hit, scan and the infeasible miss
     for target in ((2, 4, 3, 4, 1), (2, 4, 3, 1, 4), (2, 4, 3, 3, 2)):
         assert reaches_a_trial(monkeypatch, target), target
+
+
+def test_only_targets_wider_than_the_column_bound_are_refused(monkeypatch):
+    # MAX_SEARCH_COLUMNS columns still reach a trial, one more is refused
+    # before it, by either strategy
+    assert search.MAX_SEARCH_COLUMNS == 16
+    for strategy in ("restart", "exhaustive"):
+        assert reaches_a_trial(monkeypatch, (2, 4, 8, 1, 8), strategy)
+        assert reaches_a_trial(monkeypatch, (1, 2, 16, 1, 16), strategy)
+        for target in ((1, 2, 17, 1, 17), (2, 2, 9, 1, 9)):
+            with pytest.raises(ParameterError, match="columns"):
+                reaches_a_trial(monkeypatch, target, strategy)
 
 
 @pytest.mark.parametrize(
