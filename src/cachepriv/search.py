@@ -207,7 +207,7 @@ def compile_linear_scheme(
 # search
 
 
-# (n_cols, dim) -> ([(rows, element mask)] of the dim-dimensional subspaces in
+# (n_cols, dim) -> ([rows] of the dim-dimensional subspaces in
 # gf2.iter_subspaces order, {element x: bitset with bit i set when entry i
 # holds x}, that generator), filled as far as a scan reached
 _SUBSPACES: dict[
@@ -295,7 +295,7 @@ def _first_meeting_span(
             meets |= bits.get(x, 0)
         meets_all &= meets
     if meets_all:
-        return table[(meets_all & -meets_all).bit_length() - 1][0]
+        return table[(meets_all & -meets_all).bit_length() - 1]
     masks = [m for m, _ in cosets]
     for rows in source:
         bit = 1 << len(table)
@@ -303,7 +303,7 @@ def _first_meeting_span(
         for x in elements:
             bits[x] = bits.get(x, 0) | bit
         mask = _element_mask(elements)
-        table.append((rows, mask))
+        table.append(rows)
         if all(mask & m for m in masks):
             return rows
     return None

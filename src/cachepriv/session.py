@@ -11,6 +11,7 @@ the bits packed little-endian and zero-padded up to an octet boundary.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,28 +76,32 @@ class SessionTranscript:
 # wire encoding
 
 
-def _bit_block(value: int, bits: int) -> bytes:
+# fixed parts: type and payload length, then the fields ahead of a bit block
+_HEAD = struct.Struct("<BI")  # also a placement's user and key
+_PLACEMENT = struct.Struct("<BIBII")  # ... user, key, cache bit count
+_DELIVERY = struct.Struct("<BII")  # ... header bit count
+_DECODE = struct.Struct("<BIBBBI")  # ... user, file, matched, decoded bit count
+_COUNT = struct.Struct("<I")
+
+
+def _octets(bits: int) -> int:
     if not 0 <= bits < 1 << 32:
         raise TranscriptError(f"bit block of {bits} bits overflows its 4-octet length")
-    return bits.to_bytes(4, "little") + value.to_bytes((bits + 7) // 8, "little")
+    return (bits + 7) >> 3
 
 
-def _read_bit_block(buf: bytes, pos: int) -> tuple[int, int, int]:
-    if pos + 4 > len(buf):
+def _read_bit_block(view: memoryview, pos: int, end: int) -> tuple[int, int, int]:
+    if pos + 4 > end:
         raise TranscriptError("truncated bit block length")
-    bits = int.from_bytes(buf[pos : pos + 4], "little")
+    (bits,) = _COUNT.unpack_from(view, pos)
     pos += 4
-    nbytes = (bits + 7) // 8
-    if pos + nbytes > len(buf):
+    stop = pos + ((bits + 7) >> 3)
+    if stop > end:
         raise TranscriptError("truncated bit block body")
-    value = int.from_bytes(buf[pos : pos + nbytes], "little")
+    value = int.from_bytes(view[pos:stop], "little")
     if value >> bits:
         raise TranscriptError("nonzero padding bits")
-    return bits, value, pos + nbytes
-
-
-def _frame(frame_type: int, payload: bytes) -> bytes:
-    return bytes([frame_type]) + len(payload).to_bytes(4, "little") + payload
+    return bits, value, stop
 
 
 def pack_header(header: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[int, int]:
@@ -111,83 +116,93 @@ def pack_header(header: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[int, i
 
 
 def transcript_to_bytes(t: SessionTranscript) -> bytes:
-    out = bytearray()
+    """The placements, then the delivery, then the reports, as frames.  A
+    frame's user, key or file is checked before its bit count, and a bit
+    count before its body is made."""
+    parts: list[bytes] = []
     for p in t.placements:
+        n = (p.cache_bits + 7) >> 3
         try:
-            head = bytes([p.user]) + p.key.to_bytes(4, "little")
-        except (ValueError, OverflowError) as err:
+            head = _PLACEMENT.pack(FRAME_PLACEMENT, 9 + n, p.user, p.key, p.cache_bits)
+        except struct.error as err:
+            if 0 <= p.user < 256 and 0 <= p.key < 1 << 32:
+                _octets(p.cache_bits)
+                raise
             raise TranscriptError(
                 f"placement frame cannot hold user {p.user} and key {p.key} "
                 "(user takes one octet, key four)"
             ) from err
-        out += _frame(FRAME_PLACEMENT, head + _bit_block(p.cache_value, p.cache_bits))
+        parts += (head, p.cache_value.to_bytes(n, "little"))
     d = t.delivery
-    out += _frame(
-        FRAME_DELIVERY,
-        _bit_block(d.header_value, d.header_bits)
-        + _bit_block(d.payload_value, d.payload_bits),
-    )
+    header = d.header_value.to_bytes(_octets(d.header_bits), "little")
+    payload = d.payload_value.to_bytes(_octets(d.payload_bits), "little")
+    size = 8 + len(header) + len(payload)
+    parts += (_DELIVERY.pack(FRAME_DELIVERY, size, d.header_bits), header,
+              _COUNT.pack(d.payload_bits), payload)
     for r in t.reports:
+        n = (r.decoded_bits + 7) >> 3
         try:
-            head = bytes([r.user, r.file_index, 1 if r.matched else 0])
-        except ValueError as err:
+            head = _DECODE.pack(FRAME_DECODE, 7 + n, r.user, r.file_index,
+                                1 if r.matched else 0, r.decoded_bits)
+        except struct.error as err:
+            if 0 <= r.user < 256 and 0 <= r.file_index < 256:
+                _octets(r.decoded_bits)
+                raise
             raise TranscriptError(
                 f"decode frame cannot hold user {r.user} and file {r.file_index} "
                 "(one octet each)"
             ) from err
-        out += _frame(FRAME_DECODE, head + _bit_block(r.decoded_value, r.decoded_bits))
-    return bytes(out)
+        parts += (head, r.decoded_value.to_bytes(n, "little"))
+    return b"".join(parts)
 
 
 def parse_transcript(buf: bytes, scheme_name: str = "") -> SessionTranscript:
+    """Frames may come in any order; they are collected by type."""
     placements: list[PlacementFrame] = []
     delivery: DeliveryFrame | None = None
     reports: list[DecodeReport] = []
-    pos = 0
-    while pos < len(buf):
-        if pos + 5 > len(buf):
-            raise TranscriptError("truncated frame header")
-        frame_type = buf[pos]
-        length = int.from_bytes(buf[pos + 1 : pos + 5], "little")
-        pos += 5
-        body = buf[pos : pos + length]
-        if len(body) != length:
-            raise TranscriptError("truncated frame body")
-        pos += length
-        if frame_type == FRAME_PLACEMENT:
-            if len(body) < 5:
-                raise TranscriptError("truncated placement frame")
-            user = body[0]
-            key = int.from_bytes(body[1:5], "little")
-            bits, value, end = _read_bit_block(body, 5)
-            if end != len(body):
-                raise TranscriptError("trailing bytes in placement frame")
-            placements.append(PlacementFrame(user, key, bits, value))
-        elif frame_type == FRAME_DELIVERY:
-            if delivery is not None:
-                raise TranscriptError("second delivery frame")
-            hbits, hvalue, mid = _read_bit_block(body, 0)
-            pbits, pvalue, end = _read_bit_block(body, mid)
-            if end != len(body):
-                raise TranscriptError("trailing bytes in delivery frame")
-            delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
-        elif frame_type == FRAME_DECODE:
-            if len(body) < 3:
-                raise TranscriptError("truncated decode frame")
-            user, file_index, matched = body[0], body[1], body[2]
-            bits, value, end = _read_bit_block(body, 3)
-            if end != len(body):
-                raise TranscriptError("trailing bytes in decode frame")
-            reports.append(
-                DecodeReport(user, file_index, bool(matched), bits, value)
-            )
-        else:
-            raise TranscriptError(f"unknown frame type {frame_type:#x}")
+    with memoryview(buf) as view:
+        size = len(view)
+        pos = 0
+        while pos < size:
+            if pos + 5 > size:
+                raise TranscriptError("truncated frame header")
+            frame_type, length = _HEAD.unpack_from(view, pos)
+            start = pos + 5
+            pos = start + length
+            if pos > size:
+                raise TranscriptError("truncated frame body")
+            if frame_type == FRAME_PLACEMENT:
+                if length < 5:
+                    raise TranscriptError("truncated placement frame")
+                user, key = _HEAD.unpack_from(view, start)
+                bits, value, end = _read_bit_block(view, start + 5, pos)
+                if end != pos:
+                    raise TranscriptError("trailing bytes in placement frame")
+                placements.append(PlacementFrame(user, key, bits, value))
+            elif frame_type == FRAME_DELIVERY:
+                if delivery is not None:
+                    raise TranscriptError("second delivery frame")
+                hbits, hvalue, mid = _read_bit_block(view, start, pos)
+                pbits, pvalue, end = _read_bit_block(view, mid, pos)
+                if end != pos:
+                    raise TranscriptError("trailing bytes in delivery frame")
+                delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
+            elif frame_type == FRAME_DECODE:
+                if length < 3:
+                    raise TranscriptError("truncated decode frame")
+                user, want, matched = view[start : start + 3]
+                if matched > 1:
+                    raise TranscriptError(f"matched octet {matched} is neither 0 nor 1")
+                bits, value, end = _read_bit_block(view, start + 3, pos)
+                if end != pos:
+                    raise TranscriptError("trailing bytes in decode frame")
+                reports.append(DecodeReport(user, want, matched == 1, bits, value))
+            else:
+                raise TranscriptError(f"unknown frame type {frame_type:#x}")
     if delivery is None:
         raise TranscriptError("transcript has no delivery frame")
-    return SessionTranscript(
-        scheme_name, tuple(placements), delivery, tuple(reports)
-    )
+    return SessionTranscript(scheme_name, tuple(placements), delivery, tuple(reports))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ own place, deliver and decode, and delivery rows are
 found by testing the rank condition on every candidate span, the rank
 filter's intersection dimensions are counted from span elements, and the
 rate envelope is found by stepping up a grid until every constraint holds.
+The transcript codec is checked against a frame-by-frame byte-slicing
+codec (reference_transcript_bytes, reference_parse).
 The virtual demand a lifted scheme serves is built block by block from
 the real demand and the keys (expand_demand), where lift looks it up in
 the cyclic demand set by its shifts.
@@ -33,6 +35,16 @@ from cachepriv.core import (
     pack_symbols,
 )
 from cachepriv.region import check_inequalities
+from cachepriv.session import (
+    FRAME_DECODE,
+    FRAME_DELIVERY,
+    FRAME_PLACEMENT,
+    DecodeReport,
+    DeliveryFrame,
+    PlacementFrame,
+    SessionTranscript,
+    TranscriptError,
+)
 from cachepriv.verifier import DecodeCounterexample, IndependenceCounterexample
 
 
@@ -383,3 +395,113 @@ def solve_combination_per_target(
         return None
     marker = t >> n_cols
     return tuple((marker >> i) & 1 for i in range(len(rows)))
+
+
+# ---------------------------------------------------------------------------
+# transcript codec: each frame's payload built or sliced out as its own bytes
+
+
+def _bit_block(value: int, bits: int) -> bytes:
+    if not 0 <= bits < 1 << 32:
+        raise TranscriptError(f"bit block of {bits} bits overflows its 4-octet length")
+    return bits.to_bytes(4, "little") + value.to_bytes((bits + 7) // 8, "little")
+
+
+def _read_bit_block(buf: bytes, pos: int) -> tuple[int, int, int]:
+    if pos + 4 > len(buf):
+        raise TranscriptError("truncated bit block length")
+    bits = int.from_bytes(buf[pos : pos + 4], "little")
+    pos += 4
+    nbytes = (bits + 7) // 8
+    if pos + nbytes > len(buf):
+        raise TranscriptError("truncated bit block body")
+    value = int.from_bytes(buf[pos : pos + nbytes], "little")
+    if value >> bits:
+        raise TranscriptError("nonzero padding bits")
+    return bits, value, pos + nbytes
+
+
+def _frame(frame_type: int, payload: bytes) -> bytes:
+    return bytes([frame_type]) + len(payload).to_bytes(4, "little") + payload
+
+
+def reference_transcript_bytes(t: SessionTranscript) -> bytes:
+    out = bytearray()
+    for p in t.placements:
+        try:
+            head = bytes([p.user]) + p.key.to_bytes(4, "little")
+        except (ValueError, OverflowError) as err:
+            raise TranscriptError(
+                f"placement frame cannot hold user {p.user} and key {p.key} "
+                "(user takes one octet, key four)"
+            ) from err
+        out += _frame(FRAME_PLACEMENT, head + _bit_block(p.cache_value, p.cache_bits))
+    d = t.delivery
+    out += _frame(
+        FRAME_DELIVERY,
+        _bit_block(d.header_value, d.header_bits)
+        + _bit_block(d.payload_value, d.payload_bits),
+    )
+    for r in t.reports:
+        try:
+            head = bytes([r.user, r.file_index, 1 if r.matched else 0])
+        except ValueError as err:
+            raise TranscriptError(
+                f"decode frame cannot hold user {r.user} and file {r.file_index} "
+                "(one octet each)"
+            ) from err
+        out += _frame(FRAME_DECODE, head + _bit_block(r.decoded_value, r.decoded_bits))
+    return bytes(out)
+
+
+def reference_parse(buf: bytes, scheme_name: str = "") -> SessionTranscript:
+    placements: list[PlacementFrame] = []
+    delivery: DeliveryFrame | None = None
+    reports: list[DecodeReport] = []
+    pos = 0
+    while pos < len(buf):
+        if pos + 5 > len(buf):
+            raise TranscriptError("truncated frame header")
+        frame_type = buf[pos]
+        length = int.from_bytes(buf[pos + 1 : pos + 5], "little")
+        pos += 5
+        body = buf[pos : pos + length]
+        if len(body) != length:
+            raise TranscriptError("truncated frame body")
+        pos += length
+        if frame_type == FRAME_PLACEMENT:
+            if len(body) < 5:
+                raise TranscriptError("truncated placement frame")
+            user = body[0]
+            key = int.from_bytes(body[1:5], "little")
+            bits, value, end = _read_bit_block(body, 5)
+            if end != len(body):
+                raise TranscriptError("trailing bytes in placement frame")
+            placements.append(PlacementFrame(user, key, bits, value))
+        elif frame_type == FRAME_DELIVERY:
+            if delivery is not None:
+                raise TranscriptError("second delivery frame")
+            hbits, hvalue, mid = _read_bit_block(body, 0)
+            pbits, pvalue, end = _read_bit_block(body, mid)
+            if end != len(body):
+                raise TranscriptError("trailing bytes in delivery frame")
+            delivery = DeliveryFrame(hbits, hvalue, pbits, pvalue)
+        elif frame_type == FRAME_DECODE:
+            if len(body) < 3:
+                raise TranscriptError("truncated decode frame")
+            user, file_index, matched = body[0], body[1], body[2]
+            if matched not in (0, 1):
+                raise TranscriptError(f"matched octet {matched} is neither 0 nor 1")
+            bits, value, end = _read_bit_block(body, 3)
+            if end != len(body):
+                raise TranscriptError("trailing bytes in decode frame")
+            reports.append(
+                DecodeReport(user, file_index, bool(matched), bits, value)
+            )
+        else:
+            raise TranscriptError(f"unknown frame type {frame_type:#x}")
+    if delivery is None:
+        raise TranscriptError("transcript has no delivery frame")
+    return SessionTranscript(
+        scheme_name, tuple(placements), delivery, tuple(reports)
+    )
