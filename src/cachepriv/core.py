@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -62,28 +63,38 @@ def unpack_symbols(value: int, width: int, count: int) -> tuple[int, ...]:
     return tuple((value >> (i * width)) & mask for i in range(count))
 
 
-@dataclass(frozen=True, slots=True)
-class FileStore:
+class FileStore(
+    namedtuple("FileStore", "n_files subpacketization symbol_width values")
+):
     """A library of n_files files, each split into t subfile symbols of
     symbol_width bits.
 
     The symbols are ints in column order: file i subfile j is
-    values[i*t + j].
+    values[i*t + j].  An immutable named tuple; the constructor, _make and
+    _replace all check the width, the symbol count and each value's range.
     """
 
-    n_files: int
-    subpacketization: int
-    symbol_width: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_width(self.symbol_width)
-        if len(self.values) != self.n_files * self.subpacketization:
+    def __new__(
+        cls,
+        n_files: int,
+        subpacketization: int,
+        symbol_width: int,
+        values: tuple[int, ...],
+    ) -> "FileStore":
+        check_width(symbol_width)
+        if len(values) != n_files * subpacketization:
             raise ValueError("symbol count does not match files x subfiles")
-        limit = 1 << self.symbol_width
-        for v in self.values:
+        limit = 1 << symbol_width
+        for v in values:
             if not 0 <= v < limit:
-                raise ValueError(f"value {v} out of range for width {self.symbol_width}")
+                raise ValueError(f"value {v} out of range for width {symbol_width}")
+        return tuple.__new__(cls, (n_files, subpacketization, symbol_width, values))
+
+    @classmethod
+    def _make(cls, iterable) -> "FileStore":
+        return cls(*iterable)
 
     def file(self, i: int) -> tuple[int, ...]:
         t = self.subpacketization
@@ -115,17 +126,58 @@ class FileStore:
 # demands
 
 
-@dataclass(frozen=True, slots=True)
-class DemandVector:
+class Frozen:
+    """Base of an immutable slot class whose constructor validates, then
+    sets the fields named in _fields once, in order (Frozen.__init__).
+    Instances compare and hash by the class and the fields' values, as a
+    frozen dataclass does, copy and pickle through the constructor, and
+    raise AttributeError on any assignment.  A slot outside _fields may
+    hold a lookup derived from the fields, set with object.__setattr__ on
+    first use.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DemandVector(Frozen):
     """One file request per user, each in range(n_files)."""
 
-    n_files: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("n_files", "entries")
 
-    def __post_init__(self) -> None:
-        for d in self.entries:
-            if not 0 <= d < self.n_files:
-                raise ValueError(f"demand {d} out of range for {self.n_files} files")
+    def __init__(self, n_files: int, entries: tuple[int, ...]) -> None:
+        for d in entries:
+            if not 0 <= d < n_files:
+                raise ValueError(f"demand {d} out of range for {n_files} files")
+        super().__init__(n_files, entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -148,19 +200,23 @@ def cyclic_shift(vector: Sequence[int], times: int) -> tuple[int, ...]:
     return tuple(vector[(j - t) % n] for j in range(n))
 
 
-@dataclass(frozen=True)
-class DemandSubset:
+class DemandSubset(Frozen):
     """An explicit set of demand vectors."""
 
-    n_files: int
-    n_users: int
-    members: tuple[tuple[int, ...], ...]
-    label: str
+    _fields = ("n_files", "n_users", "members", "label")
+    __slots__ = (*_fields, "_member_set")
 
-    def __post_init__(self) -> None:
-        for m in self.members:
-            if len(m) != self.n_users:
+    def __init__(
+        self,
+        n_files: int,
+        n_users: int,
+        members: tuple[tuple[int, ...], ...],
+        label: str,
+    ) -> None:
+        for m in members:
+            if len(m) != n_users:
                 raise ValueError("member length does not match user count")
+        super().__init__(n_files, n_users, members, label)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -169,11 +225,12 @@ class DemandSubset:
         return iter(self.members)
 
     def __contains__(self, demand: object) -> bool:
-        return tuple(demand) in self._member_set  # type: ignore[arg-type]
-
-    @cached_property
-    def _member_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.members)
+        try:
+            member_set = self._member_set
+        except AttributeError:
+            member_set = frozenset(self.members)
+            object.__setattr__(self, "_member_set", member_set)
+        return tuple(demand) in member_set  # type: ignore[arg-type]
 
 
 def full_demand_set(n_files: int, n_users: int) -> DemandSubset:

@@ -8,9 +8,8 @@ rationals as p/q strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ParameterError, SchemeInstance
 
@@ -22,8 +21,7 @@ CONSTRAINTS_2X2: tuple[tuple[Fraction, Fraction, Fraction, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     memory: Fraction
     rate: Fraction
     label: str

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -36,19 +36,22 @@ DEFAULT_TRIAL_BUDGET = 10**6
 MAX_SEARCH_COLUMNS = 16
 
 
-@dataclass(frozen=True)
-class LinearSchemeMatrices:
+class LinearSchemeMatrices(
+    namedtuple(
+        "LinearSchemeMatrices",
+        "n_files n_users subpacketization cache_rows deliveries",
+    )
+):
     """Cache matrices per virtual user and delivery matrices per demand.
 
     Rows are bit-packed ints over n_files*subpacketization columns.
-    deliveries is a tuple of (demand, rows) pairs in a fixed order.
+    deliveries is a tuple of (demand, rows) pairs in a fixed order.  An
+    immutable named tuple (copy one with _replace); the instance dict holds
+    only the delivery index, built on the first delivery_for.
     """
 
-    n_files: int
-    n_users: int
-    subpacketization: int
-    cache_rows: tuple[tuple[int, ...], ...]
-    deliveries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n_cols(self) -> int:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     DemandVector,
@@ -35,24 +34,21 @@ class TranscriptError(Exception):
     """Malformed transcript bytes."""
 
 
-@dataclass(frozen=True)
-class PlacementFrame:
+class PlacementFrame(NamedTuple):
     user: int
     key: int
     cache_bits: int
     cache_value: int
 
 
-@dataclass(frozen=True)
-class DeliveryFrame:
+class DeliveryFrame(NamedTuple):
     header_bits: int
     header_value: int
     payload_bits: int
     payload_value: int
 
 
-@dataclass(frozen=True)
-class DecodeReport:
+class DecodeReport(NamedTuple):
     user: int
     file_index: int
     matched: bool
@@ -60,8 +56,7 @@ class DecodeReport:
     decoded_value: int
 
 
-@dataclass(frozen=True)
-class SessionTranscript:
+class SessionTranscript(NamedTuple):
     scheme_name: str
     placements: tuple[PlacementFrame, ...]
     delivery: DeliveryFrame

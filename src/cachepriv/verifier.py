@@ -21,9 +21,8 @@ import math
 import operator
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import (
     FileStore,
@@ -85,8 +84,7 @@ def resolve_budget(budget: int | None = None) -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class DecodeCounterexample:
+class DecodeCounterexample(NamedTuple):
     store_index: int
     demand: tuple[int, ...]
     user_keys: tuple[int, ...]
@@ -104,8 +102,7 @@ class DecodeCounterexample:
         )
 
 
-@dataclass(frozen=True)
-class IndependenceCounterexample:
+class IndependenceCounterexample(NamedTuple):
     left: tuple[int, ...]
     joint_count: int
     left_count: int
@@ -120,8 +117,7 @@ class IndependenceCounterexample:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one exhaustive check."""
 
     passed: bool
@@ -153,19 +149,37 @@ def _atom_factors(s: SchemeInstance, width: int) -> tuple[int, int]:
 # joint count tables
 
 
-@dataclass
 class JointDistribution:
     """Exact joint counts of (left, right) observations over an atom space.
 
     The enumerator builds each one with its margins, counted in its sweep
     in the order of first appearance in joint that `of` gives; `of`, which
-    derives them cell by cell, serves from_pairs only.
+    derives them cell by cell, serves from_pairs only.  Mutable; two are
+    equal when their class and all four fields are.
     """
 
-    total: int = 0
-    joint: Counter = field(default_factory=Counter)
-    left: Counter = field(default_factory=Counter)
-    right: Counter = field(default_factory=Counter)
+    __slots__ = ("total", "joint", "left", "right")
+
+    def __init__(
+        self,
+        total: int = 0,
+        joint: Counter | None = None,
+        left: Counter | None = None,
+        right: Counter | None = None,
+    ) -> None:
+        self.total = total
+        self.joint = Counter() if joint is None else joint
+        self.left = Counter() if left is None else left
+        self.right = Counter() if right is None else right
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "JointDistribution":

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -568,7 +567,7 @@ def test_a_descriptor_serving_other_demands_lists_them_in_file_order(tmp_path):
     m = high_memory_2x4_matrices()
     deliveries = m.deliveries[:3][::-1]
     path = tmp_path / "partial.desc"
-    path.write_text(export_descriptor(replace(m, deliveries=deliveries), "partial"))
+    path.write_text(export_descriptor(m._replace(deliveries=deliveries), "partial"))
     cachepriv.cli._parse_descriptor_text.cache_clear()
     members = tuple(d for d, _ in deliveries)
     assert set(members) != set(cyclic_demand_set(2, 2).members)

@@ -25,7 +25,7 @@ def test_library_example_prints_its_comments():
         for line in code.splitlines()
         if line.startswith("print(")
     ]
-    assert len(expected) == 4
+    assert len(expected) == 5
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -120,8 +119,8 @@ def test_encode_rejects_fields_too_wide_for_the_frame(frame, field, limit):
 
     def with_value(v):
         if frame == "placement":
-            return replace(t, placements=(replace(t.placements[0], **{field: v}),))
-        return replace(t, reports=(replace(t.reports[0], **{field: v}),))
+            return t._replace(placements=(t.placements[0]._replace(**{field: v}),))
+        return t._replace(reports=(t.reports[0]._replace(**{field: v}),))
 
     fits = with_value(limit - 1)
     assert parse_transcript(transcript_to_bytes(fits), "demo") == fits
@@ -132,8 +131,8 @@ def test_encode_rejects_fields_too_wide_for_the_frame(frame, field, limit):
 def test_encode_rejects_a_bit_count_too_wide_for_its_length():
     # raised before the 512 MiB body of a 2**32-bit block is allocated
     t = tiny_transcript()
-    frame = replace(t.placements[0], cache_bits=2**32, cache_value=0)
-    huge = replace(t, placements=(frame,))
+    frame = t.placements[0]._replace(cache_bits=2**32, cache_value=0)
+    huge = t._replace(placements=(frame,))
     with pytest.raises(TranscriptError, match="overflows its 4-octet length"):
         transcript_to_bytes(huge)
 

@@ -12,7 +12,6 @@ they must raise the same TranscriptError or parse to equal transcripts.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -112,18 +111,18 @@ def test_encode_errors_are_the_references_in_the_same_order():
         for key in (0, (1 << 32) - 1, 1 << 32, -1):
             for bits in (3, *bad_bits):
                 frame = PlacementFrame(user, key, bits, 0)
-                cases.append(replace(base, placements=(frame,)))
+                cases.append(base._replace(placements=(frame,)))
     for user in (0, 256, -1):
         for file_index in (255, 256):
             for bits in (3, *bad_bits):
                 report = DecodeReport(user, file_index, False, bits, 0)
-                cases.append(replace(base, reports=(report,)))
+                cases.append(base._replace(reports=(report,)))
     for header_bits in (2, *bad_bits):
         for payload_bits in (4, *bad_bits):
             delivery = DeliveryFrame(header_bits, 0, payload_bits, 0)
             # a bad placement ahead of the delivery is reported first
             for placements in ((), (PlacementFrame(256, 0, 3, 0),)):
-                cases.append(replace(base, placements=placements, delivery=delivery))
+                cases.append(base._replace(placements=placements, delivery=delivery))
     failures = 0
     for t in cases:
         want = encoded(reference_transcript_bytes, t)

@@ -128,7 +128,7 @@ def perturbed_2x4(rng: random.Random) -> SchemeInstance:
         changed = list(rows)
         changed[rng.randrange(len(rows))] ^= rng.randrange(1, 1 << 6)
     deliveries[k] = (demand, tuple(changed))
-    m = replace(m, deliveries=tuple(deliveries))
+    m = m._replace(deliveries=tuple(deliveries))
     return compile_linear_scheme(m, cyclic_demand_set(2, 2), "perturbed")
 
 

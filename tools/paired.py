@@ -13,11 +13,19 @@ in the host's speed falls on both sides of a pair alike.  Every timed run's
 stdout and exit code must be those of the call's first run, so that a
 process-wide memo warmed by earlier calls cannot change an output unseen.
 
-Prints per call the median milliseconds on each side and the median of the
-paired ratios B/A, then the median paired ratio over every call and
-repetition.  Exits 1 when a call's stdout or exit code differs between the
-sides or from its first run, and 2 on a usage error.  Uses the standard
-library only.
+Before the calls, it times a fresh import of each side N times, alternating
+the sides in the same way: it drops that side's cachepriv_a.* or
+cachepriv_b.* modules and imports its cli again, and the calls then run on
+the last import.  With PYTHONDONTWRITEBYTECODE=1 and no bytecode cached,
+every such import compiles each source, as a first run from a fresh
+checkout does.
+
+Prints a first `fresh import` row, then per call the median milliseconds
+on each side and the median of the paired ratios B/A, then the median
+paired ratio over every call and repetition, the import row not included.
+Exits 1 when a call's stdout or exit code differs between the sides or
+from its first run, and 2 on a usage error.  Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -43,6 +51,16 @@ def load_cli(root: str, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
+
+
+def reload_cli(root: str, name: str) -> tuple[object, float]:
+    """(cli, seconds) of a fresh import of root's package as name: every
+    module of that package is dropped from sys.modules first."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    started = time.perf_counter()
+    cli = load_cli(root, name)
+    return cli, time.perf_counter() - started
 
 
 def run(cli, argv: list[str]) -> tuple[object, str, float]:
@@ -85,7 +103,13 @@ def main(argv: list[str] | None = None) -> int:
     calls = split_calls(argv[head:])
     if not calls or args.repeat < 1:
         parser.error("give at least one call and a positive --repeat")
-    sides = load_cli(args.a_dir, "cachepriv_a"), load_cli(args.b_dir, "cachepriv_b")
+    roots = (args.a_dir, "cachepriv_a"), (args.b_dir, "cachepriv_b")
+    sides = [load_cli(*root) for root in roots]  # untimed: loads the stdlib
+    imports: tuple[list[float], list[float]] = ([], [])
+    for rep in range(args.repeat):
+        for side in (0, 1) if rep % 2 == 0 else (1, 0):
+            sides[side], elapsed = reload_cli(*roots[side])
+            imports[side].append(elapsed)
 
     first = []  # per call, the (exit code, stdout) of its untimed runs
     for call in calls:
@@ -113,16 +137,21 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
                 (t_a, t_b)[side].append(elapsed)
 
-    ratios = []
-    width = max(len(" ".join(call)) for call in calls)
-    print(f"{'call':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}")
-    for call, (t_a, t_b) in zip(calls, times):
+    width = max(len("fresh import"), *(len(" ".join(call)) for call in calls))
+
+    def row(label: str, t_a: list[float], t_b: list[float]) -> list[float]:
         paired = [b / a for a, b in zip(t_a, t_b)]
-        ratios += paired
         print(
-            f"{' '.join(call):<{width}}  {statistics.median(t_a) * 1e3:>10.3f}  "
+            f"{label:<{width}}  {statistics.median(t_a) * 1e3:>10.3f}  "
             f"{statistics.median(t_b) * 1e3:>10.3f}  {statistics.median(paired):>6.3f}"
         )
+        return paired
+
+    print(f"{'call':<{width}}  {'A ms':>10}  {'B ms':>10}  {'B/A':>6}")
+    row("fresh import", *imports)
+    ratios = []
+    for call, (t_a, t_b) in zip(calls, times):
+        ratios += row(" ".join(call), t_a, t_b)
     print(
         f"median paired ratio B/A over {len(calls)} calls x {args.repeat} "
         f"repetitions: {statistics.median(ratios):.3f}"
