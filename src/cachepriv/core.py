@@ -295,71 +295,10 @@ def columns_of(forms: Rows) -> tuple[tuple[int, ...], ...]:
     return tuple(map(form_columns, forms))
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnProgram:
-    """A keyed GF(2)-linear scheme as three lazily filled tables of forms
-    (Rows): bit c of a form stands for input c.
-
-    cache(user, key) gives forms over the file columns (file i subfile j is
-    column i*t + j); delivery(demand, keys, configs) gives (forms over the
-    file columns then the pad columns, header); recipe(user, demand, key,
-    header) gives forms over the user's cache symbols then the payload.
-
-    server lists the parts of the server randomness, least significant
-    first, as (configurations, pads).  At width w a part's low pads*w bits
-    fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
-    above them modulo configurations is the part's configuration.
-
-    The tables are plain lookups with no memo of their own; where an entry
-    is re-read, the scheme keeps it inside (a thm1's slot orders, a share's
-    parts' deliveries), and the verifier's walk keeps the recipes it reads
-    again for that walk only.  columns[table] is a memo of the table's
-    entries with each form as its column tuple (form_columns), the symbol
-    path's view: a negative form raises IndexError on the entry's first
-    read there.  These memos live as long as the program, which a
-    memoised constructor keeps per process (SCHEME_MEMO).
-    """
-
-    key_sizes: tuple[int, ...]
-    header_sizes: tuple[int, ...]
-    server: tuple[tuple[int, int], ...]
-    cache: Callable[[int, int], Rows]
-    delivery: Callable[..., tuple[Rows, tuple[int, ...]]]
-    recipe: Callable[..., Rows]
-
-    @cached_property
-    def columns(self) -> dict[str, Callable]:
-        cache, delivery, recipe = self.cache, self.delivery, self.recipe
-
-        def delivered(*args):
-            forms, header = delivery(*args)
-            return columns_of(forms), header
-
-        return {
-            "cache": functools.cache(lambda *args: columns_of(cache(*args))),
-            "delivery": functools.cache(delivered),
-            "recipe": functools.cache(lambda *args: columns_of(recipe(*args))),
-        }
-
-    def server_size(self, width: int) -> int:
-        return math.prod(configs << (pads * width) for configs, pads in self.server)
-
-    def split_server(self, value: int, width: int) -> tuple[tuple[int, ...], list[int]]:
-        """(configuration per part, pad values in column order)."""
-        mask, configs, pads = (1 << width) - 1, [], []
-        for n_configs, n_pads in self.server:
-            for _ in range(n_pads):
-                pads.append(value & mask)
-                value >>= width
-            value, config = divmod(value, n_configs)
-            configs.append(config)
-        return tuple(configs), pads
-
-
 # instances each scheme constructor (basic_private_scheme, lift_private,
 # uncoded_baseline, memory_share, compile_linear_scheme) keeps per process,
 # in an lru_cache keyed by the value of its arguments: equal arguments give
-# the same instance, and with it the table entries its program memoised on
+# the same instance, and with it the table entries it memoised on
 # earlier calls.  No instance holds a verdict, walk or count table, and an
 # exception is raised again on every call.  A verify call builds one
 # instance per scheme its token names, which keeps the entries its calls
@@ -391,8 +330,30 @@ def xor_rows(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[in
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """An executable caching scheme: a column program with declared exact
-    parameters.  place, deliver and decode run the program on symbol values:
+    """An executable caching scheme: a keyed GF(2)-linear scheme as three
+    lazily filled tables of forms (Rows), with declared exact parameters.
+    Bit c of a form stands for input c.
+
+    cache(user, key) gives forms over the file columns (file i subfile j is
+    column i*t + j); delivery(demand, keys, configs) gives (forms over the
+    file columns then the pad columns, header); recipe(user, demand, key,
+    header) gives forms over the user's cache symbols then the payload.
+
+    server lists the parts of the server randomness, least significant
+    first, as (configurations, pads).  At width w a part's low pads*w bits
+    fill its pad columns, pad p from bits [p*w, (p+1)*w), and the value
+    above them modulo configurations is the part's configuration.
+
+    The tables are plain lookups with no memo of their own; where an entry
+    is re-read, the scheme keeps it inside (a thm1's slot orders, a share's
+    parts' deliveries), and the verifier's walk keeps the recipes it reads
+    again for that walk only.  columns[table] is a memo of the table's
+    entries with each form as its column tuple (form_columns), the symbol
+    path's view: a negative form raises IndexError on the entry's first
+    read there.  These memos live as long as the instance, which a
+    memoised constructor keeps per process (SCHEME_MEMO).
+
+    place, deliver and decode run the tables on symbol values:
 
     place(user_keys, store)                           -> cache per user
     deliver(store, demand, user_keys, server_random)  -> (payload, header)
@@ -402,12 +363,12 @@ class SchemeInstance:
     are tuples of symbol values, headers tuples of small ints.  deliver
     takes the demand as any int sequence and raises ParameterError unless
     it has one entry per user, each in range(n_files).  They XOR symbol
-    values by the program's column tuples (ColumnProgram.columns), and
-    raise IndexError for a negative form or one reading past the values
-    given.  They are plain methods, so an instance attribute may shadow
-    them (a tracer's wrapper, say); on an instance a memoised constructor
-    returned, every later caller given that instance sees the shadow.  The
-    verifier reads the program's forms itself and never calls them.
+    values by the column tuples (columns), and raise IndexError for a
+    negative form or one reading past the values given.  They are plain
+    methods, so an instance attribute may shadow them (a tracer's wrapper,
+    say); on an instance a memoised constructor returned, every later
+    caller given that instance sees the shadow.  The verifier reads the
+    forms itself and never calls them.
 
     key_sizes[k] is the alphabet size of user k's key; server_random_size(l)
     is the alphabet size of the server's private randomness when subfile
@@ -421,7 +382,12 @@ class SchemeInstance:
     memory: Fraction
     rate: Fraction
     subpacketization: int
-    program: ColumnProgram
+    key_sizes: tuple[int, ...]
+    header_sizes: tuple[int, ...]
+    server: tuple[tuple[int, int], ...]
+    cache: Callable[[int, int], Rows]
+    delivery: Callable[..., tuple[Rows, tuple[int, ...]]]
+    recipe: Callable[..., Rows]
     privacy: Privacy
     served: DemandSubset | None = None
 
@@ -430,10 +396,35 @@ class SchemeInstance:
         if len(self.key_sizes) != self.n_users:
             raise ValueError("one key alphabet per user required")
 
+    @cached_property
+    def columns(self) -> dict[str, Callable]:
+        cache, delivery, recipe = self.cache, self.delivery, self.recipe
+
+        def delivered(*args):
+            forms, header = delivery(*args)
+            return columns_of(forms), header
+
+        return {
+            "cache": functools.cache(lambda *args: columns_of(cache(*args))),
+            "delivery": functools.cache(delivered),
+            "recipe": functools.cache(lambda *args: columns_of(recipe(*args))),
+        }
+
+    def split_server(self, value: int, width: int) -> tuple[tuple[int, ...], list[int]]:
+        """(configuration per part, pad values in column order)."""
+        mask, configs, pads = (1 << width) - 1, [], []
+        for n_configs, n_pads in self.server:
+            for _ in range(n_pads):
+                pads.append(value & mask)
+                value >>= width
+            value, config = divmod(value, n_configs)
+            configs.append(config)
+        return tuple(configs), pads
+
     def place(
         self, user_keys: Sequence[int], store: FileStore
     ) -> tuple[tuple[int, ...], ...]:
-        cache = self.program.columns["cache"]
+        cache = self.columns["cache"]
         return tuple(
             xor_rows(cache(u, k), store.values) for u, k in enumerate(user_keys)
         )
@@ -447,8 +438,8 @@ class SchemeInstance:
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         demand = tuple(demand)
         self.check_demand(demand)
-        configs, pads = self.program.split_server(server_random, store.symbol_width)
-        rows, header = self.program.columns["delivery"](demand, user_keys, configs)
+        configs, pads = self.split_server(server_random, store.symbol_width)
+        rows, header = self.columns["delivery"](demand, user_keys, configs)
         return xor_rows(rows, (*store.values, *pads)), header
 
     def decode(
@@ -460,19 +451,11 @@ class SchemeInstance:
         cache: tuple[int, ...],
         payload: tuple[int, ...],
     ) -> tuple[int, ...]:
-        rows = self.program.columns["recipe"](user, demand, key, header)
+        rows = self.columns["recipe"](user, demand, key, header)
         return xor_rows(rows, cache + payload)
 
-    @property
-    def key_sizes(self) -> tuple[int, ...]:
-        return self.program.key_sizes
-
-    @property
-    def header_sizes(self) -> tuple[int, ...]:
-        return self.program.header_sizes
-
     def server_random_size(self, width: int) -> int:
-        return self.program.server_size(width)
+        return math.prod(configs << (pads * width) for configs, pads in self.server)
 
     def check_demand(self, demand: Sequence[int]) -> None:
         """Raise ParameterError unless the demand has one entry per user,

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .core import (
     SCHEME_MEMO,
-    ColumnProgram,
     ParameterError,
     Privacy,
     Rows,
@@ -78,7 +77,7 @@ def basic_private_scheme(
         privacy=Privacy.PRIVATE,
     )
     if n_files <= n_users:
-        return SchemeInstance(program=base, rate=Fraction(n_files) - m, **params)
+        return SchemeInstance(**base, rate=Fraction(n_files) - m, **params)
 
     k, n_cols = n_users, n_files * t
 
@@ -101,17 +100,18 @@ def basic_private_scheme(
     # a user's key and header name its slot, and the forms depend on no more
     reading = functools.cache(functools.partial(split_recipe, n_files, tc, tu))
 
-    program = ColumnProgram(
+    return SchemeInstance(
+        rate=k * (1 - m / n_files),
         key_sizes=(k,) * k,
         header_sizes=(k,) * k,
         server=((math.factorial(k), k * tu),),
-        cache=base.cache,
+        cache=base["cache"],
         delivery=delivery,
         recipe=lambda user, demand, key, header: reading(
             demand, (header[user] - key) % k
         ),
+        **params,
     )
-    return SchemeInstance(program=program, rate=k * (1 - m / n_files), **params)
 
 
 @functools.lru_cache(maxsize=SCHEME_MEMO)
@@ -139,7 +139,6 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
         raise ParameterError(f"scheme does not serve cyclic demand {missing[0]}")
     if any(size != 1 for size in np.key_sizes) or np.server_random_size(1) != 1:
         raise ParameterError("lifting expects a deterministic keyless scheme")
-    inner = np.program
     trivial = (0,) * np.n_users
 
     # the members are listed in itertools.product order of their shifts
@@ -147,30 +146,27 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
 
     def delivery(demand, keys, configs):
         shifts = tuple((key - d) % n for key, d in zip(keys, demand))
-        rows, _ = inner.delivery(expanded[shifts], trivial, ())
+        rows, _ = np.delivery(expanded[shifts], trivial, ())
         return rows, shifts
 
     def recipe(user, demand, key, header):
         v, virtual = user * n + key, expanded[header]
-        _, inner_header = inner.delivery(virtual, trivial, ())
-        return inner.recipe(v, virtual[v], 0, inner_header)
+        _, inner_header = np.delivery(virtual, trivial, ())
+        return np.recipe(v, virtual[v], 0, inner_header)
 
-    program = ColumnProgram(
-        key_sizes=(n,) * k,
-        header_sizes=(n,) * k,
-        server=(),
-        cache=lambda user, key: inner.cache(user * n + key, 0),
-        delivery=delivery,
-        recipe=recipe,
-    )
     return SchemeInstance(
-        program=program,
         name=name or f"lifted:{np.name}",
         n_files=n,
         n_users=k,
         memory=np.memory,
         rate=np.rate,
         subpacketization=np.subpacketization,
+        key_sizes=(n,) * k,
+        header_sizes=(n,) * k,
+        server=(),
+        cache=lambda user, key: np.cache(user * n + key, 0),
+        delivery=delivery,
+        recipe=recipe,
         privacy=Privacy.PRIVATE,
     )
 

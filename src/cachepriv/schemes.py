@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .core import (
     SCHEME_MEMO,
-    ColumnProgram,
     ParameterError,
     Privacy,
     Rows,
@@ -126,11 +125,11 @@ def split_recipe(n_files: int, tc: int, tu: int, demand: int, slot: int) -> Rows
     return unit_rows(demand * tc, tc) + unit_rows(n_files * tc + slot * tu, tu)
 
 
-def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgram:
-    """Identical caches holding the first tc symbols of every file, with the
-    remaining symbols of every file broadcast, file by file.  The forms are
-    built on their first lookup, so a scheme refused before one (by the
-    atom budget, say) builds none."""
+def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> dict:
+    """The tables, as SchemeInstance fields, of identical caches holding the
+    first tc symbols of every file, with the remaining symbols of every file
+    broadcast, file by file.  The forms are built on their first lookup, so
+    a scheme refused before one (by the atom budget, say) builds none."""
     tu = t - tc
 
     built: dict[tuple[int, int], Rows] = {}
@@ -144,7 +143,7 @@ def uncoded_program(n_files: int, n_users: int, t: int, tc: int) -> ColumnProgra
             )
         return built[start, count]
 
-    return ColumnProgram(
+    return dict(
         key_sizes=(1,) * n_users,
         header_sizes=(),
         server=(),
@@ -168,7 +167,7 @@ def uncoded_baseline(
     m = Fraction(memory)
     t, tc, _tu = split_subpacketization(n_files, m)
     return SchemeInstance(
-        program=uncoded_program(n_files, n_users, t, tc),
+        **uncoded_program(n_files, n_users, t, tc),
         name=f"baseline:{n_files},{n_users},{m}",
         n_files=n_files,
         n_users=n_users,
@@ -229,7 +228,6 @@ def memory_share(
         raise ParameterError("memory sharing needs matching privacy classes")
     if a.served != b.served and set(a.served_demands()) != set(b.served_demands()):
         raise ParameterError("memory sharing needs identical served demands")
-    pa, pb = a.program, b.program
 
     n_files, n_users = a.n_files, a.n_users
     p, q = lam.numerator, lam.denominator
@@ -251,7 +249,7 @@ def memory_share(
     ca, pay_a, cb, pay_b = counts
 
     # where each column and each decoder input of a and b starts
-    pads_a, pads_b = (sum(pads for _, pads in s.server) for s in (pa, pb))
+    pads_a, pads_b = (sum(pads for _, pads in s.server) for s in (a, b))
     col_a = [i * t + j * ga for i in range(n_files) for j in range(ta)]
     col_a += [n_files * t + p * ga for p in range(pads_a)]
     col_b = [i * t + x + j * gb for i in range(n_files) for j in range(tb)]
@@ -260,49 +258,46 @@ def memory_share(
     in_a = [i * ga for i in range(ca)] + [cached + i * ga for i in range(pay_a)]
     in_b = [ca * ga + i * gb for i in range(cb)]
     in_b += [cached + pay_a * ga + i * gb for i in range(pay_b)]
-    parts_a, headers_a = len(pa.server), len(pa.header_sizes)
+    parts_a, headers_a = len(a.server), len(a.header_sizes)
     # the cache and delivery forms read columns, the recipe forms inputs
     columns, inputs = _narrowing(ga, col_a, gb, col_b), _narrowing(ga, in_a, gb, in_b)
     # each part delivery recurs under every key and configuration of the
     # other, and each pair of part headers with it: one joined header per pair
-    deliver_a, deliver_b = functools.cache(pa.delivery), functools.cache(pb.delivery)
+    deliver_a, deliver_b = functools.cache(a.delivery), functools.cache(b.delivery)
     joined = functools.cache(operator.add)
 
     def cache(user: int, key: int) -> Rows:
-        size = pa.key_sizes[user]
-        rows_a, rows_b = pa.cache(user, key % size), pb.cache(user, key // size)
+        size = a.key_sizes[user]
+        rows_a, rows_b = a.cache(user, key % size), b.cache(user, key // size)
         return columns(rows_a, rows_b)
 
     def delivery(demand, keys, configs):
-        keys_a = tuple([k % size for k, size in zip(keys, pa.key_sizes)])
-        keys_b = tuple([k // size for k, size in zip(keys, pa.key_sizes)])
+        keys_a = tuple([k % size for k, size in zip(keys, a.key_sizes)])
+        keys_b = tuple([k // size for k, size in zip(keys, a.key_sizes)])
         rows_a, header_a = deliver_a(demand, keys_a, configs[:parts_a])
         rows_b, header_b = deliver_b(demand, keys_b, configs[parts_a:])
         return columns(rows_a, rows_b), joined(header_a, header_b)
 
     def recipe(user, demand, key, header):
-        size = pa.key_sizes[user]
-        rows_a = pa.recipe(user, demand, key % size, header[:headers_a])
-        rows_b = pb.recipe(user, demand, key // size, header[headers_a:])
+        size = a.key_sizes[user]
+        rows_a = a.recipe(user, demand, key % size, header[:headers_a])
+        rows_b = b.recipe(user, demand, key // size, header[headers_a:])
         return inputs(rows_a, rows_b)
 
-    program = ColumnProgram(
-        key_sizes=tuple(ka * kb for ka, kb in zip(pa.key_sizes, pb.key_sizes)),
-        header_sizes=pa.header_sizes + pb.header_sizes,
-        server=tuple((c, pads * ga) for c, pads in pa.server)
-        + tuple((c, pads * gb) for c, pads in pb.server),
-        cache=cache,
-        delivery=delivery,
-        recipe=recipe,
-    )
     return SchemeInstance(
-        program=program,
         name=f"share:{lam}:{a.name}:{b.name}",
         n_files=n_files,
         n_users=n_users,
         memory=lam * a.memory + (1 - lam) * b.memory,
         rate=lam * a.rate + (1 - lam) * b.rate,
         subpacketization=t,
+        key_sizes=tuple(ka * kb for ka, kb in zip(a.key_sizes, b.key_sizes)),
+        header_sizes=a.header_sizes + b.header_sizes,
+        server=tuple((c, pads * ga) for c, pads in a.server)
+        + tuple((c, pads * gb) for c, pads in b.server),
+        cache=cache,
+        delivery=delivery,
+        recipe=recipe,
         privacy=a.privacy,
         served=a.served,
     )
@@ -318,27 +313,19 @@ def with_plaintext_demand_header(s: SchemeInstance) -> SchemeInstance:
     privacy checker something that must fail."""
     if s.served is not None and len(s.served) != s.n_files**s.n_users:
         raise ParameterError("control wrapper needs a scheme serving all demands")
-    inner = s.program
 
     def delivery(demand, keys, configs):
-        rows, header = inner.delivery(demand, keys, configs)
+        rows, header = s.delivery(demand, keys, configs)
         return rows, header + demand
 
-    program = replace(
-        inner,
-        header_sizes=inner.header_sizes + (s.n_files,) * s.n_users,
-        delivery=delivery,
-        recipe=lambda user, demand, key, header: inner.recipe(
-            user, demand, key, header[: len(inner.header_sizes)]
-        ),
-    )
-    return SchemeInstance(
-        program=program,
+    return replace(
+        s,
         name=f"{s.name}+plaintext-header",
-        n_files=s.n_files,
-        n_users=s.n_users,
-        memory=s.memory,
-        rate=s.rate,
-        subpacketization=s.subpacketization,
+        header_sizes=s.header_sizes + (s.n_files,) * s.n_users,
+        delivery=delivery,
+        recipe=lambda user, demand, key, header: s.recipe(
+            user, demand, key, header[: len(s.header_sizes)]
+        ),
         privacy=Privacy.PRIVATE,
+        served=None,
     )

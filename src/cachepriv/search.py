@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 from . import gf2
 from .core import (
     SCHEME_MEMO,
-    ColumnProgram,
     DemandSubset,
     ParameterError,
     Privacy,
@@ -185,22 +184,19 @@ def compile_linear_scheme(
             raise UnservedDemand(f"{name} has no recipe for demand {header}")
         return recipes[(header, user)]
 
-    program = ColumnProgram(
-        key_sizes=(1,) * m.n_users,
-        header_sizes=(m.n_files,) * m.n_users,
-        server=(),
-        cache=lambda user, key: cache_rows[user],
-        delivery=delivery,
-        recipe=recipe,
-    )
     return SchemeInstance(
-        program=program,
         name=name,
         n_files=m.n_files,
         n_users=m.n_users,
         memory=m.memory,
         rate=m.rate,
         subpacketization=m.subpacketization,
+        key_sizes=(1,) * m.n_users,
+        header_sizes=(m.n_files,) * m.n_users,
+        server=(),
+        cache=lambda user, key: cache_rows[user],
+        delivery=delivery,
+        recipe=recipe,
         privacy=Privacy.NON_PRIVATE,
         served=served,
     )

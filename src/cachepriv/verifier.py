@@ -139,7 +139,7 @@ def atom_count(s: SchemeInstance, width: int) -> int:
 
 def _atom_factors(s: SchemeInstance, width: int) -> tuple[int, int]:
     """(rest, shift), the atom count being rest << shift: stores and pads."""
-    server = s.program.server
+    server = s.server
     shift = (s.n_files * s.subpacketization + sum(p for _, p in server)) * width
     rest = s.n_served() * math.prod(s.key_sizes) * math.prod(c for c, _ in server)
     return rest, shift
@@ -327,20 +327,20 @@ def _configurations(s: SchemeInstance, width: int, decodability: bool) -> Iterat
     for a recipe), and with decodability a cache or payload of other than
     the declared M*F or R*F bits raises SchemeError.
     """
-    program, t = s.program, s.subpacketization
+    t = s.subpacketization
     n_cols, file_bits = s.n_files * t, t * width
-    n_inputs = n_cols + sum(pads for _, pads in program.server)
+    n_inputs = n_cols + sum(pads for _, pads in s.server)
     cache_bits, payload_bits = (_exact(v * file_bits) for v in (s.memory, s.rate))
-    delivery, recipe = program.delivery, program.recipe
+    delivery, recipe = s.delivery, s.recipe
     keys = _odometer(s.key_sizes)
-    configs = _odometer([n for n, _ in program.server])
+    configs = _odometer([n for n, _ in s.server])
     held: dict[tuple[int, int], tuple[int, ...]] = {}
     recipes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     keyed = []  # per key realization, (user keys, cache forms per user)
     for user_keys in keys:
         for slot in enumerate(user_keys):
             if slot not in held:
-                forms = program.cache(*slot)
+                forms = s.cache(*slot)
                 bits = len(forms) * width
                 if decodability and bits != cache_bits:
                     raise SchemeError(
@@ -493,7 +493,7 @@ def _decode_verdict(s: SchemeInstance, width: int, failing: dict) -> Verdict:
     demands, keys = s.served_demands().members, _odometer(s.key_sizes)
     atoms = itertools.product(demands, keys, range(s.server_random_size(width)))
     for position, (wants, user_keys, server) in enumerate(atoms, 1):
-        config, pads = s.program.split_server(server, width)
+        config, pads = s.split_server(server, width)
         seen = symbols + tuple(pads)
         for k, forms in failing.get((wants, user_keys, config), ()):
             got = xor_rows(columns_of(forms), seen)
@@ -581,7 +581,7 @@ def _enumerate(
     # the pads packed above the store
     plan = []
     for server in range(s.server_random_size(width)):
-        config, pads = s.program.split_server(server, width)
+        config, pads = s.split_server(server, width)
         packed = sum(v << (store_bits + i * width) for i, v in enumerate(pads))
         plan.append((config, packed))
     realizations = [(ks, *p) for ks in _odometer(s.key_sizes) for p in plan]

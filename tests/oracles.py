@@ -66,9 +66,9 @@ def clear_constructors() -> None:
 
 
 def with_tables(s: SchemeInstance, **tables) -> SchemeInstance:
-    """s with some tables of its column program replaced, for example a
-    corrupted recipe."""
-    return replace(s, program=replace(s.program, **tables))
+    """s with some of its tables replaced, for example a corrupted
+    recipe."""
+    return replace(s, **tables)
 
 
 def atom_total(s: SchemeInstance, width: int = 1) -> int:

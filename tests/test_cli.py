@@ -503,18 +503,18 @@ def test_a_warm_verify_still_reads_every_delivery_entry(capsys):
     s = resolve_scheme("thm1:3,2,0")
     assert main(["verify", "thm1:3,2,0"]) == 0
     first = capsys.readouterr()
-    delivery, reads = s.program.delivery, Counter()
+    delivery, reads = s.delivery, Counter()
 
     def counting(*args):
         reads[args] += 1
         return delivery(*args)
 
-    object.__setattr__(s.program, "delivery", counting)
+    object.__setattr__(s, "delivery", counting)
     try:
         assert resolve_scheme("thm1:3,2,0") is s
         assert main(["verify", "thm1:3,2,0"]) == 0
     finally:
-        object.__setattr__(s.program, "delivery", delivery)
+        object.__setattr__(s, "delivery", delivery)
     assert capsys.readouterr() == first
     assert len(reads) == 72 and set(reads.values()) == {1}
 

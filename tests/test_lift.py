@@ -95,7 +95,7 @@ def test_lift_preconditions():
     with pytest.raises(ParameterError):
         lift_private(uncoded_baseline(2, 3, 1))  # 3 users not a multiple of 2
     s = low_memory_2x4_scheme()
-    keyed = replace(s, program=replace(s.program, key_sizes=(2, 1, 1, 1)))
+    keyed = replace(s, key_sizes=(2, 1, 1, 1))
     with pytest.raises(ParameterError):
         lift_private(keyed)
 

@@ -1,6 +1,6 @@
 """The verifier's packed path against the independent reference sweep.
 
-run_checks evaluates every scheme straight from its column program on
+run_checks evaluates every scheme straight from its form tables on
 packed ints.  reference_checks (tests/oracles.py) runs the scheme's place,
 deliver and decode on one store's symbol values at a time, atom by atom, so
 agreement with it checks the packed path against the per-symbol arithmetic
@@ -130,7 +130,7 @@ def descriptor_scheme(tmp_path, seed: int, perturb: bool):
 
 
 def rebound(s, calls: Counter):
-    """A copy of s, sharing its program, with place, deliver and decode
+    """A copy of s, sharing its tables, with place, deliver and decode
     rebound to wrappers that count their calls in calls, the way a tracer
     wraps them.  s itself is left alone: a constructor may hand it out
     again (core.SCHEME_MEMO)."""
@@ -208,7 +208,7 @@ def test_every_bundled_scheme_takes_the_packed_path(tmp_path):
     for s in schemes:
         calls = Counter()
         sweep(rebound(s, calls))
-        assert not calls, s.name  # the sweep reads the program only
+        assert not calls, s.name  # the sweep reads the tables only
 
 
 def test_a_scheme_is_not_given_other_callables():
@@ -225,7 +225,7 @@ def test_rebound_callables_leave_the_sweep_unchanged(token):
     clean = resolve_scheme(token)
     assert clean is not s and not {"place", "deliver", "decode"} & set(vars(clean))
     assert sweep(s) == sweep(clean)
-    assert not calls  # the sweep reads the program only
+    assert not calls  # the sweep reads the tables only
     # simulate still runs the rebound callables
     demand = DemandVector(s.n_files, s.served_demands().members[-1])
     assert simulate_session(s, demand, 5).all_matched
@@ -235,7 +235,7 @@ def test_rebound_callables_leave_the_sweep_unchanged(token):
 @pytest.mark.parametrize("make", [low_memory_2x4_scheme, low_memory_private_scheme])
 def test_corrupted_program_fails_on_the_packed_path(make):
     s = make()
-    recipe = s.program.recipe
+    recipe = s.recipe
     target = (1, s.served_demands().members[-1][1])  # (user, demanded file)
 
     def corrupted(user, demand, key, header):
@@ -257,7 +257,7 @@ def test_corrupted_program_fails_on_the_packed_path(make):
 )
 def test_recipe_of_the_wrong_length_fails_as_on_the_symbol_path(change):
     s = low_memory_2x4_scheme()
-    recipe = s.program.recipe
+    recipe = s.recipe
     broken = with_tables(s, recipe=lambda *args: change(recipe(*args)))
     got = sweep(broken)
     assert not got["decodability"][0]
@@ -267,7 +267,7 @@ def test_recipe_of_the_wrong_length_fails_as_on_the_symbol_path(change):
 def test_rows_past_their_inputs_raise_on_both_paths():
     s = low_memory_2x4_scheme()
     n_cols = s.n_files * s.subpacketization
-    recipe, cache = s.program.recipe, s.program.cache
+    recipe, cache = s.recipe, s.cache
     # user 0 holds 1 cache symbol and the payload 4, so input 5 is past both
     broken = [
         with_tables(s, recipe=lambda *args: recipe(*args)[:-1] + (1 << 5,)),
@@ -286,7 +286,7 @@ def test_rows_past_their_inputs_raise_on_both_paths():
 @pytest.mark.parametrize("make", [low_memory_2x4_scheme, low_memory_private_scheme])
 def test_negative_columns_raise_on_both_paths(make, table):
     s = make()
-    lookup = getattr(s.program, table)
+    lookup = getattr(s, table)
     if table == "delivery":
 
         def negative(*args):

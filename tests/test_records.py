@@ -3,8 +3,8 @@ the frozen dataclasses they replace.
 
 Records compare and hash by value (compiled schemes are memoised by their
 matrices' and demand set's values), refuse assignment, and copy with
-_replace or through their validating constructor.  Only SchemeInstance and
-ColumnProgram remain dataclasses.
+_replace or through their validating constructor.  Only SchemeInstance
+remains a dataclass.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def test_a_joint_distribution_builds_positionally_and_is_mutable():
         hash(empty)
 
 
-def test_the_package_defines_only_two_dataclasses():
+def test_the_package_defines_only_one_dataclass():
     found = []
     for info in pkgutil.iter_modules(cachepriv.__path__):
         module = importlib.import_module(f"cachepriv.{info.name}")
@@ -189,4 +189,4 @@ def test_the_package_defines_only_two_dataclasses():
                 and dataclasses.is_dataclass(value)
             ):
                 found.append(f"{info.name}.{value.__name__}")
-    assert sorted(found) == ["core.ColumnProgram", "core.SchemeInstance"]
+    assert found == ["core.SchemeInstance"]

@@ -97,7 +97,7 @@ def test_corner_schemes_decode_and_match_oracle():
 
 def test_corrupted_delivery_fails_decodability():
     good = low_memory_2x4_scheme()
-    delivery = good.program.delivery
+    delivery = good.delivery
     # every demand is served the rows of demand (0, 1, 0, 1)
     fixed = (0, 1, 0, 1)
     bad = with_tables(
@@ -123,8 +123,8 @@ def test_a_budget_refusal_builds_no_rows():
     assert peak < 4 << 20
     # the rows are built on the first lookup, and kept
     small = basic_private_scheme(4, 2, Fraction(1, 2))
-    assert small.program.cache(0, 0) is small.program.cache(1, 1)
-    assert small.program.cache(0, 0) == (1 << 0, 1 << 8, 1 << 16, 1 << 24)
+    assert small.cache(0, 0) is small.cache(1, 1)
+    assert small.cache(0, 0) == (1 << 0, 1 << 8, 1 << 16, 1 << 24)
 
 
 def test_a_baseline_lists_no_demand_before_the_budget_check():
@@ -238,12 +238,12 @@ def test_plaintext_header_control_leaks():
 
 def test_a_replaced_program_keeps_every_table_it_does_not_replace():
     # the control replaces the delivery and recipe tables and keeps the
-    # source program's cache table as it is
+    # source scheme's cache table as it is
     s = low_memory_private_scheme()
     ctrl = with_plaintext_demand_header(s)
-    assert ctrl.program.cache is s.program.cache
+    assert ctrl.cache is s.cache
     for replaced in ("delivery", "recipe"):
-        assert getattr(ctrl.program, replaced) is not getattr(s.program, replaced)
+        assert getattr(ctrl, replaced) is not getattr(s, replaced)
     # a negative form in a replaced table's entry raises as place, deliver
     # or decode reads the entry:
     # table -> (a call reading one entry, a lookup with a negative form)
@@ -262,7 +262,7 @@ def test_a_replaced_program_keeps_every_table_it_does_not_replace():
     for table, (read, lookup) in negative.items():
         broken = with_tables(s, **{table: lookup})
         for kept in set(negative) - {table}:
-            assert getattr(broken.program, kept) is getattr(s.program, kept)
+            assert getattr(broken, kept) is getattr(s, kept)
         with pytest.raises(IndexError, match="names a negative column"):
             read(broken)
 

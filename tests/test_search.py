@@ -730,17 +730,17 @@ def test_compiled_tables_match_the_pins():
     for solved, memo_hits in ((40, 0), (40, 40)):
         unsolvable = 0
         for m, served, p in pins:
-            program = compile_linear_scheme(m, served, p["name"]).program
+            s = compile_linear_scheme(m, served, p["name"])
             got = {
                 "cache": [
-                    pinned_columns(program.cache(u, 0)) for u in range(m.n_users)
+                    pinned_columns(s.cache(u, 0)) for u in range(m.n_users)
                 ],
                 "delivery": [
-                    [d, pinned_columns(program.delivery(d, (0,) * m.n_users, ())[0])]
+                    [d, pinned_columns(s.delivery(d, (0,) * m.n_users, ())[0])]
                     for d in served
                 ],
                 "recipes": [
-                    [d, u, pinned_columns(program.recipe(u, d, 0, d))]
+                    [d, u, pinned_columns(s.recipe(u, d, 0, d))]
                     for d in served
                     for u in range(m.n_users)
                 ],
@@ -763,17 +763,17 @@ def test_equal_arguments_compile_to_one_instance_and_other_names_to_others():
     )
     c = compile_linear_scheme(low_memory_2x4_matrices(), CYCLIC, "other")
     assert a is b
-    assert a is not c and a.program is not c.program
+    assert a is not c
     for table in ("cache", "delivery", "recipe"):
-        assert getattr(a.program, table) is not getattr(c.program, table)
-    assert [a.program.cache(u, 0) for u in range(4)] == [
-        c.program.cache(u, 0) for u in range(4)
+        assert getattr(a, table) is not getattr(c, table)
+    assert [a.cache(u, 0) for u in range(4)] == [
+        c.cache(u, 0) for u in range(4)
     ]
     for d in CYCLIC:
         keys = (0,) * 4
-        assert a.program.delivery(d, keys, ()) == c.program.delivery(d, keys, ())
+        assert a.delivery(d, keys, ()) == c.delivery(d, keys, ())
         for u in range(4):
-            assert a.program.recipe(u, d, 0, d) == c.program.recipe(u, d, 0, d)
+            assert a.recipe(u, d, 0, d) == c.recipe(u, d, 0, d)
     store = FileStore.zero(2, 3, 1)
     with pytest.raises(UnservedDemand, match="^other does not serve demand"):
         c.deliver(store, (0, 0, 0, 0), (0,) * 4, 0)

@@ -189,7 +189,7 @@ def test_run_session_checks_the_demand():
 
 def test_run_session_records_mismatches():
     s = low_memory_private_scheme()
-    recipe = s.program.recipe
+    recipe = s.recipe
     # every user decodes one symbol short of its file
     bad = with_tables(s, recipe=lambda *args: recipe(*args)[:-1])
     store = FileStore.random(2, 3, 1, random.Random(3))

@@ -4,7 +4,7 @@ transcript_pins.json holds, for each (scheme, width, demand, seed), the
 SHA-256 of the transcript bytes of `simulate_session` and of the decode
 outputs drawn from the same seed (width and value of every symbol, per
 user).  The digests were captured from the closure-based schemes that the
-keyed column programs replaced, so they pin the payload bit order, the
+keyed form tables replaced, so they pin the payload bit order, the
 thm1 filler layout, the mixed-radix split of the server randomness and the
 symbol shapes of the decoded files.
 

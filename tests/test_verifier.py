@@ -18,7 +18,6 @@ import cachepriv
 from cachepriv import gf2, lift, schemes, verifier
 from cachepriv.cli import resolve_scheme
 from cachepriv.core import (
-    ColumnProgram,
     DemandSubset,
     DemandVector,
     FileStore,
@@ -111,7 +110,7 @@ def test_atom_space_is_a_bijection():
 def recipe_changed(s, change):
     """s with each decode recipe's forms replaced by change(forms, user,
     demand, key, header)."""
-    recipe = s.program.recipe
+    recipe = s.recipe
     return with_tables(s, recipe=lambda *args: change(recipe(*args), *args))
 
 
@@ -226,7 +225,7 @@ def reading_the_other_slot(s):
     with each decode recipe also reading the slot the user's header does
     not name: the other user's file, or filler pads when both users demand
     the same file."""
-    recipe = s.program.recipe
+    recipe = s.recipe
 
     def corrupted(user, demand, key, header):
         (row,) = recipe(user, demand, key, header)
@@ -438,14 +437,6 @@ def coincidence_scheme() -> SchemeInstance:
         0: ((0, 0), (0b01, 0b10), (0b01, 0b10)),
         1: ((0b01, 0), (0, 0b01), (0b01, 0b01)),
     }
-    program = ColumnProgram(
-        key_sizes=(1, 1),
-        header_sizes=(),
-        server=((3, 0),),
-        cache=lambda user, key: (),
-        delivery=lambda demand, keys, configs: (payloads[demand[1]][configs[0]], ()),
-        recipe=lambda user, demand, key, header: (0b01,),
-    )
     return SchemeInstance(
         name="coincidence",
         n_files=2,
@@ -453,7 +444,12 @@ def coincidence_scheme() -> SchemeInstance:
         memory=Fraction(0),
         rate=Fraction(2),
         subpacketization=1,
-        program=program,
+        key_sizes=(1, 1),
+        header_sizes=(),
+        server=((3, 0),),
+        cache=lambda user, key: (),
+        delivery=lambda demand, keys, configs: (payloads[demand[1]][configs[0]], ()),
+        recipe=lambda user, demand, key, header: (0b01,),
         privacy=Privacy.PRIVATE,
     )
 
@@ -485,14 +481,6 @@ def uneven_scheme(longer_cache: bool) -> SchemeInstance:
         both = (1 << demand[0]) ^ (1 << demand[1])
         return ((both,) if longer_cache or configs[0] == 0 else (both, 0b100)), ()
 
-    program = ColumnProgram(
-        key_sizes=(2, 2),
-        header_sizes=(),
-        server=((2, 1),),
-        cache=lambda user, key: cache[key],
-        delivery=delivery,
-        recipe=lambda user, demand, key, header: (0b01,),
-    )
     return SchemeInstance(
         name="uneven",
         n_files=2,
@@ -500,7 +488,12 @@ def uneven_scheme(longer_cache: bool) -> SchemeInstance:
         memory=Fraction(1),
         rate=Fraction(1),
         subpacketization=1,
-        program=program,
+        key_sizes=(2, 2),
+        header_sizes=(),
+        server=((2, 1),),
+        cache=lambda user, key: cache[key],
+        delivery=delivery,
+        recipe=lambda user, demand, key, header: (0b01,),
         privacy=Privacy.PRIVATE,
     )
 
@@ -715,7 +708,7 @@ def test_forms_predict_place_deliver_and_decode(s, width):
         (wants, keys, config): rest
         for wants, keys, config, *rest in verifier._configurations(s, width, True)
     }
-    configs = math.prod(n for n, _ in s.program.server)
+    configs = math.prod(n for n, _ in s.server)
     assert len(forms) == len(s.served_demands().members) * s.key_space_size * configs
     rng = random.Random(f"{s.name}:{width}")
     demands = s.served_demands().members
@@ -724,7 +717,7 @@ def test_forms_predict_place_deliver_and_decode(s, width):
         wants = rng.choice(demands)
         user_keys = tuple(rng.randrange(size) for size in s.key_sizes)
         server = rng.randrange(s.server_random_size(width))
-        config, pads = s.program.split_server(server, width)
+        config, pads = s.split_server(server, width)
         header, caches, sent, decoded = forms[wants, user_keys, config]
         symbols = store.values + tuple(pads)
         placed = s.place(user_keys, store)
@@ -746,7 +739,7 @@ def test_the_proof_walk_builds_no_symbol_path_memo():
     # instance, as an earlier round would have filled a memoised one's
     clear_constructors()
     s = resolve_scheme("share:1/2:thm1:3,2,0:thm1:3,2,3")
-    configs = math.prod(n for n, _ in s.program.server)
+    configs = math.prod(n for n, _ in s.server)
     assert s.n_served() * s.key_space_size * configs == 576
     verdicts = run_checks(s, users=range(s.n_users))
     assert {label: (v.passed, v.cases, v.mi_bits) for label, v in verdicts.items()} == {
@@ -754,9 +747,9 @@ def test_the_proof_walk_builds_no_symbol_path_memo():
         "privacy[user 0]": (True, 147456, 0.0),
         "privacy[user 1]": (True, 147456, 0.0),
     }
-    assert "columns" not in vars(s.program)
+    assert "columns" not in vars(s)
     simulate_session(s, DemandVector(3, (2, 0)), seed=1)
-    assert s.program.columns["delivery"].cache_info().currsize == 1
+    assert s.columns["delivery"].cache_info().currsize == 1
 
 
 def counting(table, calls):
@@ -768,10 +761,10 @@ def test_the_proof_walk_reads_each_recipe_entry_once():
     # thm1:4,3,0 walks 64 demands x 27 key realizations x 6 slot ranks, and
     # reads 3 recipes in each: 31,104 reads of 972 distinct entries
     s = resolve_scheme("thm1:4,3,0")
-    configs = math.prod(n for n, _ in s.program.server)
+    configs = math.prod(n for n, _ in s.server)
     assert s.n_served() * s.key_space_size * configs * s.n_users == 31104
     calls = Counter()
-    s = with_tables(s, recipe=counting(s.program.recipe, calls))
+    s = with_tables(s, recipe=counting(s.recipe, calls))
     assert run_checks(s)["decodability"].passed
     assert len(calls) == 972
     assert set(calls.values()) == {1}
@@ -783,11 +776,11 @@ def test_a_share_reads_each_part_delivery_once():
     parts = [resolve_scheme(token) for token in ("thm1:3,2,0", "thm1:3,2,3")]
     calls = [Counter(), Counter()]
     a, b = (
-        with_tables(part, delivery=counting(part.program.delivery, counts))
+        with_tables(part, delivery=counting(part.delivery, counts))
         for part, counts in zip(parts, calls)
     )
     s = memory_share(a, b, Fraction(1, 2))
-    configs = math.prod(n for n, _ in s.program.server)
+    configs = math.prod(n for n, _ in s.server)
     assert s.n_served() * s.key_space_size * configs == 576
     assert all(v.passed for v in run_checks(s, users=range(s.n_users)).values())
     for counts in calls:
@@ -924,7 +917,7 @@ def test_invariance_stops_at_the_first_differing_pair(monkeypatch):
 
 def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
     s = low_memory_private_scheme()
-    cache = s.program.cache
+    cache = s.cache
 
     def late_oversized(user, key):
         rows = cache(user, key)
@@ -936,10 +929,10 @@ def test_wrong_cache_size_raises_before_the_first_atom(monkeypatch):
     # the sizes are checked as the configuration walk looks the cache
     # tables up, before anything is evaluated
     assert not built and not evaluated
-    # a program with one key alphabet per user is what makes one cache per
-    # user, and a scheme is built only from such a program
+    # one key alphabet per user is what makes one cache per user, and a
+    # scheme is built only with one
     with pytest.raises(ValueError, match="one key alphabet per user"):
-        replace(s, program=replace(s.program, key_sizes=(2,)))
+        replace(s, key_sizes=(2,))
 
 
 def test_invariance_counterexample_does_not_depend_on_the_hash_seed():
@@ -1163,7 +1156,7 @@ def test_measure_rates():
 
 def test_measure_rates_rejects_unequal_caches():
     s = low_memory_private_scheme()
-    cache = s.program.cache
+    cache = s.cache
 
     def lopsided(user, key):
         rows = cache(user, key)
