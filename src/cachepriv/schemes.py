@@ -111,12 +111,10 @@ def split_subpacketization(n_files: int, memory: Fraction) -> tuple[int, int, in
     m = Fraction(memory)
     if not 0 <= m <= n_files:
         raise ParameterError(f"memory {m} outside [0, {n_files}]")
+    # with M = a/b in lowest terms, t = bN/g caches M*t/N = a/g symbols
     a, b = m.numerator, m.denominator
-    t = (b * n_files) // math.gcd(a, b * n_files)
-    cached = m * t / n_files
-    if cached.denominator != 1:
-        raise ParameterError(f"cannot split files for memory {m}")
-    tc = int(cached)
+    g = math.gcd(a, b * n_files)
+    t, tc = b * n_files // g, a // g
     return t, tc, t - tc
 
 

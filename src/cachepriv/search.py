@@ -490,8 +490,6 @@ def search_linear_scheme(
                         basis = gf2.reduced_basis(rows)
                         found = {f: _residuals(basis, f, t) for f in files}
                         options.append((basis, found))
-                if not options:
-                    return
                 per_user.append(options)
             for chosen in itertools.islice(itertools.product(*per_user), budget):
                 yield tuple(zip(*chosen))  # bases, residuals

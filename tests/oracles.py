@@ -172,11 +172,12 @@ def apply_rows(rows: Sequence[int], store: FileStore) -> tuple[int, ...]:
 
 
 def _mi_bits(joint: Counter, left: Counter, right: Counter, total: int) -> float:
-    """Plug-in mutual information, summed over the joint cells in insertion
-    order the way the verifier sums it, so the floats agree exactly."""
-    mi = 0.0
-    for (l, r), c in joint.items():
-        mi += (c / total) * math.log2(c * total / (left[l] * right[r]))
+    """Plug-in mutual information, its terms summed exactly (math.fsum) as
+    the verifier sums them, so the floats agree exactly."""
+    mi = math.fsum(
+        (c / total) * math.log2(c * total / (left[l] * right[r]))
+        for (l, r), c in joint.items()
+    )
     return max(mi, 0.0)
 
 

@@ -15,7 +15,11 @@ from cachepriv import search
 from cachepriv.cli import main, resolve_scheme
 from cachepriv.core import DemandSubset, cyclic_demand_set
 from cachepriv.lift import low_memory_private_scheme
-from cachepriv.schemes import high_memory_2x4_matrices, with_plaintext_demand_header
+from cachepriv.schemes import (
+    high_memory_2x4_matrices,
+    low_memory_2x4_matrices,
+    with_plaintext_demand_header,
+)
 from cachepriv.search import export_descriptor
 from cachepriv.verifier import (
     check_conditional_invariance,
@@ -130,6 +134,22 @@ def test_search_regen_matches_committed(capsys):
     assert main(["search", "--regen"]) == 0
     out = capsys.readouterr().out
     assert "witness reproduced" in out
+
+
+def test_search_regen_reports_a_witness_mismatch(monkeypatch, capsys):
+    # against other committed matrices the regenerated witness differs: a
+    # mismatch line and the found descriptor go to stderr, with exit 1
+    monkeypatch.setattr(
+        cachepriv.cli, "high_memory_2x4_matrices", low_memory_2x4_matrices
+    )
+    assert main(["search", "--regen"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[1] == "witness MISMATCH against the committed matrices"
+    assert captured.err.endswith(
+        export_descriptor(high_memory_2x4_matrices(), "regenerated") + "\n"
+    )
 
 
 def test_search_writes_descriptor(tmp_path, capsys):

@@ -38,7 +38,7 @@ from test_verifier import (
 )
 
 PINS = Path(__file__).with_name("enumerate_pins.json")
-PINS_SHA256 = "d7f56f2e62d45782644fd53da542d5eb709d96beea61a2f39c71708dda85a8e8"
+PINS_SHA256 = "a2b128397da17bf918beccac1b415cc3b7e9e5b37572d7e92fafce9b43de44e5"
 
 CONTROLS = (
     "example1",

@@ -178,6 +178,27 @@ def test_a_joint_distribution_builds_positionally_and_is_mutable():
         hash(empty)
 
 
+def test_a_joint_distribution_repr_names_its_fields_and_other_types_are_unequal():
+    d = JointDistribution(1, Counter({(0, 1): 1}), Counter({0: 1}), Counter({1: 1}))
+    assert repr(d) == (
+        "JointDistribution(total=1, joint=Counter({(0, 1): 1}), "
+        "left=Counter({0: 1}), right=Counter({1: 1}))"
+    )
+    assert d.__eq__((1, d.joint, d.left, d.right)) is NotImplemented
+    assert d != (1, d.joint, d.left, d.right)
+
+
+def test_slot_records_repr_their_fields_and_refuse_deletion():
+    demand = DemandVector(2, (0, 1))
+    assert repr(demand) == "DemandVector(n_files=2, entries=(0, 1))"
+    assert repr(DemandSubset(2, 1, ((0,),), "a")) == (
+        "DemandSubset(n_files=2, n_users=1, members=((0,),), label='a')"
+    )
+    with pytest.raises(AttributeError, match="^cannot delete field 'entries'$"):
+        del demand.entries
+    assert demand.entries == (0, 1)
+
+
 def test_the_package_defines_only_one_dataclass():
     found = []
     for info in pkgutil.iter_modules(cachepriv.__path__):

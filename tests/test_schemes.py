@@ -293,6 +293,17 @@ def test_every_scheme_kind_rejects_a_demand_of_the_wrong_length(tmp_path):
                 s.deliver(store, demand, (0,) * s.n_users, 0)
 
 
+@pytest.mark.parametrize("entry", [-1, 2])
+def test_a_demand_naming_no_file_is_refused_before_delivery(entry):
+    # deliver takes the demand as any int sequence, so the range is checked
+    # there, not only by DemandVector
+    s = low_memory_private_scheme()
+    store = FileStore.zero(s.n_files, s.subpacketization, 1)
+    message = f"^demand {entry} out of range for 2 files$"
+    with pytest.raises(ParameterError, match=message):
+        s.deliver(store, (0, entry), (0, 0), 0)
+
+
 def test_share_nested_as_the_first_part_decodes():
     # the inner share's symbols are narrow, so the outer share slices its
     # cache and payload by the inner share's declared counts

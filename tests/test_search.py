@@ -70,6 +70,15 @@ def test_verify_linear_catches_a_bit_flip():
     )
 
 
+def test_the_matrices_refuse_a_demand_or_demand_set_they_do_not_fit():
+    m = low_memory_2x4_matrices()
+    message = r"^no delivery matrix for demand \(0, 0, 0, 0\)$"
+    with pytest.raises(UnservedDemand, match=message):
+        m.delivery_for((0, 0, 0, 0))
+    with pytest.raises(ParameterError, match="^demand set shape does not match"):
+        verify_linear(m, cyclic_demand_set(2, 1))
+
+
 def test_validate_rejects_malformed_matrices():
     m = low_memory_2x4_matrices()
     with pytest.raises(ParameterError):
@@ -219,6 +228,12 @@ def test_search_rejects_bad_parameters():
     with pytest.raises(ParameterError, match="non-negative"):
         search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=-1)
     assert search_linear_scheme(2, 4, 3, 4, 1, CYCLIC, budget=0) is None
+
+
+@pytest.mark.parametrize("tx_dim", [-1, 7])
+def test_search_rejects_a_delivery_dimension_outside_the_columns(tx_dim):
+    with pytest.raises(ParameterError, match="^delivery dimension out of range$"):
+        search_linear_scheme(2, 4, 3, 4, tx_dim, CYCLIC)
 
 
 class FirstDraw(Exception):

@@ -466,6 +466,31 @@ def test_unequal_multisets_fall_back_to_enumeration(width, passed, cases):
     assert (v.counterexample is None) is passed
 
 
+def test_mutual_information_does_not_depend_on_the_cell_order(monkeypatch):
+    # the coincidence scheme's privacy table at width 2: summed left to
+    # right, its 52 terms give other floats in other orders
+    built = []
+
+    class Recorded(JointDistribution):
+        def __init__(self, *fields):
+            super().__init__(*fields)
+            built.append(self)
+
+    monkeypatch.setattr(verifier, "JointDistribution", Recorded)
+    verifier._enumerate(coincidence_scheme(), 2, (0,), False)
+    (d,) = built
+    cells, rng, plain = list(d.joint.items()), random.Random(16), set()
+    for _ in range(20):
+        rng.shuffle(cells)
+        shuffled = JointDistribution(d.total, Counter(dict(cells)), d.left, d.right)
+        assert shuffled.mutual_information_bits() == 0.18003653257726562
+        mi = 0.0  # a plain sum, not sum(), which compensates since 3.12
+        for (l, r), c in cells:
+            mi += c / d.total * math.log2(c * d.total / (d.left[l] * d.right[r]))
+        plain.add(mi)
+    assert len(plain) > 1
+
+
 def uneven_scheme(longer_cache: bool) -> SchemeInstance:
     """N=K=2, t=1, two-valued keys and one server part of 2 configurations
     with one pad.  Either a user's cache is file 0 under key 0 and both
