@@ -1,8 +1,8 @@
 """Exact scheme verification: proof per configuration, then enumeration.
 
 Correctness and privacy are decided over the full joint space of file
-realizations, demands, user keys, and server randomness.  Every scheme is
-a GF(2) column program, so a check can often be proven from the linear
+realizations, demands, user keys, and server randomness.  Every scheme's
+tables hold GF(2) forms, so a check can often be proven from the linear
 forms of one configuration at a time (demand, keys and the configuration
 part of the server randomness), without visiting a store.  One streamed
 walk over the configurations turns each row table into forms; the proof
