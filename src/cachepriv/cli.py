@@ -192,10 +192,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     target = tuple(int(x) for x in args.target.split(","))
     if len(target) != 5:
         raise ParameterError("target must be files,users,t,cache_dim,tx_dim")
-    if args.regen and (target != DUAL_TARGET or args.seed != HIGH_MEMORY_SEARCH_SEED):
+    default = (DUAL_TARGET, HIGH_MEMORY_SEARCH_SEED, "restart")
+    if args.regen and (target, args.seed, args.strategy) != default:
         raise ParameterError(
             "--regen re-derives the committed witness: it takes the default "
-            "--target and --seed only"
+            "--target, --seed and --strategy only"
         )
     n_files, n_users, t, cache_dim, tx_dim = target
     check_search_target(n_files, n_users, t, args.budget)

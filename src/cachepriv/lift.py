@@ -134,7 +134,8 @@ def lift_private(np: SchemeInstance, name: str | None = None) -> SchemeInstance:
         raise ParameterError("virtual user count must be a multiple of the file count")
     k = np.n_users // n
     cyc = cyclic_demand_set(n, k)
-    missing = [m for m in cyc if m not in np.served_demands()]
+    # a scheme whose served set is None serves every demand
+    missing = [m for m in cyc if np.served is not None and m not in np.served]
     if missing:
         raise ParameterError(f"scheme does not serve cyclic demand {missing[0]}")
     if any(size != 1 for size in np.key_sizes) or np.server_random_size(1) != 1:

@@ -554,32 +554,30 @@ def _enumerate(
     ints are, and an int is decoded back to its tuples (view_of) only for
     the printed invariance cell.
 
-    Each value an atom reads is keyed (packed pads, forms, constant) and is
-    GF(2)-linear in the packed store and pads, so over a block of
-    consecutive stores (at most max(one store's atoms, _BLOCK_ATOMS) atoms)
-    it is a table on the low store bits XORed with its value on the block's
-    base and the pads (_evaluate), and with its constant: payload and file
-    forms come shifted to their offsets, and a payload's constant is the
-    fixed part's number in place.  A block's values are zipped into one row
-    per store, each column is read off the rows by one getter, and an
-    atom's int is the OR of its columns.  Each count table is fed once per
-    block, by one Counter.update, with a per-atom loop's keys in its order;
-    privacy's right margin by a second update over the same ints, and its
-    left margin is one store's other-demand column times the number of
-    stores, so each JointDistribution is built with the margins
-    JointDistribution.of would give, in the same order.  Invariance is fed
-    one (user k, own demand j) pair at a time, in the order (0, 0), (0, 1),
-    (1, 0), (1, 1), no pair past the first whose tables differ.
+    An atom's int is one value, keyed (packed pads, forms, constant): the
+    cache forms, then the payload forms and for a view file j's unit forms,
+    each zero-padded to its offset, and the fixed part's number as the
+    constant, in place on top.  It is GF(2)-linear in the packed store and
+    pads, so over a block of consecutive stores (at most max(one store's
+    atoms, _BLOCK_ATOMS) atoms) it is a table on the low store bits XORed
+    with its value on the block's base and the pads (_evaluate), and with
+    its constant.  A block's values are zipped into one row per store, and
+    each count's ints are read off the rows by one getter.  Each count
+    table is fed once per block, by one Counter.update, with a per-atom
+    loop's keys in its order; privacy's right margin by a second update
+    over the same ints, and its left margin is one store's other-demand
+    column times the number of stores, so each JointDistribution is built
+    with the margins JointDistribution.of would give, in the same order.
+    Invariance is fed one (user k, own demand j) pair at a time, in the
+    order (0, 0), (0, 1), (1, 0), (1, 1), no pair past the first whose
+    tables differ.
     """
     t = s.subpacketization
     store_bits, file_bits = s.n_files * t * width, t * width
-    # slots holds the cache forms per (user, key)
-    slots, configured = {}, defaultdict(dict)
+    configured = defaultdict(dict)
     walk = _configurations(s, width, False)
     for wants, user_keys, config, header, caches, sent, _ in walk:
-        for slot, cache in zip(enumerate(user_keys), caches):
-            slots.setdefault(slot, cache)
-        configured[wants][user_keys, config] = (sent, header)
+        configured[wants][user_keys, config] = (caches, sent, header)
     # the atoms of one store and demand: (user keys, configuration, pads),
     # the pads packed above the store
     plan = []
@@ -591,28 +589,28 @@ def _enumerate(
     demands, per_demand = list(configured), len(realizations)
     per_store = len(demands) * per_demand
     # the symbol offsets of an observation's payload and file values
-    pay_at = max(map(len, slots.values()))
-    file_at = pay_at + max(
-        len(sent) for table in configured.values() for sent, _ in table.values()
-    )
+    entries = [entry for table in configured.values() for entry in table.values()]
+    pay_at = max(len(cache) for caches, _, _ in entries for cache in caches)
+    file_at = pay_at + max(len(sent) for _, sent, _ in entries)
     numbers: dict[tuple, int] = {}  # per fixed part, in order of first appearance
 
-    def reads(k: int, wants: tuple, file: int | None) -> list[list[tuple]]:
-        """Per column (cache, payload, then file j's content for a view),
-        the value user k's atoms of (a store, demand wants) read there."""
+    def reads(k: int, wants: tuple, file: int | None) -> list[tuple]:
+        """Per atom of (a store, demand wants), the one value user k's
+        observation reads, keyed (packed pads, forms, constant): the cache
+        forms, zero-padded to pay_at, then the payload forms, and for a view
+        zero-padded to file_at, then file j's unit forms."""
         top = (file_at + (0 if file is None else t)) * width
-        table, shift, cache, pay = configured[wants], (0,) * pay_at, [], []
+        table, keys = configured[wants], []
         for ks, config, packed in realizations:
-            forms = slots[k, ks[k]]
-            sent, header = table[ks, config]
-            fixed = (len(forms) * width, ks[k], len(sent) * width, header, wants[k])
+            caches, sent, header = table[ks, config]
+            cache = caches[k]
+            fixed = (len(cache) * width, ks[k], len(sent) * width, header, wants[k])
             number = numbers.setdefault(fixed, len(numbers))
-            cache.append((0, forms, 0))
-            pay.append((packed, shift + sent, number << top))
-        if file is None:
-            return [cache, pay]
-        unit = (0,) * file_at + unit_rows(file * t, t)
-        return [cache, pay, [(0, unit, 0)] * per_demand]
+            forms = cache + (0,) * (pay_at - len(cache)) + sent
+            if file is not None:
+                forms += (0,) * (file_at - len(forms)) + unit_rows(file * t, t)
+            keys.append((packed, forms, number << top))
+        return keys
 
     def view_of(obs: int) -> tuple:
         """The view an invariance int counts: (observation, (file j's
@@ -626,22 +624,19 @@ def _enumerate(
     block, tables = 1 << low, {}  # _block_table per form set, kept per call
 
     def sweep(feeds):
-        """Feed each (columns of reads, count) over every store: count is
-        called once per block with the block's ints in atom order."""
+        """Feed each (reads, count) over every store: count is called once
+        per block with the block's ints in atom order."""
         if not feeds:
             return
         # each value read, keyed (packed pads, forms, constant), at its
         # place in a row
         places: dict[tuple[int, tuple[int, ...], int], int] = {}
         fed = []
-        for columns, count in feeds:
-            gets = []
-            for keys in columns:
-                at = [places.setdefault(key, len(places)) for key in keys]
-                gets.append(operator.itemgetter(*at))
+        for keys, count in feeds:
+            at = [places.setdefault(key, len(places)) for key in keys]
             # a getter of one place returns its value, not a 1-tuple
-            join = itertools.chain.from_iterable if len(columns[0]) > 1 else iter
-            fed.append((gets, join, count))
+            join = itertools.chain.from_iterable if len(at) > 1 else iter
+            fed.append((operator.itemgetter(*at), join, count))
         distinct = {forms for _, forms, _ in places}
         for forms in distinct - tables.keys():
             tables[forms] = _block_table(forms, width, low)
@@ -655,11 +650,8 @@ def _enumerate(
                 v = at_base[forms] ^ on
                 values.append(map(v.__xor__, table) if v else table)
             rows = list(zip(*values))
-            for gets, join, count in fed:
-                observed, *rest = [join(map(get, rows)) for get in gets]
-                for column in rest:
-                    observed = map(operator.or_, observed, column)
-                count(observed)
+            for get, join, count in fed:
+                count(join(map(get, rows)))
 
     def counting(dist: JointDistribution, lefts: list):
         """A count feeding dist's joint table, keyed (left, int), and its
@@ -675,15 +667,14 @@ def _enumerate(
     total = per_store << store_bits
     feeds, dists = [], {}
     for k in users:
-        columns, other = [[], []], []
+        keys, other = [], []
         for wants in demands:
-            for column, keys in zip(columns, reads(k, wants, None)):
-                column += keys
+            keys += reads(k, wants, None)
             other += [wants[:k] + wants[k + 1 :]] * per_demand
         # the left margin: every store has one store's other-demand column
         left = Counter({l: c << store_bits for l, c in Counter(other).items()})
         dists[k] = JointDistribution(total, Counter(), left, Counter())
-        feeds.append((columns, counting(dists[k], other * block)))
+        feeds.append((keys, counting(dists[k], other * block)))
     sweep(feeds)
     verdicts = {_privacy(k): dist.verdict() for k, dist in dists.items()}
     if invariance:
@@ -828,6 +819,7 @@ def measure_rates(
     sizes = {len(cache) for cache in s.place(user_keys, store)}
     if len(sizes) != 1:
         raise SchemeError(f"users have unequal cache sizes: {sorted(sizes)}")
-    demand = s.served_demands().members[0]
+    # full_demand_set's first member, without building its N^K demands
+    demand = (0,) * s.n_users if s.served is None else s.served.members[0]
     payload, _ = s.deliver(store, demand, user_keys, 0)
     return Fraction(sizes.pop(), t), Fraction(len(payload), t), s.header_bits

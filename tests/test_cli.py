@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cachepriv.cli
-from cachepriv import search
+from cachepriv import core, search
 from cachepriv.cli import main, resolve_scheme
 from cachepriv.core import DemandSubset, cyclic_demand_set
 from cachepriv.lift import low_memory_private_scheme
@@ -38,6 +38,18 @@ def test_measure_output_is_exact(capsys):
     assert capsys.readouterr().out == "M=0 R=2 header_bits=2\n"
     assert main(["measure", "share:1/3:example1:dual"]) == 0
     assert capsys.readouterr().out == "M=1 R=2/3 header_bits=4\n"
+
+
+def test_measure_builds_no_demand_set_for_a_scheme_serving_every_demand(
+    monkeypatch, capsys
+):
+    # thm1:2,40,0 serves all 2^40 demands; measure reads the first, (0,) * 40
+    def refuse(n_files, n_users):
+        raise AssertionError(f"built all {n_files}^{n_users} demands")
+
+    monkeypatch.setattr(core, "full_demand_set", refuse)
+    assert main(["measure", "thm1:2,40,0"]) == 0
+    assert capsys.readouterr().out == "M=0 R=2 header_bits=0\n"
 
 
 def test_verify_private_scheme(capsys):
@@ -167,12 +179,13 @@ def test_search_rejects_bad_targets(capsys):
     # a target of other than 5 numbers, a user count that is not a multiple
     # of the file count, sizes below 1 and a negative budget, and --regen,
     # which only re-derives the committed witness, with any other target or
-    # seed: one error line, no search
+    # seed or strategy: one error line, no search
     for extra in (
         ["--target", "2,4,3"],
         ["--target", "2,5,3,4,1"],
         ["--regen", "--target", "2,4,3,1,4", "--seed", "18", "--budget", "16"],
         ["--regen", "--seed", "5", "--budget", "2000"],
+        ["--regen", "--strategy", "exhaustive"],
         ["--target", "0,4,3,1,1"],
         ["--target", "2,0,3,1,1"],
         ["--target=-2,4,3,1,1"],

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cachepriv import core
 from cachepriv.core import (
     DemandVector,
     FileStore,
@@ -27,7 +28,7 @@ from cachepriv.verifier import (
     check_privacy,
     measure_rates,
 )
-from oracles import expand_demand, mod_sub
+from oracles import clear_constructors, expand_demand, mod_sub
 
 
 def test_basic_scheme_rate_formula():
@@ -110,6 +111,19 @@ def test_lift_rejects_schemes_missing_cyclic_demands():
     s = compile_linear_scheme(low_memory_2x4_matrices(), served, "partial")
     with pytest.raises(ParameterError):
         lift_private(s)
+
+
+def test_lifting_a_scheme_serving_every_demand_builds_no_demand_set(monkeypatch):
+    # a source whose served set is None serves every cyclic demand, so its
+    # N^K demands are not built to check them
+    def refuse(n_files, n_users):
+        raise AssertionError(f"built all {n_files}^{n_users} demands")
+
+    clear_constructors()
+    monkeypatch.setattr(core, "full_demand_set", refuse)
+    lifted = lift_private(uncoded_baseline(2, 4, 1))
+    assert lifted.served is None
+    assert measure_rates(lifted) == (Fraction(1), Fraction(1), 2)
 
 
 def test_lifted_broadcast_reuses_virtual_delivery():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,20 @@ def test_memory_share_rejects_mismatches():
         )
     with pytest.raises(ParameterError):
         memory_share(low_memory_2x4_scheme(), uncoded_baseline(2, 4, 1), Fraction(1, 2))
+
+
+def test_memory_share_refuses_fractional_and_empty_parts():
+    # a part's cache and payload must each be a whole number of symbols,
+    # and not both empty
+    a, b = basic_private_scheme(2, 2, 1), basic_private_scheme(2, 2, 0)
+    with pytest.raises(
+        ParameterError, match=r"^thm1:2,2,1 has non-integral symbol counts$"
+    ):
+        memory_share(replace(a, memory=Fraction(1, 3)), b, Fraction(1, 2))
+    with pytest.raises(
+        ParameterError, match=r"^thm1:2,2,1 has no cache and no payload$"
+    ):
+        memory_share(replace(a, memory=0, rate=0), b, Fraction(1, 2))
 
 
 def test_plaintext_header_control_leaks():

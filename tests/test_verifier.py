@@ -172,10 +172,37 @@ def counting_evaluations(monkeypatch) -> tuple[Counter, Counter]:
     return built, evaluated
 
 
-def cache_forms(s, width, users) -> set[tuple[int, ...]]:
-    """The form tuple of every (user, key)'s cache, for these users."""
-    walk = verifier._configurations(s, width, False)
-    return {caches[user] for *_, caches, _, _ in walk for user in users}
+def read_forms(s, width, users, file=None) -> Counter:
+    """The form sets one sweep of the enumerator reads for these users,
+    each with the number of places that read it on nonzero pads.
+
+    An atom reads one stacked form set: its user's cache forms, zero-padded
+    to the longest cache, then the payload forms, and with a file (the
+    sweep of a view, over the atoms whose user demands that file)
+    zero-padded past the longest payload, then the file's unit forms.  A
+    place is a distinct (pads, form set, discrete part of the observation)."""
+    walk = list(verifier._configurations(s, width, False))
+    pay_at = max(len(cache) for *_, caches, _, _ in walk for cache in caches)
+    file_at = pay_at + max(len(sent) for *_, sent, _ in walk)
+    t, servers = s.subpacketization, range(s.server_random_size(width))
+    split = (s.split_server(server, width) for server in servers)
+    pads_of = {(config, tuple(pads)) for config, pads in split}
+    places = set()
+    for wants, user_keys, config, header, caches, sent, _ in walk:
+        for k in users:
+            if file is not None and wants[k] != file:
+                continue
+            forms = caches[k] + (0,) * (pay_at - len(caches[k])) + sent
+            if file is not None:
+                forms += (0,) * (file_at - len(forms))
+                forms += tuple(1 << c for c in range(file * t, (file + 1) * t))
+            fixed = (len(caches[k]), user_keys[k], len(sent), header, wants[k])
+            for at, pads in pads_of:
+                if at == config:
+                    places.add((pads, forms, fixed))
+    counts = Counter({forms: 0 for _, forms, _ in places})
+    counts.update(forms for pads, forms, _ in places if any(pads))
+    return counts
 
 
 def blocks_of(s, width) -> int:
@@ -211,13 +238,15 @@ def test_decodability_counterexample_reporting(monkeypatch):
     )
     # the proof finds that atom from the forms and evaluates nothing
     assert not built and not evaluated
-    # an enumerated check reads each cache's images once; its 64 stores
-    # fill one block, based at store 0, so no base needs evaluating
+    # an enumerated check reads each form set's images once; its 64 stores
+    # fill one block, based at store 0, so no base needs evaluating, and
+    # the form set is evaluated once per place reading it on nonzero pads
     control = with_plaintext_demand_header(low_memory_private_scheme())
     assert not check_privacy(control, 0).passed
     assert blocks_of(control, 1) == 1
-    for forms in cache_forms(control, 1, [0]):
-        assert (built[forms], evaluated[forms]) == (1, 0)
+    reads = read_forms(control, 1, [0])
+    assert built == Counter(dict.fromkeys(reads, 1))
+    assert evaluated == reads
 
 
 def reading_the_other_slot(s):
@@ -669,13 +698,18 @@ def test_the_public_checks_read_each_form_sets_images_once(monkeypatch):
         lambda forms, width: built.update([(forms, width)]) or images(forms, width),
     )
     # a fresh instance, as the bench's control operation builds each time;
-    # three of its four checks enumerate, reading 19 images without memos
+    # three of its four checks enumerate, reading the form sets of one
+    # privacy sweep per user and of the first invariance sweep, (user 0,
+    # file 0), whose tables already differ
     control = with_plaintext_demand_header(low_memory_private_scheme())
     check_decodability(control)
     for k in range(control.n_users):
         check_privacy(control, k)
     check_conditional_invariance(control)
-    assert sum(built.values()) == len(built) == 9
+    read = {(forms, 1) for k in (0, 1) for forms in read_forms(control, 1, [k])}
+    read.update((forms, 1) for forms in read_forms(control, 1, [0], 0))
+    assert built == Counter(dict.fromkeys(read, 1))
+    assert len(read) == 20
 
 
 @pytest.mark.parametrize(
@@ -913,15 +947,16 @@ def test_each_cache_is_evaluated_on_bits_and_block_bases(monkeypatch, token):
     s = resolve_scheme(token)
     built, evaluated = counting_evaluations(monkeypatch)
     verifier._enumerate(s, 2, tuple(range(s.n_users)), False)
-    stores = 1 << (s.n_files * s.subpacketization * 2)
     blocks = blocks_of(s, 2)
     # 16 blocks of 256 stores, and 32 blocks of 2 stores
     assert blocks == {"example1": 16, "thm1:3,2,0": 32}[token]
-    for forms in cache_forms(s, 2, range(s.n_users)):
-        # its images once, then its value on each block base but store 0:
-        # fewer evaluations than stores
-        assert (built[forms], evaluated[forms]) == (1, blocks - 1)
-        assert built[forms] + evaluated[forms] < stores
+    reads = read_forms(s, 2, range(s.n_users))
+    assert built == Counter(dict.fromkeys(reads, 1))
+    for forms, on_pads in reads.items():
+        # its images once, then its value on each block base but store 0
+        # and on the nonzero pads of each place reading it, however many
+        # stores each block holds
+        assert evaluated[forms] == blocks - 1 + on_pads
 
 
 def test_invariance_stops_at_the_first_differing_pair(monkeypatch):
