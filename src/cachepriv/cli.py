@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 import time
@@ -51,6 +52,7 @@ from .search import (
     DEFAULT_TRIAL_BUDGET,
     check_search_target,
     compile_linear_scheme,
+    exhaustive_options,
     export_descriptor,
     parse_descriptor,
     rank_filter_never_passes,
@@ -224,6 +226,15 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "as some user's cache is too small for the rank filter ever to pass"
             )
             return 1
+        if found is None and args.strategy == "exhaustive":
+            tried = math.prod(map(len, exhaustive_options(demands, t, cache_dim, tx_dim)))
+            if tried <= args.budget:
+                print(
+                    f"no scheme found: the exhaustive scan was exhausted after "
+                    f"trying all {tried} cache placements that pass the rank "
+                    f"filter ({elapsed:.1f}s)"
+                )
+                return 1
         if found is None:
             print(f"no scheme found within {args.budget} trials ({elapsed:.1f}s)")
             return 1

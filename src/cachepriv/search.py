@@ -213,6 +213,15 @@ _SUBSPACES: dict[
     tuple[int, int], tuple[list, dict[int, int], Iterator[tuple[int, ...]]]
 ] = {}
 
+# (a cache span's reduced rows, file f, t) -> (charge, f's residual cosets
+# modulo the span as _file_cosets gives them), least recently read first.
+# An entry over n_cols columns holds under 2^n_cols elements and at most t
+# masks of 2^n_cols bits, so it is charged 2^max(n_cols, 6); the charges
+# held sum to at most COSET_MEMO: 4,096 entries up to 6 columns, 4 at 16.
+COSET_MEMO = 1 << 18
+_COSETS: dict[tuple[tuple[int, ...], int, int], tuple[int, tuple]] = {}
+_COSETS_CHARGED = [0]  # the sum of the charges _COSETS holds
+
 
 def _coset(offset: int, rows: Iterable[int]) -> list[int]:
     """The elements of offset + span(rows), for independent rows."""
@@ -240,6 +249,24 @@ def _residuals(basis: dict[int, int], f: int, t: int) -> set[int]:
         e <<= 1
     found.discard(0)
     return found
+
+
+def _file_cosets(
+    basis: dict[int, int], f: int, t: int, n_cols: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """File f's residual cosets modulo span(basis), each as (element mask,
+    elements), read from _COSETS or built there once; immutable, as every
+    caller shares them."""
+    key = (tuple(basis.values()), f, t)
+    entry = _COSETS.pop(key, None)
+    if entry is None:
+        elements = [tuple(_coset(r, basis.values())) for r in _residuals(basis, f, t)]
+        entry = 1 << max(n_cols, 6), tuple((_element_mask(e), e) for e in elements)
+        _COSETS_CHARGED[0] += entry[0]
+        while _COSETS_CHARGED[0] > COSET_MEMO:
+            _COSETS_CHARGED[0] -= _COSETS.pop(next(iter(_COSETS)))[0]
+    _COSETS[key] = entry  # read last: evicted last
+    return entry[1]
 
 
 def _user_feasible(table: list[int], files: Iterable[int], t: int, tx_dim: int) -> bool:
@@ -273,7 +300,7 @@ def _user_feasible(table: list[int], files: Iterable[int], t: int, tx_dim: int) 
 
 
 def _first_meeting_span(
-    cosets: list[tuple[int, list[int]]], n_cols: int, dim: int
+    cosets: list[tuple[int, Sequence[int]]], n_cols: int, dim: int
 ) -> tuple[int, ...] | None:
     """The first dim-dimensional span in gf2.iter_subspaces order that meets
     every coset, given as (element mask, elements), or None.
@@ -312,27 +339,21 @@ def _try_placements(
     bases: Sequence[dict[int, int]],
     demands: DemandSubset,
     t: int, n_cols: int, tx_dim: int,
-    residuals: Sequence[dict[int, set[int]]] | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
     """Delivery rows for every demand from each user's reduced cache basis,
     or None.  Target x is in span(C_u + W) exactly when the delivery span W
     meets the coset x + span(C_u), so each (user, file) needs the cosets of
-    its nonzero residuals, built once as element masks (bit v set for each
-    element v) beside their elements.  One row: the masks are intersected
-    and the least row wins.  More rows (or none): the first W in
-    iter_subspaces order that meets every coset.  residuals, when given,
-    holds each user's residuals per needed file; else each is computed here
-    on its first read."""
-    cosets: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
+    its nonzero residuals, as element masks (bit v set for each element v)
+    beside their elements; they depend only on the span and the file, so
+    _file_cosets builds them once per process.  One row: the masks are
+    intersected and the least row wins.  More rows (or none): the first W
+    in iter_subspaces order that meets every coset."""
+    cosets: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
-    def needs(u: int, f: int) -> list[tuple[int, list[int]]]:
+    def needs(u: int, f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
         found = cosets.get((u, f))
         if found is None:
-            found = cosets[(u, f)] = []
-            known = _residuals(bases[u], f, t) if residuals is None else residuals[u][f]
-            for r in known:
-                elements = _coset(r, bases[u].values())
-                found.append((_element_mask(elements), elements))
+            found = cosets[(u, f)] = _file_cosets(bases[u], f, t, n_cols)
         return found
 
     deliveries = []
@@ -392,6 +413,28 @@ def rank_filter_never_passes(
     )
 
 
+def exhaustive_options(
+    demands: DemandSubset, t: int, cache_dim: int, tx_dim: int
+) -> list[list[dict[int, int]]]:
+    """Each user's cache spans that pass the rank filter, in
+    gf2.iter_subspaces order; the exhaustive strategy scans their product.
+    Each is a reduced basis built lowest pivot first, as a restart draw's
+    is, so both strategies key a span's cosets alike in _COSETS."""
+    n_cols = demands.n_files * t
+    per_user = []
+    for u in range(demands.n_users):
+        files = sorted({d[u] for d in demands})
+        options = []
+        for rows in gf2.iter_subspaces(n_cols, cache_dim):
+            table = [0] * (n_cols + 1)
+            for r in rows:  # reduced already: its pivots are its top bits
+                table[r.bit_length()] = r
+            if _user_feasible(table, files, t, tx_dim):
+                options.append(gf2.reduced_basis(reversed(rows)))
+        per_user.append(options)
+    return per_user
+
+
 def search_linear_scheme(
     n_files: int,
     n_users: int,
@@ -439,9 +482,8 @@ def search_linear_scheme(
         return None
     files_needed = [sorted({d[u] for d in demands}) for u in range(n_users)]
 
-    def trials() -> Iterator[tuple[Sequence[dict[int, int]], Sequence[dict] | None]]:
-        """(cache bases, each needed file's residuals) per trial; a restart
-        trial gives None, leaving completion to compute those it reads."""
+    def trials() -> Iterator[Sequence[dict[int, int]]]:
+        """Each trial's cache bases, one per user."""
         if strategy == "restart":
             widths = (n_cols,) * cache_dim
             zeros = [0] * (n_cols + 1)  # the echelon table before a draw
@@ -477,25 +519,13 @@ def search_linear_scheme(
                         basis[1 << (r.bit_length() - 1)] = r
                     bases.append(basis)
                 if len(bases) == n_users:
-                    yield bases, None
+                    yield bases
         else:
-            per_user = []
-            for files in files_needed:
-                options = []
-                for rows in gf2.iter_subspaces(n_cols, cache_dim):
-                    table = [0] * (n_cols + 1)
-                    for r in rows:  # reduced already: its pivots are its top bits
-                        table[r.bit_length()] = r
-                    if _user_feasible(table, files, t, tx_dim):
-                        basis = gf2.reduced_basis(rows)
-                        found = {f: _residuals(basis, f, t) for f in files}
-                        options.append((basis, found))
-                per_user.append(options)
-            for chosen in itertools.islice(itertools.product(*per_user), budget):
-                yield tuple(zip(*chosen))  # bases, residuals
+            per_user = exhaustive_options(demands, t, cache_dim, tx_dim)
+            yield from itertools.islice(itertools.product(*per_user), budget)
 
-    for bases, residuals in trials():
-        deliveries = _try_placements(bases, demands, t, n_cols, tx_dim, residuals)
+    for bases in trials():
+        deliveries = _try_placements(bases, demands, t, n_cols, tx_dim)
         if deliveries is not None:
             # each placement is its basis rows by descending pivot (gf2.rref)
             placements = tuple(tuple(sorted(b.values(), reverse=True)) for b in bases)
@@ -503,7 +533,11 @@ def search_linear_scheme(
                 n_files, n_users, t, placements, tuple(deliveries)
             )
             found.validate()
-            assert verify_linear(found, demands).passed
+            verdict = verify_linear(found, demands)
+            if not verdict.passed:  # a completion fault; checked under python -O too
+                raise RuntimeError(
+                    f"search completed matrices that fail: {verdict.counterexample}"
+                )
             return found
     return None
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -614,8 +615,22 @@ def test_search_exhaustive_strategy(capsys):
     assert main(["search", "--strategy", "exhaustive", "--target", "2,2,1,1,1"]) == 0
     out = capsys.readouterr().out
     assert "cache 0: 01\ncache 1: 01\n" in out
+    # 9 caches per user pass the rank filter and none of the 9^4 placements
+    # can be completed: a scan of them all says so, and one cut short by its
+    # budget says that the budget ran out, as a restart search does
     assert main(["search", "--strategy", "exhaustive", "--target", "2,4,2,2,1"]) == 1
-    assert capsys.readouterr().out.startswith("no scheme found within ")
+    assert re.fullmatch(
+        r"no scheme found: the exhaustive scan was exhausted after trying all "
+        r"6561 cache placements that pass the rank filter \(\d+\.\ds\)\n",
+        capsys.readouterr().out,
+    )
+    for strategy, budget in (("exhaustive", 6560), ("restart", 5)):
+        argv = ["--strategy", strategy, "--target", "2,4,2,2,1", "--budget", str(budget)]
+        assert main(["search", *argv]) == 1
+        assert re.fullmatch(
+            rf"no scheme found within {budget} trials \(\d+\.\ds\)\n",
+            capsys.readouterr().out,
+        )
 
 
 def test_calls_in_one_process_do_not_share_options(capsys):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -603,6 +606,11 @@ def test_residuals_read_off_the_basis_match_reduce_vector():
             )
 
 
+def clear_the_coset_memo(monkeypatch) -> None:
+    monkeypatch.setattr(search, "_COSETS", {})
+    monkeypatch.setattr(search, "_COSETS_CHARGED", [0])
+
+
 @pytest.mark.parametrize(
     "target, demands, strategy, seed, budget, caches",
     [
@@ -615,50 +623,139 @@ def test_residuals_read_off_the_basis_match_reduce_vector():
 def test_completion_computes_each_residual_set_it_reads_at_most_once(
     monkeypatch, target, demands, strategy, seed, budget, caches
 ):
-    # a restart trial's residual sets are computed as completion first reads
-    # them, at most once per (trial, user, file) and never by the filter;
-    # an exhaustive option's are computed once when the filter accepts it,
-    # and completing a trial reads them instead of computing them again
-    computed = Counter()  # (stage, trial, user's basis, file) -> calls
-    stage, trial = ["filter"], [0]
-    accepted_files = [0]
+    # each cache span's residual cosets are kept per process: from a cleared
+    # memo, a search computes each (span, file)'s residuals at most once over
+    # all its trials and users, only when completion first reads them and
+    # never in the filter, and the same search again computes none
+    computed = Counter()  # (stage, span, file) -> calls
+    stage = ["filter"]
     residuals, try_placements = search._residuals, search._try_placements
-    feasible = search._user_feasible
 
     def counting_residuals(basis, f, t):
-        computed[stage[0], trial[0], id(basis), f] += 1
+        computed[stage[0], frozenset(basis.values()), f] += 1
         return residuals(basis, f, t)
 
     def completing(*args):
         stage[0] = "completion"
-        trial[0] += 1
         try:
             return try_placements(*args)
         finally:
             stage[0] = "filter"
 
-    def filtering(table, files, t, tx_dim):
-        passed = feasible(table, files, t, tx_dim)
-        accepted_files[0] += passed * len(files)
-        return passed
-
+    clear_the_coset_memo(monkeypatch)
     monkeypatch.setattr(search, "_residuals", counting_residuals)
     monkeypatch.setattr(search, "_try_placements", completing)
-    monkeypatch.setattr(search, "_user_feasible", filtering)
-    found = search_linear_scheme(
-        *target, demands, strategy=strategy, seed=seed, budget=budget
-    )
+    run = dict(strategy=strategy, seed=seed, budget=budget)
+    found = search_linear_scheme(*target, demands, **run)
     assert found is not None and found.cache_rows == caches
-    assert max(computed.values()) == 1
-    by_stage = Counter()
-    for (at, *_), calls in computed.items():
-        by_stage[at] += calls
-    if strategy == "restart":
-        assert by_stage["filter"] == 0
-        assert 0 < by_stage["completion"] <= accepted_files[0]
-    else:
-        assert by_stage["filter"] == accepted_files[0] > 0
-        assert by_stage["completion"] == 0
+    assert computed and max(computed.values()) == 1
+    assert {at for at, _, _ in computed} == {"completion"}
+    assert len(search._COSETS) == len(computed)
+    computed.clear()
+    assert search_linear_scheme(*target, demands, **run) == found
+    assert not computed
+
+
+def test_a_cold_and_a_warm_coset_memo_give_the_pinned_results(monkeypatch):
+    # the benchmark targets' pins from a cleared memo; then again after other
+    # searches filled it: 4 and 8 columns, both strategies, and an exhaustive
+    # scan of the pins' own 6 columns; and again with room for 4 entries, so
+    # entries are evicted inside a trial, which reads up to 8
+    pins = search_pins("search_seed_pins.json")
+
+    def run_the_pins():
+        for p in pins:
+            found = search_linear_scheme(
+                *p["target"], CYCLIC, strategy=p["strategy"],
+                seed=p["seed"], budget=p["budget"],
+            )
+            got = None if found is None else [found.cache_rows, found.deliveries]
+            assert json.loads(json.dumps(got)) == p["found"], p
+
+    clear_the_coset_memo(monkeypatch)
+    run_the_pins()
+    cold = len(search._COSETS)
+    for target, strategy, budget in (
+        ((2, 4, 2, 1, 3), "exhaustive", 10**6),
+        ((2, 4, 2, 2, 2), "restart", 64),
+        ((2, 4, 4, 4, 2), "restart", 8),
+        ((2, 4, 3, 1, 4), "exhaustive", 300),
+        ((2, 4, 3, 3, 2), "exhaustive", 300),
+    ):
+        search_linear_scheme(*target, CYCLIC, strategy=strategy, budget=budget)
+    assert len(search._COSETS) > cold
+    run_the_pins()
+    monkeypatch.setattr(search, "COSET_MEMO", 4 << 6)
+    clear_the_coset_memo(monkeypatch)
+    run_the_pins()
+    assert len(search._COSETS) == 4
+
+
+def test_the_coset_memo_holds_no_more_than_its_bound(monkeypatch):
+    # each entry is charged 2^max(n_cols, 6), more than the elements and
+    # masks it holds, and the charges held never pass COSET_MEMO: 4,096
+    # entries up to 6 columns, 1,024 at 8, 256 at 10 and 4 at 16, where one
+    # trial of four users reads 8; the widths are mixed in one memo
+    assert search.COSET_MEMO == 1 << 18
+    clear_the_coset_memo(monkeypatch)
+    rng = random.Random("coset memo")
+    most = Counter()
+    for n_files, t, cache_dim, spans in (
+        (1, 8, 3, 1200), (2, 5, 5, 300), (2, 8, 12, 6), (2, 3, 3, 300)
+    ):
+        n_cols = n_files * t
+        for _ in range(spans):
+            basis = gf2.reduced_basis(gf2.random_full_rank(cache_dim, n_cols, rng))
+            for f in range(n_files):
+                got = search._file_cosets(basis, f, t, n_cols)
+                assert got == search._file_cosets(basis, f, t, n_cols)
+                assert len(got) <= t
+                assert len(got) + sum(len(elements) for _, elements in got) <= 1 << n_cols
+                assert all(mask >> (1 << n_cols) == 0 for mask, _ in got)
+                charges = Counter(c for c, _ in search._COSETS.values())
+                charged = sum(c * n for c, n in charges.items())
+                assert charged == search._COSETS_CHARGED[0] <= search.COSET_MEMO
+                assert charges.total() <= search.COSET_MEMO >> 6
+                charge = 1 << max(n_cols, 6)
+                most[n_cols] = max(most[n_cols], charges[charge])
+    assert most == {8: 1024, 10: 256, 16: 4, 6: most[6]}
+    assert 300 < most[6] <= 4096
+
+
+def test_a_completion_that_fails_verification_is_refused_also_under_python_O():
+    # the found-scheme self-check raises rather than asserts, so python -O
+    # keeps it; the completion is made to flip one delivery bit
+    script = (
+        "import sys\n"
+        "from cachepriv import search\n"
+        "from cachepriv.core import cyclic_demand_set\n"
+        "complete = search._try_placements\n"
+        "def flipped(*args):\n"
+        "    found = complete(*args)\n"
+        "    if found:\n"
+        "        demand, rows = found[0]\n"
+        "        found[0] = demand, (rows[0] ^ 2, *rows[1:])\n"
+        "    return found\n"
+        "search._try_placements = flipped\n"
+        "try:\n"
+        "    search.search_linear_scheme(2, 4, 3, 1, 4, cyclic_demand_set(2, 2), "
+        "seed=18, budget=16)\n"
+        "except RuntimeError as e:\n"
+        "    print(sys.flags.optimize, e)\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout == (
+            f"{len(flags)} search completed matrices that fail: user 0 cannot "
+            "recover subfile 1 of file 0 under demand (0, 1, 0, 1)\n"
+        )
 
 
 def test_subspace_table_is_filled_only_as_far_as_scans_reach(monkeypatch):
